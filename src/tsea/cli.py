@@ -8,7 +8,7 @@ error, 2 simulation error.
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import sys
 from pathlib import Path
 
@@ -19,7 +19,7 @@ from .experiments import InvariantViolation
 from .params import resolve_preset
 from .plant import Mode, SimulationError
 from .selector import COMPLETED
-from .spring_hub import HubModel, NONLINEAR, effective_length, hub_torque, linearized_stiffness
+from .spring_hub import effective_length, hub_torque, linearized_stiffness
 
 
 class CliError(Exception):
@@ -75,12 +75,38 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _positive(flag: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise CliError(f"{flag} must be finite (got {value})")
+    if value <= 0.0:
+        raise CliError(f"{flag} must be positive (got {value})")
+
+
+def _at_least(flag: str, value: int, low: int) -> None:
+    if value < low:
+        raise CliError(f"{flag} must be >= {low} (got {value})")
+
+
+def _check_args(args) -> None:
+    """Reject bad numbers before any simulation runs or any file is written."""
+    if args.command == "track":
+        _positive("--duration", args.duration)
+        _positive("--period", args.period)
+    elif args.command == "stiffness":
+        _positive("--rate", args.rate)
+        _at_least("--cycles", args.cycles, 1)
+    elif args.command == "hub-curve":
+        _positive("--range", args.sweep_range)
+        _at_least("--steps", args.steps, 2)
+
+
 def _write_outputs(out_dir: Path, trace, report_dict: dict, svg_series: dict,
                    svg_bands, noise_model: io.NoiseModel, title: str) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
+    # the report goes first: a non-finite value fails before the large CSV is written
+    io.write_report_json(report_dict, out_dir / "report.json")
     logged = io.apply_noise(trace, noise_model)
     io.write_trace_csv(logged, out_dir / "trace.csv")
-    io.write_report_json(report_dict, out_dir / "report.json")
     io.emit_svg_plot(logged.t, svg_series, out_dir / "plot.svg",
                      bands=svg_bands, title=title)
 
@@ -151,9 +177,6 @@ def _run_cycle(args, preset) -> dict:
 
 
 def _run_hub_curve(args, preset) -> dict:
-    if args.steps < 2:
-        raise CliError("--steps must be >= 2")
-    hub = HubModel(preset.hub, mode=NONLINEAR)
     betas = np.linspace(-args.sweep_range, args.sweep_range, args.steps)
     taus = np.array([hub_torque(preset.hub, float(b)) for b in betas])
     lengths = np.array([effective_length(preset.hub, float(b)) for b in betas])
@@ -181,6 +204,7 @@ def _noise(args) -> io.NoiseModel:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        _check_args(args)
         preset = resolve_preset(args.preset)
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,6 +3,18 @@
 CSV fields are written with repr-level precision so a round trip reproduces
 the trace bit-for-bit; output is locale-independent by construction. Angles
 stay in radians on disk; degrees appear only in reports and plot labels.
+
+trace.csv byte contract (the writer formats rows itself, so it must keep
+exactly what csv.writer produced):
+
+* the first line is CSV_HEADER joined with ",";
+* each data row is the t field, the mode name from MODE_NAMES, then the other
+  eight columns in CSV_HEADER order, every float written as repr(float(x))
+  (so "-0.0", "5e-324", "1e-05", "1e+16", "nan", "-inf");
+* fields are joined with "," and never quoted: no repr of a float and no
+  mode name contains a comma, quote or line break;
+* every line, the header included, ends with "\r\n" (csv.writer's default
+  terminator), and the file is pure ASCII.
 """
 
 from __future__ import annotations
@@ -21,6 +33,9 @@ SCHEMA_VERSION = 1
 
 CSV_HEADER = ("t", "mode", "theta_m", "omega_m", "theta_o", "omega_o",
               "tau_cmd", "tau_applied", "tau_spring", "i_q")
+CSV_TERMINATOR = "\r\n"
+# rows formatted per write; larger blocks save no time but raise peak memory
+CSV_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,19 +81,21 @@ def write_trace_csv(trace: Trace, path: str | Path, decimate_to_hz: float | None
         if decimate_to_hz <= 0.0:
             raise ValueError("decimate_to_hz must be positive")
         k = max(1, round(1.0 / (trace.dt * decimate_to_hz)))
-    rows = 0
+    n = len(trace)
+    cols = (trace.theta_m, trace.omega_m, trace.theta_o, trace.omega_o,
+            trace.tau_cmd, trace.tau_applied, trace.tau_spring, trace.i_q)
+    span = k * CSV_BLOCK_ROWS
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        cols = (trace.t, trace.theta_m, trace.omega_m, trace.theta_o, trace.omega_o,
-                trace.tau_cmd, trace.tau_applied, trace.tau_spring, trace.i_q)
-        for i in range(0, len(trace), k):
-            writer.writerow((
-                repr(float(cols[0][i])), MODE_NAMES[trace.mode[i]],
-                *(repr(float(c[i])) for c in cols[1:]),
-            ))
-            rows += 1
-    return rows
+        fh.write(",".join(CSV_HEADER) + CSV_TERMINATOR)
+        for start in range(0, n, span):
+            block = slice(start, start + span, k)
+            fields = (
+                map(repr, trace.t[block].tolist()),
+                map(MODE_NAMES.__getitem__, trace.mode[block].tolist()),
+                *(map(repr, c[block].tolist()) for c in cols),
+            )
+            fh.write(CSV_TERMINATOR.join(map(",".join, zip(*fields))) + CSV_TERMINATOR)
+    return len(range(0, n, k))
 
 
 def read_trace_csv(path: str | Path) -> Trace:
@@ -106,7 +123,7 @@ def read_trace_csv(path: str | Path) -> Trace:
 
 def write_report_json(report_dict: dict, path: str | Path) -> None:
     doc = {"schema_version": SCHEMA_VERSION, **report_dict}
-    Path(path).write_text(json.dumps(doc, indent=2, allow_nan=True) + "\n")
+    Path(path).write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -209,11 +226,8 @@ def mode_bands(trace: Trace) -> list[tuple[float, float, str]]:
     """Contiguous same-mode spans of a trace, for plot shading."""
     if len(trace) == 0:
         return []
-    bands = []
-    start = 0
-    for i in range(1, len(trace)):
-        if trace.mode[i] != trace.mode[start]:
-            bands.append((float(trace.t[start]), float(trace.t[i]), MODE_NAMES[trace.mode[start]]))
-            start = i
-    bands.append((float(trace.t[start]), float(trace.t[-1]), MODE_NAMES[trace.mode[start]]))
-    return bands
+    mode, t = trace.mode, trace.t
+    edges = (np.flatnonzero(mode[1:] != mode[:-1]) + 1).tolist()
+    starts = [0, *edges]
+    ends = [*edges, len(trace) - 1]
+    return [(float(t[a]), float(t[b]), MODE_NAMES[mode[a]]) for a, b in zip(starts, ends)]

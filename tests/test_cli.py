@@ -109,3 +109,24 @@ def test_simulation_blowup_exits_2(tmp_path, capsys):
                  "--out", str(tmp_path / "out")])
     assert code == 2
     assert "simulation error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["track", "--period", "0"], "--period must be positive (got 0.0)"),
+    (["track", "--period", "inf"], "--period must be finite (got inf)"),
+    (["track", "--duration", "-1"], "--duration must be positive (got -1.0)"),
+    (["track", "--duration", "nan"], "--duration must be finite (got nan)"),
+    (["stiffness", "--mode", "sea", "--rate", "0"], "--rate must be positive (got 0.0)"),
+    (["stiffness", "--mode", "sea", "--cycles", "0", "--rate", "5"],
+     "--cycles must be >= 1 (got 0)"),
+    (["hub-curve", "--range", "nan"], "--range must be finite (got nan)"),
+    (["hub-curve", "--range", "0"], "--range must be positive (got 0.0)"),
+], ids=["period-zero", "period-inf", "duration-negative", "duration-nan", "rate-zero",
+        "cycles-zero", "range-nan", "range-zero"])
+def test_bad_numbers_fail_fast(argv, message, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not out.exists()

@@ -3,8 +3,9 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from oracles import reference_mode_bands, reference_write_trace_csv
 
-from tsea.experiments import Trace, TraceRecorder, run_dynamic_switching
+from tsea.experiments import MODE_NAMES, Trace, TraceRecorder, run_dynamic_switching
 from tsea.io import (
     NoiseModel,
     apply_noise,
@@ -33,6 +34,48 @@ def _synthetic_trace(n: int, dt: float = 1.25e-4) -> Trace:
     return rec.trace()
 
 
+EDGE_VALUES = (-0.0, 5e-324, 1e-05, 1e16, 1.7976931348623157e308, math.nan, -math.inf)
+FLOAT_COLUMNS = ("t", "theta_m", "omega_m", "theta_o", "omega_o",
+                 "tau_cmd", "tau_applied", "tau_spring", "i_q")
+
+
+def _edge_trace(n: int = 64) -> Trace:
+    """Every float column cycles through EDGE_VALUES (shifted per column); all mode codes."""
+    base = np.array(EDGE_VALUES)
+    cols = {name: base[(np.arange(n) + j) % len(base)] for j, name in enumerate(FLOAT_COLUMNS)}
+    mode = (np.arange(n) % len(MODE_NAMES)).astype(np.int8)
+    return Trace(dt=1.25e-4, mode=mode, **cols)
+
+
+def _assert_same_as_reference(trace: Trace, tmp_path, decimate_to_hz=None) -> None:
+    new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    rows = write_trace_csv(trace, new, decimate_to_hz=decimate_to_hz)
+    assert rows == reference_write_trace_csv(trace, ref, decimate_to_hz=decimate_to_hz)
+    assert new.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 5000])
+def test_writer_matches_reference(n, tmp_path):
+    _assert_same_as_reference(_synthetic_trace(n), tmp_path)
+
+
+@pytest.mark.parametrize("n, hz", [(20000, 1000.0), (5000, 8000.0 / 3.0), (8000, 50.0)])
+def test_writer_matches_reference_decimated(n, hz, tmp_path):
+    trace = _synthetic_trace(n)
+    k = round(1.0 / (trace.dt * hz))
+    assert k > 1 and n % (k * 1024) != 0
+    _assert_same_as_reference(trace, tmp_path, decimate_to_hz=hz)
+
+
+def test_writer_matches_reference_edge_values(tmp_path):
+    trace = _edge_trace()
+    _assert_same_as_reference(trace, tmp_path)
+    text = (tmp_path / "new.csv").read_text()
+    for token in ("-0.0", "5e-324", "1e-05", "1e+16", "1.7976931348623157e+308", "nan", "-inf",
+                  *MODE_NAMES):
+        assert token in text, token
+
+
 def test_empty_trace_header_only(tmp_path):
     trace = _synthetic_trace(0)
     path = tmp_path / "t.csv"
@@ -49,14 +92,14 @@ def test_decimation_to_50hz(tmp_path):
 
 
 def test_round_trip_bit_exact(tmp_path):
-    trace = _synthetic_trace(500)
     path = tmp_path / "t.csv"
-    write_trace_csv(trace, path)
-    back = read_trace_csv(path)
-    for name in ("t", "theta_m", "omega_m", "theta_o", "omega_o",
-                 "tau_cmd", "tau_applied", "tau_spring", "i_q"):
-        assert np.array_equal(getattr(back, name), getattr(trace, name)), name
-    assert np.array_equal(back.mode, trace.mode)
+    for trace in (_synthetic_trace(500), _edge_trace()):
+        write_trace_csv(trace, path)
+        back = read_trace_csv(path)
+        for name in FLOAT_COLUMNS:
+            # byte comparison: tells -0.0 from 0.0 and matches nan with nan
+            assert getattr(back, name).tobytes() == getattr(trace, name).tobytes(), name
+        assert np.array_equal(back.mode, trace.mode)
 
 
 def test_noise_disabled_is_identity():
@@ -118,6 +161,13 @@ def test_svg_band_shading_matches_switches(tmp_path, calibrated):
     root = ET.parse(path).getroot()
     rects = [el for el in root.iter() if el.tag.endswith("rect") and el.get("opacity")]
     assert len(rects) == 2 * len(bands)  # one shading rect per band per panel
+    assert bands == reference_mode_bands(trace)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 1000])
+def test_mode_bands_match_reference(n):
+    trace = _synthetic_trace(n)  # every third row is PEA: many short bands
+    assert mode_bands(trace) == reference_mode_bands(trace)
 
 
 def test_report_json(tmp_path):
@@ -128,3 +178,11 @@ def test_report_json(tmp_path):
     doc = json.loads(path.read_text())
     assert doc["schema_version"] == 1
     assert doc["a"] == 1.5
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_report_json_rejects_non_finite(bad, tmp_path):
+    path = tmp_path / "r.json"
+    with pytest.raises(ValueError):
+        write_report_json({"ok": 1.0, "nested": {"bad": [bad]}}, path)
+    assert not path.exists()
