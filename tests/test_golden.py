@@ -16,6 +16,9 @@ CASES = {
     "cycle": ["cycle", "--n", "5"],
     "stiffness": ["stiffness", "--mode", "sea", "--preset", "paper-full-range",
                   "--cycles", "1"],
+    "disturb-sea": ["disturb", "--mode", "sea", "--impacts", "1"],
+    "disturb-pea": ["disturb", "--mode", "pea", "--impacts", "1"],
+    "hub-curve": ["hub-curve"],
 }
 
 # stiffness's report.json is not pinned: its least-squares stiffness fit
@@ -30,6 +33,15 @@ DIGESTS = {
     ("cycle", "plot.svg"): "e635200319f86750421cb3238750ef1c9d11c6a46dae1559cb547e9b9aeece0c",
     ("stiffness", "trace.csv"): "58b1c765f04f7b534c7dad30e8ba210416d4badbdddd9fa7828fbcf48978b43b",
     ("stiffness", "plot.svg"): "5ba606c6bbcfb9b4188553c2dd8f7517f60a5be3be418331012a3df85b0e77a8",
+    ("disturb-sea", "trace.csv"): "6de35d8c1cd84fbb3306c5d3d2faa68450e4071764a3f061b2d3de838b988dda",
+    ("disturb-sea", "report.json"): "d36ab636d328677ad0d465e822aa37096d9066608511552c27406f5aa4fbe7db",
+    ("disturb-sea", "plot.svg"): "98ef5e8661dd092b901bf48394b12541089dac12123808ecda73e4c23c134128",
+    ("disturb-pea", "trace.csv"): "a1831cf371405d652307eabb945bbb28ce0a92b6a51661dfde346dffd8c9ae7e",
+    ("disturb-pea", "report.json"): "f9c56c853412cef33ba2d0acc46be1245639ab3efd29db45727dcf0731b550f4",
+    ("disturb-pea", "plot.svg"): "cbf9d31f09894f707403c07fa983b669a8aeaaf22d203fe28adfdbf23b8a893f",
+    ("hub-curve", "trace.csv"): "47b45430bdb0a945abe3c287fb143bb37921f1d9ffb0b74c255735ec9c96b451",
+    ("hub-curve", "report.json"): "b8c410d9465c6cfcfcc482dd3229be073e66fc888d810df54ae54e560f807962",
+    ("hub-curve", "plot.svg"): "1ceffae9a88592efb6c638b0db2a022a3d8b26e65e27ac7c113534b5a93b0d10",
 }
 
 
