@@ -1,64 +1,15 @@
-"""Motor-side controllers and command profiles.
+"""Motor-side position controller.
 
-Controllers read only the motor angle; output-side feedback is deliberately
-unavailable. Saturation is applied downstream in plant.step, never here, so
-commanded and applied torque can differ only at the clamp.
+The controller reads only the motor angle; output-side feedback is
+deliberately unavailable. Saturation is applied downstream in plant.step,
+never here, so commanded and applied torque can differ only at the clamp.
+The protocols in experiments generate their own position and torque
+references.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
-
-PROPORTIONAL_POSITION = "proportional_position"
-TORQUE_PROFILE = "torque_profile"
-
-
-@dataclass(frozen=True, slots=True)
-class ControllerConfig:
-    kind: str = PROPORTIONAL_POSITION
-    Kp: float = 40.0  # [Nm/rad]
-
-    def __post_init__(self) -> None:
-        if self.kind not in (PROPORTIONAL_POSITION, TORQUE_PROFILE):
-            raise ValueError(f"unknown controller kind {self.kind!r}")
-        if self.kind == PROPORTIONAL_POSITION and not self.Kp > 0.0:
-            raise ValueError(f"Kp must be positive (got {self.Kp})")
 
 
 def p_position(theta_tar: float, theta_m: float, Kp: float) -> float:
     """Proportional position law Kp*(theta_tar - theta_m) [Nm], pre-saturation."""
     return Kp * (theta_tar - theta_m)
-
-
-def torque_to_current(tau: float, Kt: float) -> float:
-    """q-axis current for a commanded torque under the ideal motor model [A]."""
-    return tau / Kt
-
-
-def sinusoid_target(t: float, amplitude_deg: float = 20.0, freq_hz: float = 1.0) -> float:
-    """Sinusoidal position reference amplitude*sin(2*pi*f*t) [rad]."""
-    return math.radians(amplitude_deg) * math.sin(2.0 * math.pi * freq_hz * t)
-
-
-# Loading-unloading vertices of one quasi-static torque cycle [Nm].
-TORQUE_CYCLE_VERTICES = (0.0, 1.0, 0.0, -1.0, 0.0)
-
-
-def torque_cycle_profile(t: float, ramp_rate: float = 0.2, cycles: int = 3) -> float:
-    """Piecewise-linear torque command traversing 0, +1, 0, -1, 0 Nm [Nm].
-
-    Each unit segment ramps at ramp_rate [Nm/s]; the pattern repeats for the
-    given number of cycles and holds 0 afterwards.
-    """
-    if not ramp_rate > 0.0:
-        raise ValueError(f"ramp_rate must be positive (got {ramp_rate})")
-    seg_t = 1.0 / ramp_rate
-    cycle_t = (len(TORQUE_CYCLE_VERTICES) - 1) * seg_t
-    if t < 0.0 or t >= cycles * cycle_t:
-        return 0.0
-    u = math.fmod(t, cycle_t) / seg_t
-    i = min(int(u), len(TORQUE_CYCLE_VERTICES) - 2)
-    frac = u - i
-    a, b = TORQUE_CYCLE_VERTICES[i], TORQUE_CYCLE_VERTICES[i + 1]
-    return a + (b - a) * frac

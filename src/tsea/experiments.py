@@ -3,8 +3,9 @@
 Four protocols: quasi-static stiffness characterization with the output
 locked, dynamic switching during sinusoidal tracking, impulse disturbance
 rejection under position hold, and a switching endurance run. Each protocol
-owns its simulation instance and returns (Trace, report); all metric
-functions are pure.
+returns (Trace, report); all metric functions are pure. The three protocols
+that move the actuator script their phases on one driver loop (_Driver);
+the stiffness rig integrates its locked single mass on its own.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -34,8 +36,8 @@ from .plant import (
 from .selector import (
     COMPLETED,
     REJECTED,
+    SwitchDecision,
     SwitchRecord,
-    SwitchRequest,
     advance_selector,
     engagement_energy_loss,
     request_switch,
@@ -82,9 +84,6 @@ class Trace:
 
     def __len__(self) -> int:
         return len(self.t)
-
-    def mode_name(self, i: int) -> str:
-        return MODE_NAMES[self.mode[i]]
 
 
 _FLOAT_COLS = ("t", "theta_m", "omega_m", "theta_o", "omega_o",
@@ -291,7 +290,6 @@ class StiffnessReport:
     loop_area: float              # mean per-cycle hysteresis area [Nm·rad]
     k_per_cycle: list[float]
     area_per_cycle: list[float]
-    samples_per_cycle: list[list[tuple[float, float]]]  # decimated (theta, tau)
 
     def as_dict(self) -> dict:
         return {
@@ -370,8 +368,10 @@ class CycleReport:
     rejected: int
     retried_attempts: int
     max_ke_loss_j: float
-    max_latency_error_s: float
     records: list[SwitchRecord] = field(repr=False)
+    # the latency invariant aborts the run unless every engagement takes
+    # exactly round(t_switch / dt) steps, so the error is 0 by construction
+    max_latency_error_s: float = 0.0
 
     def as_dict(self) -> dict:
         return {
@@ -403,27 +403,6 @@ def dynamics_hub(preset: Preset) -> HubModel:
     return linear_hub(preset.params.K_s, preset.hub)
 
 
-def _motor_angle(state: PlantState) -> float:
-    cls = type(state)
-    if cls is PeaState:
-        return state.theta
-    return state.theta_m
-
-
-def _measured_angle(state: PlantState, source: str) -> float:
-    cls = type(state)
-    if cls is PeaState:
-        return state.theta
-    return state.theta_m if source == "motor" else state.theta_o
-
-
-def _velocities(state: PlantState) -> tuple[float, float]:
-    cls = type(state)
-    if cls is PeaState:
-        return state.omega, state.omega
-    return state.omega_m, state.omega_o
-
-
 def initial_state(mode: Mode, theta: float = 0.0) -> PlantState:
     """Engaged at rest with the spring unloaded at the given angle."""
     if mode is Mode.SEA:
@@ -433,38 +412,77 @@ def initial_state(mode: Mode, theta: float = 0.0) -> PlantState:
     raise ValueError("initial state must be an engaged mode")
 
 
-def _hold_loop(
-    state: PlantState,
-    clock: SimClock,
-    preset: Preset,
-    hub: HubModel,
-    rec: TraceRecorder,
-    theta_target: float,
-    kp: float,
-    omega_tol: float,
-    window_s: float,
-    timeout_s: float,
-    min_hold_s: float = 0.0,
-) -> tuple[PlantState, SimClock]:
-    """Run the position hold until both velocities stay under omega_tol for
-    window_s consecutive seconds (checked after min_hold_s)."""
-    p, load = preset.params, preset.load
-    window_steps = max(1, round(window_s / p.dt))
-    timeout_steps = round(timeout_s / p.dt)
-    min_steps = round(min_hold_s / p.dt)
-    quiet = 0
-    for k in range(timeout_steps):
-        tau_cmd = p_position(theta_target, _motor_angle(state), kp)
+class _Driver:
+    """The actuator loop every moving protocol runs: the motor-side P
+    controller, the selector gate, the trace recorder and the plant.
+
+    Protocols script their phases as calls to tick() and hold(); the driver
+    owns the state, the clock and the recorder in between.
+    """
+
+    def __init__(self, preset: Preset, kp: float, state: PlantState,
+                 record_hz: float | None):
+        self.p, self.load = preset.params, preset.load
+        self.hub = dynamics_hub(preset)
+        self.rec = TraceRecorder(self.p.dt, _stride_for(self.p.dt, record_hz))
+        self.kp = kp
+        self.state = state
+        self.clock = SimClock()
+        # the transition state the last tick's engagement consumed, else None
+        self.engaged_from: TransitionState | None = None
+
+    def tick(self, target: float, extra: float = 0.0,
+             want: Mode | None = None) -> SwitchDecision | None:
+        """One control period: P law on the motor angle, the switch gate when
+        want is given (an accepted request enters the transition before the
+        row is logged), one trace row, one RK4 step with extra output torque,
+        and selector travel after a step that started in transition.
+
+        Returns the gate's decision, or None when no switch was requested.
+        """
+        p, hub, state, clock = self.p, self.hub, self.state, self.clock
+        pea = type(state) is PeaState
+        tau_cmd = p_position(target, state.theta if pea else state.theta_m, self.kp)
         tau_applied = clamp_torque(tau_cmd, p)
-        rec.record(clock.t, state, tau_cmd, tau_applied, hub, p.K_t)
-        state, clock = plant.step(state, clock, tau_cmd, p, hub, load)
-        wm, wo = _velocities(state)
-        quiet = quiet + 1 if (abs(wm) < omega_tol and abs(wo) < omega_tol) else 0
-        if k >= min_steps and quiet >= window_steps:
-            return state, clock
-    raise SimulationError(
-        f"hold did not settle below |omega| < {omega_tol} rad/s within {timeout_s} s"
-    )
+        decision = None
+        if want is not None:
+            tau_ext = gravity_torque(state.theta if pea else state.theta_o, self.load)
+            decision = request_switch(want, state, tau_applied, tau_ext, p, hub)
+            if decision.accepted:
+                state = decision.transition
+        self.rec.record(clock.t, state, tau_cmd, tau_applied, hub, p.K_t)
+        was_trans = type(state) is TransitionState
+        state, self.clock = plant.step(state, clock, tau_cmd, p, hub, self.load, extra)
+        self.engaged_from = None
+        if was_trans:
+            advanced = advance_selector(state, p.dt, p)
+            if type(advanced) is not TransitionState:
+                self.engaged_from = state
+            state = advanced
+        self.state = state
+        return decision
+
+    def hold(self, target: float, omega_tol: float, window_s: float,
+             timeout_s: float, min_hold_s: float = 0.0) -> None:
+        """Hold target until both velocities stay under omega_tol for window_s
+        consecutive seconds (checked after min_hold_s)."""
+        dt = self.p.dt
+        window_steps = max(1, round(window_s / dt))
+        min_steps = round(min_hold_s / dt)
+        quiet = 0
+        for k in range(round(timeout_s / dt)):
+            self.tick(target)
+            s = self.state
+            if type(s) is PeaState:
+                still = abs(s.omega) < omega_tol
+            else:
+                still = abs(s.omega_m) < omega_tol and abs(s.omega_o) < omega_tol
+            quiet = quiet + 1 if still else 0
+            if k >= min_steps and quiet >= window_steps:
+                return
+        raise SimulationError(
+            f"hold did not settle below |omega| < {omega_tol} rad/s within {timeout_s} s"
+        )
 
 
 def run_hold(
@@ -480,15 +498,9 @@ def run_hold(
 
     Used for the steady-state torque identities.
     """
-    p = preset.params
-    hub = dynamics_hub(preset)
-    rec = TraceRecorder(p.dt, _stride_for(p.dt, record_hz))
-    state = initial_state(mode, theta_target)
-    state, clock = _hold_loop(
-        state, SimClock(), preset, hub, rec, theta_target, kp,
-        omega_tol, window_s=0.05, timeout_s=timeout_s,
-    )
-    return rec.trace(), state, clock
+    drv = _Driver(preset, kp, initial_state(mode, theta_target), record_hz)
+    drv.hold(theta_target, omega_tol, window_s=0.05, timeout_s=timeout_s)
+    return drv.rec.trace(), drv.state, drv.clock
 
 
 # ---------------------------------------------------------------------------
@@ -582,21 +594,19 @@ def run_static_stiffness(
         cycle_bounds.append((start, rec.n_recorded))
 
     trace = rec.trace()
-    slopes, areas, samples = [], [], []
+    slopes, areas = [], []
     for a, bnd in cycle_bounds:
         th = trace.theta_m[a:bnd]
         ta = trace.tau_applied[a:bnd]
         slope, _, _ = linear_fit(th, ta)
         slopes.append(slope)
         areas.append(hysteresis_area(th, ta))
-        keep = max(1, len(th) // 400)
-        samples.append([(float(x), float(y)) for x, y in zip(th[::keep], ta[::keep])])
     k_fit = float(np.mean(slopes))
     k_sd = float(np.std(slopes))
     report = StiffnessReport(
         mode=mode.value, K_fit=k_fit, K_stderr=k_sd,
         loop_area=float(np.mean(areas)),
-        k_per_cycle=slopes, area_per_cycle=areas, samples_per_cycle=samples,
+        k_per_cycle=slopes, area_per_cycle=areas,
     )
     return trace, report
 
@@ -621,68 +631,43 @@ def run_dynamic_switching(
     crosses below the disengagement gate once per stroke; rejected requests
     are retried every following step until accepted.
     """
-    p, load = preset.params, preset.load
-    hub = dynamics_hub(preset)
-    dt = p.dt
-    rec = TraceRecorder(dt, _stride_for(dt, record_hz))
+    dt = preset.params.dt
+    drv = _Driver(preset, kp, initial_state(Mode.SEA, center), record_hz)
     n_steps = round(duration / dt)
     n_switches = int(duration // switch_period)
     request_steps = [round(k * switch_period / dt) for k in range(n_switches)]
     amp = math.radians(amplitude_deg)
     two_pi_f = 2.0 * math.pi * freq_hz
 
-    state: PlantState = initial_state(Mode.SEA, center)
-    clock = SimClock()
     records: list[SwitchRecord] = []
     retried = 0
-    pending_target: Mode | None = None
-    pending_from: Mode | None = None
-    request_t = 0.0
-    request_torque = 0.0
+    pending: tuple[float, Mode, Mode, float] | None = None  # request t, from, to, torque
     next_req = 0
 
     # engagement bookkeeping for segment stats: (mode_code, start_index)
     seg_marks: list[tuple[int, int]] = [(MODE_CODE[Mode.SEA], 0)]
 
     for k in range(n_steps):
-        t = clock.t
-        target = center + amp * math.sin(two_pi_f * t)
-        tau_cmd = p_position(target, _motor_angle(state), kp)
-        tau_applied = clamp_torque(tau_cmd, p)
+        t = drv.clock.t
+        want = None
+        if next_req < n_switches and k >= request_steps[next_req] and pending is None:
+            current = mode_of(drv.state)
+            want = Mode.PEA if current is Mode.SEA else Mode.SEA
+        decision = drv.tick(center + amp * math.sin(two_pi_f * t), want=want)
+        if decision is not None:
+            if decision.accepted:
+                pending = (t, current, want, decision.transmitted)
+                next_req += 1
+            else:
+                retried += 1  # retry on every following step until the gate opens
+        if drv.engaged_from is not None:
+            request_t, from_mode, to_mode, torque = pending
+            records.append(SwitchRecord(request_t, drv.clock.t, from_mode, to_mode,
+                                        torque, COMPLETED))
+            seg_marks.append((MODE_CODE[to_mode], drv.rec.n_recorded))
+            pending = None
 
-        if next_req < n_switches and k >= request_steps[next_req] and pending_target is None:
-            current = mode_of(state)
-            if current is not Mode.TRANS:
-                want = Mode.PEA if current is Mode.SEA else Mode.SEA
-                tau_ext = gravity_torque(
-                    state.theta if type(state) is PeaState else state.theta_o, load
-                )
-                decision = request_switch(
-                    SwitchRequest(want, t), state, tau_applied, tau_ext, p, hub
-                )
-                if decision.accepted:
-                    state = decision.transition
-                    pending_target, pending_from = want, current
-                    request_t, request_torque = t, decision.transmitted
-                    next_req += 1
-                else:
-                    retried += 1  # retry on every following step until the gate opens
-
-        rec.record(t, state, tau_cmd, tau_applied, hub, p.K_t)
-        was_trans = type(state) is TransitionState
-        state, clock = plant.step(state, clock, tau_cmd, p, hub, load)
-        if was_trans:
-            advanced = advance_selector(state, dt, p)
-            if type(advanced) is not TransitionState:
-                records.append(SwitchRecord(
-                    request_t, clock.t, pending_from, pending_target,
-                    request_torque, COMPLETED,
-                ))
-                seg_marks.append((MODE_CODE[pending_target], rec.n_recorded))
-                pending_target = pending_from = None
-            state = advanced
-
-    trace = rec.trace()
+    trace = drv.rec.trace()
     segments: list[SegmentStats] = []
     target_all = center + amp * np.sin(two_pi_f * trace.t)
     err_all = target_all - trace.theta_m
@@ -756,36 +741,26 @@ def run_disturbance(
     if measure not in ("output", "motor"):
         raise ValueError("measure must be 'output' or 'motor'")
 
-    p, load = preset.params, preset.load
-    hub = dynamics_hub(preset)
-    dt = p.dt
-    rec = TraceRecorder(dt, _stride_for(dt, record_hz))
-    state: PlantState = initial_state(mode, hold_target)
-    clock = SimClock()
+    drv = _Driver(preset, kp, initial_state(mode, hold_target), record_hz)
+    angle = attrgetter("theta" if mode is Mode.PEA
+                       else "theta_m" if measure == "motor" else "theta_o")
 
     # settle into the pre-impact hold
-    state, clock = _hold_loop(
-        state, clock, preset, hub, rec, hold_target, kp,
-        omega_tol=1e-4, window_s=0.25, timeout_s=40.0, min_hold_s=1.0,
-    )
+    drv.hold(hold_target, omega_tol=1e-4, window_s=0.25, timeout_s=40.0, min_hold_s=1.0)
 
-    post_steps = round(post_window_s / dt)
+    post_steps = round(post_window_s / preset.params.dt)
     peaks, settles, crossings, freqs = [], [], [], []
 
     for _ in range(n_impacts):
-        reference = _measured_angle(state, measure)
+        reference = angle(drv.state)
         seg_t = array("d")
         seg_y = array("d")
-        pulse_end = clock.t + impact_duration
-        for k in range(post_steps):
-            t = clock.t
-            tau_cmd = p_position(hold_target, _motor_angle(state), kp)
-            tau_applied = clamp_torque(tau_cmd, p)
-            extra = impact_torque if t < pulse_end else 0.0
-            rec.record(t, state, tau_cmd, tau_applied, hub, p.K_t)
+        pulse_end = drv.clock.t + impact_duration
+        for _ in range(post_steps):
+            t = drv.clock.t
             seg_t.append(t)
-            seg_y.append(_measured_angle(state, measure))
-            state, clock = plant.step(state, clock, tau_cmd, p, hub, load, extra)
+            seg_y.append(angle(drv.state))
+            drv.tick(hold_target, impact_torque if t < pulse_end else 0.0)
 
         seg_t_np = np.asarray(seg_t)
         err = np.asarray(seg_y) - reference
@@ -796,10 +771,7 @@ def run_disturbance(
         freqs.append(dominant_frequency(seg_t_np, err, half_band))
 
         # re-settle before the next strike
-        state, clock = _hold_loop(
-            state, clock, preset, hub, rec, hold_target, kp,
-            omega_tol=1e-4, window_s=0.25, timeout_s=40.0,
-        )
+        drv.hold(hold_target, omega_tol=1e-4, window_s=0.25, timeout_s=40.0)
 
     settled = [s for s in settles if s is not None]
     report = DisturbanceReport(
@@ -813,7 +785,7 @@ def run_disturbance(
         mean_peak_deg=float(np.mean(peaks)),
         mean_settling_ms=float(np.mean(settled)) if len(settled) == len(settles) else None,
     )
-    return rec.trace(), report
+    return drv.rec.trace(), report
 
 
 # ---------------------------------------------------------------------------
@@ -838,77 +810,39 @@ def run_switch_cycle(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    p, load = preset.params, preset.load
-    hub = dynamics_hub(preset)
-    dt = p.dt
-    rec = TraceRecorder(dt, _stride_for(dt, record_hz))
-    state: PlantState = initial_state(Mode.SEA, hold)
-    clock = SimClock()
-
-    state, clock = _hold_loop(
-        state, clock, preset, hub, rec, hold, kp,
-        omega_tol=1e-3, window_s=0.05, timeout_s=20.0, min_hold_s=0.5,
-    )
+    p = preset.params
+    drv = _Driver(preset, kp, initial_state(Mode.SEA, hold), record_hz)
+    drv.hold(hold, omega_tol=1e-3, window_s=0.05, timeout_s=20.0, min_hold_s=0.5)
 
     records: list[SwitchRecord] = []
     retried = 0
     max_ke_loss = 0.0
-    max_latency_err = 0.0
-    retry_steps = max(1, round(retry_window_s / dt))
-    dwell_steps = round(dwell_s / dt)
-    latency_steps = round(p.t_switch / dt)
-
-    def controller_step(extra_state: PlantState) -> tuple[float, float]:
-        tau_cmd = p_position(hold, _motor_angle(extra_state), kp)
-        return tau_cmd, clamp_torque(tau_cmd, p)
+    retry_steps = max(1, round(retry_window_s / p.dt))
+    dwell_steps = round(dwell_s / p.dt)
+    latency_steps = round(p.t_switch / p.dt)
 
     for i in range(n):
-        current = mode_of(state)
+        current = mode_of(drv.state)
         want = Mode.PEA if current is Mode.SEA else Mode.SEA
 
-        decision = None
-        request_t = clock.t
-        request_step = clock.step_index
+        first_t = drv.clock.t
         for attempt in range(retry_steps):
-            tau_cmd, tau_applied = controller_step(state)
-            tau_ext = gravity_torque(
-                state.theta if type(state) is PeaState else state.theta_o, load
-            )
-            decision = request_switch(
-                SwitchRequest(want, clock.t), state, tau_applied, tau_ext, p, hub
-            )
+            request_t, request_step = drv.clock.t, drv.clock.step_index
+            decision = drv.tick(hold, want=want)
             if decision.accepted:
-                request_t = clock.t
-                request_step = clock.step_index
-                state = decision.transition
-                rec.record(clock.t, state, tau_cmd, tau_applied, hub, p.K_t)
-                state, clock = plant.step(state, clock, tau_cmd, p, hub, load)
                 break
             retried += 1 if attempt > 0 else 0
-            rec.record(clock.t, state, tau_cmd, tau_applied, hub, p.K_t)
-            state, clock = plant.step(state, clock, tau_cmd, p, hub, load)
-
-        if decision is None or not decision.accepted:
+        else:
             records.append(SwitchRecord(
-                request_t, None, current, want, decision.transmitted, REJECTED,
+                first_t, None, current, want, decision.transmitted, REJECTED,
             ))
             continue
 
         # run out the selector travel
-        pre_engage = None
-        while type(state) is TransitionState:
-            pre_engage = state
-            advanced = advance_selector(state, dt, p)
-            if type(advanced) is not TransitionState:
-                state = advanced
-                break
-            state = advanced
-            tau_cmd, tau_applied = controller_step(state)
-            rec.record(clock.t, state, tau_cmd, tau_applied, hub, p.K_t)
-            state, clock = plant.step(state, clock, tau_cmd, p, hub, load)
-
-        engage_t = clock.t
-        records.append(SwitchRecord(request_t, engage_t, current, want,
+        while drv.engaged_from is None:
+            drv.tick(hold)
+        pre_engage, state = drv.engaged_from, drv.state
+        records.append(SwitchRecord(request_t, drv.clock.t, current, want,
                                     decision.transmitted, COMPLETED))
 
         # --- invariants ---
@@ -916,17 +850,15 @@ def run_switch_cycle(
             raise InvariantViolation(
                 f"cycle {i}: gate unsound, accepted at {decision.transmitted:.4f} Nm"
             )
-        latency_err = abs((clock.step_index - request_step) * dt - latency_steps * dt)
-        steps_taken = clock.step_index - request_step
+        steps_taken = drv.clock.step_index - request_step
         if steps_taken != latency_steps:
             raise InvariantViolation(
                 f"cycle {i}: latency {steps_taken} steps != t_switch ({latency_steps} steps)"
             )
-        max_latency_err = max(max_latency_err, latency_err)
-        if spring_torque(state, hub) != 0.0:
+        if spring_torque(state, drv.hub) != 0.0:
             raise InvariantViolation(
                 f"cycle {i}: spring not unloaded after engagement "
-                f"(tau={spring_torque(state, hub)!r} Nm)"
+                f"(tau={spring_torque(state, drv.hub)!r} Nm)"
             )
         if want is Mode.PEA:
             merged = (p.J_m * pre_engage.omega_m + p.J_o * pre_engage.omega_o) / (p.J_m + p.J_o)
@@ -940,19 +872,14 @@ def run_switch_cycle(
                 raise InvariantViolation(f"cycle {i}: switch records do not alternate")
 
         for _ in range(dwell_steps):
-            tau_cmd, tau_applied = controller_step(state)
-            rec.record(clock.t, state, tau_cmd, tau_applied, hub, p.K_t)
-            state, clock = plant.step(state, clock, tau_cmd, p, hub, load)
+            drv.tick(hold)
 
-    from .selector import cycle_counter
-
-    tally = cycle_counter(records)
+    completed = sum(1 for r in records if r.outcome == COMPLETED)
     report = CycleReport(
-        completed=tally["completed"],
-        rejected=tally["rejected"],
+        completed=completed,
+        rejected=len(records) - completed,
         retried_attempts=retried,
         max_ke_loss_j=max_ke_loss,
-        max_latency_error_s=max_latency_err,
         records=records,
     )
-    return rec.trace(), report
+    return drv.rec.trace(), report

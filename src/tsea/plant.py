@@ -101,48 +101,17 @@ def clamp_torque(tau: float, p: ActuatorParams) -> float:
     return tau
 
 
-def _check_finite(tau_m: float, tau_ext: float) -> None:
-    if not (math.isfinite(tau_m) and math.isfinite(tau_ext)):
-        raise ValueError(f"non-finite input torque: tau_m={tau_m}, tau_ext={tau_ext}")
-
-
-def sea_accelerations(
-    s: SeaState, tau_m: float, tau_ext: float, p: ActuatorParams, hub: HubModel
-) -> tuple[float, float]:
-    """Motor and output angular accelerations in the series topology [rad/s²]."""
-    _check_finite(tau_m, tau_ext)
-    tau_s = hub.torque(s.theta_m - s.theta_o - s.beta_offset)
-    alpha_m = (
-        tau_m - tau_s - p.b_m * s.omega_m
-        - coulomb_friction(s.omega_m, p.tau_c_sea, p.omega_eps)
-    ) / p.J_m
-    alpha_o = (
-        tau_s - tau_ext - p.b_o * s.omega_o
-        - coulomb_friction(s.omega_o, p.tau_c_out, p.omega_eps)
-    ) / p.J_o
-    return alpha_m, alpha_o
-
-
 def pea_acceleration(
     s: PeaState, tau_m: float, tau_ext: float, p: ActuatorParams, hub: HubModel
 ) -> float:
     """Angular acceleration of the rigidly coupled body in the parallel topology."""
-    _check_finite(tau_m, tau_ext)
+    if not (math.isfinite(tau_m) and math.isfinite(tau_ext)):
+        raise ValueError(f"non-finite input torque: tau_m={tau_m}, tau_ext={tau_ext}")
     return (
         tau_m - hub.torque(s.theta - s.theta_anchor) - tau_ext
         - (p.b_m + p.b_o) * s.omega
         - coulomb_friction(s.omega, p.tau_c_pea + p.tau_c_out, p.omega_eps)
     ) / (p.J_m + p.J_o)
-
-
-def freewheel_accelerations(
-    s: TransitionState, tau_m: float, tau_ext: float, p: ActuatorParams
-) -> tuple[float, float]:
-    """Decoupled accelerations while the selector travels."""
-    _check_finite(tau_m, tau_ext)
-    alpha_m = (tau_m - p.b_m * s.omega_m) / p.J_m
-    alpha_o = (-tau_ext - p.b_o * s.omega_o) / p.J_o
-    return alpha_m, alpha_o
 
 
 def spring_torque(state: PlantState, hub: HubModel) -> float:

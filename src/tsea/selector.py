@@ -31,12 +31,6 @@ class SelectorError(RuntimeError):
 
 
 @dataclass(frozen=True, slots=True)
-class SwitchRequest:
-    target_mode: Mode
-    issued_at: float  # [s]
-
-
-@dataclass(frozen=True, slots=True)
 class SwitchRecord:
     request_time: float          # [s]
     engage_time: float | None    # [s]; None for rejected requests
@@ -71,14 +65,14 @@ def transmitted_torque(
 
 
 def request_switch(
-    req: SwitchRequest,
+    target: Mode,
     state: PlantState,
     tau_m: float,
     tau_ext: float,
     p: ActuatorParams,
     hub: HubModel,
 ) -> SwitchDecision:
-    """Gate a switch request on |transmitted torque| < tau_disengage.
+    """Gate a switch to target on |transmitted torque| < tau_disengage.
 
     Rejection is a normal outcome. On acceptance the plant enters a freewheel
     transition carrying both coordinates (a parallel-mode state unpacks its
@@ -87,7 +81,7 @@ def request_switch(
     current = mode_of(state)
     if current is Mode.TRANS:
         raise SelectorError("switch requested while a transition is already in progress")
-    if req.target_mode is current:
+    if target is current:
         raise SelectorError(f"self-transition requested ({current.value} -> {current.value})")
 
     tau_tr = transmitted_torque(state, tau_m, tau_ext, p, hub)
@@ -100,12 +94,11 @@ def request_switch(
     if type(state) is SeaState:
         trans = TransitionState(
             state.theta_m, state.omega_m, state.theta_o, state.omega_o,
-            req.target_mode, p.t_switch,
+            target, p.t_switch,
         )
     else:
         trans = TransitionState(
-            state.theta, state.omega, state.theta, state.omega,
-            req.target_mode, p.t_switch,
+            state.theta, state.omega, state.theta, state.omega, target, p.t_switch,
         )
     return SwitchDecision(True, trans, tau_tr)
 
@@ -140,8 +133,3 @@ def engagement_energy_loss(state: TransitionState, p: ActuatorParams) -> float:
     dw = state.omega_m - state.omega_o
     return 0.5 * p.J_m * p.J_o / (p.J_m + p.J_o) * dw * dw
 
-
-def cycle_counter(records: list[SwitchRecord]) -> dict[str, int]:
-    """Tally completed and rejected switch outcomes."""
-    completed = sum(1 for r in records if r.outcome == COMPLETED)
-    return {"completed": completed, "rejected": len(records) - completed}

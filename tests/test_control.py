@@ -1,14 +1,27 @@
 import math
 
+import numpy as np
 import pytest
 
-from tsea.control import (
-    ControllerConfig,
-    p_position,
-    sinusoid_target,
-    torque_cycle_profile,
-    torque_to_current,
+from tsea.control import p_position
+from tsea.experiments import (
+    HANG_CENTER_RAD,
+    TRACK_KP,
+    TraceRecorder,
+    run_dynamic_switching,
+    run_static_stiffness,
 )
+from tsea.plant import Mode, PeaState
+from tsea.spring_hub import linear_hub
+
+VERTICES = (-1.0, 0.0, 1.0)
+
+
+@pytest.fixture(scope="module")
+def torque_cycles(calibrated) -> np.ndarray:
+    trace, _ = run_static_stiffness(Mode.SEA, calibrated, ramp_rate=5.0, cycles=2,
+                                    settle_omega=1e-2)
+    return trace.tau_applied
 
 
 def test_p_position_law():
@@ -23,45 +36,37 @@ def test_p_position_linearity():
 
 
 def test_torque_to_current():
-    assert torque_to_current(0.083, 0.083) == pytest.approx(1.0)
-    assert torque_to_current(0.0, 0.083) == 0.0
+    # the logged q-axis current is the applied torque over K_t (ideal motor)
+    rec = TraceRecorder(1.25e-4)
+    hub = linear_hub(5.57)
+    for tau in (0.083, 0.0, 2.347):
+        rec.record(0.0, PeaState(0.0, 0.0, 0.0), tau, tau, hub, 0.083)
+    i_q = rec.trace().i_q
+    assert i_q[0] == pytest.approx(1.0)
+    assert i_q[1] == 0.0
     # holding the horizontal arm through a rigid path stays inside the 36 A limit
-    assert torque_to_current(2.347, 0.083) == pytest.approx(28.3, abs=0.1)
+    assert i_q[2] == pytest.approx(28.3, abs=0.1)
 
 
-def test_sinusoid_target():
-    assert sinusoid_target(0.0) == 0.0
-    assert sinusoid_target(0.25) == pytest.approx(math.radians(20.0))
-    assert sinusoid_target(0.5) == pytest.approx(0.0, abs=1e-12)
+def test_sinusoid_target(calibrated):
+    # tracking commands Kp*(center + 20 deg * sin(2*pi*t) - theta_m)
+    trace, _ = run_dynamic_switching(calibrated, duration=0.5, switch_period=1.0)
+    target = trace.tau_cmd / TRACK_KP + trace.theta_m
+    assert target[0] == HANG_CENTER_RAD
+    quarter = round(0.25 / trace.dt)
+    assert target[quarter] == pytest.approx(HANG_CENTER_RAD + math.radians(20.0))
+    expected = HANG_CENTER_RAD + math.radians(20.0) * np.sin(2.0 * math.pi * trace.t)
+    assert np.allclose(target, expected, rtol=0.0, atol=1e-12)
 
 
-def test_torque_cycle_vertices():
-    assert torque_cycle_profile(0.0) == 0.0
-    assert torque_cycle_profile(5.0) == 1.0      # first vertex, ramp rate 0.2 Nm/s
-    assert torque_cycle_profile(15.0) == -1.0
-    assert torque_cycle_profile(2.5) == pytest.approx(0.5)  # quarter-segment midpoint
+def test_torque_cycle_vertices(torque_cycles):
+    # each cycle ramps through 0, +1, 0, -1, 0 Nm and dwells on every vertex
+    starts = np.r_[0, np.flatnonzero(np.diff(torque_cycles)) + 1]
+    plateaus = torque_cycles[starts]
+    visited = plateaus[np.isin(plateaus, VERTICES)]
+    assert visited.tolist() == [0.0, 1.0, 0.0, -1.0, 0.0, 1.0, 0.0, -1.0, 0.0]
 
 
-def test_torque_cycle_extrema_exact():
-    values = [torque_cycle_profile(t * 0.01) for t in range(0, 2001)]  # one cycle
-    assert max(values) == 1.0
-    assert min(values) == -1.0
-
-
-def test_torque_cycle_repeats_then_holds():
-    assert torque_cycle_profile(25.0) == torque_cycle_profile(5.0)  # cycle 2
-    assert torque_cycle_profile(60.0) == 0.0
-    assert torque_cycle_profile(1e6) == 0.0
-
-
-def test_torque_cycle_rejects_bad_rate():
-    with pytest.raises(ValueError, match="ramp_rate"):
-        torque_cycle_profile(1.0, ramp_rate=0.0)
-
-
-def test_controller_config_validation():
-    ControllerConfig()
-    with pytest.raises(ValueError, match="Kp"):
-        ControllerConfig(Kp=0.0)
-    with pytest.raises(ValueError, match="kind"):
-        ControllerConfig(kind="pid")
+def test_torque_cycle_extrema_exact(torque_cycles):
+    assert torque_cycles.max() == 1.0
+    assert torque_cycles.min() == -1.0

@@ -11,12 +11,11 @@ from tsea.plant import (
     SimClock,
     TransitionState,
     clamp_torque,
+    SimulationError,
     coulomb_friction,
-    freewheel_accelerations,
     gravity_torque,
     mode_of,
     pea_acceleration,
-    sea_accelerations,
     spring_torque,
     step,
 )
@@ -37,26 +36,33 @@ def test_gravity_torque_landmarks():
 
 
 def test_sea_equilibrium():
+    # a loaded spring held by equal motor and output torques stays at rest
     p = undamped_params()
     hub = linear_hub(p.K_s)
-    s = SeaState(0.0, 0.0, 0.0, 0.0, 0.0)
-    assert sea_accelerations(s, 0.0, 0.0, p, hub) == (0.0, 0.0)
+    s = SeaState(0.1, 0.0, 0.0, 0.0, 0.0)
+    tau_s = spring_torque(s, hub)
+    s2, _ = step(s, SimClock(), tau_s, p, hub, NO_LOAD, tau_out_extra=tau_s)
+    assert s2 == s
 
 
 def test_sea_spring_coupling():
+    # the wound-up spring pulls the motor back and the output forward, with
+    # equal and opposite momentum
     p = undamped_params(K_s=5.57)
     hub = linear_hub(p.K_s)
     s = SeaState(0.1, 0.0, 0.0, 0.0, 0.0)
-    am, ao = sea_accelerations(s, 0.0, 0.0, p, hub)
-    assert am == pytest.approx(-0.557 / p.J_m)
-    assert ao == pytest.approx(+0.557 / p.J_o)
+    s2, _ = step(s, SimClock(), 0.0, p, hub, NO_LOAD)
+    assert s2.omega_m / p.dt == pytest.approx(-0.557 / p.J_m, rel=1e-3)
+    assert s2.omega_o / p.dt == pytest.approx(+0.557 / p.J_o, rel=1e-3)
+    assert p.J_m * s2.omega_m + p.J_o * s2.omega_o == pytest.approx(0.0, abs=1e-15)
 
 
 def test_sea_offset_zeroes_spring():
     p = undamped_params()
     hub = linear_hub(p.K_s)
     s = SeaState(0.375, 0.0, 0.125, 0.0, 0.25)  # dyadic angles: offset cancels exactly
-    assert sea_accelerations(s, 0.0, 0.0, p, hub) == (0.0, 0.0)
+    s2, _ = step(s, SimClock(), 0.0, p, hub, NO_LOAD)
+    assert s2 == s
     assert spring_torque(s, hub) == 0.0
 
 
@@ -88,15 +94,18 @@ def test_pea_gravity_compensation():
 
 
 def test_freewheel_decoupled():
+    # no spring acts while the selector travels, however far apart the sides are
     p = undamped_params()
-    s = TransitionState(0.0, 0.0, 0.0, 0.0, Mode.PEA, 0.03)
-    assert freewheel_accelerations(s, 0.0, 0.0, p) == (0.0, 0.0)
-    am, ao = freewheel_accelerations(s, 0.0, 2.347, p)
-    assert am == 0.0
-    assert ao == pytest.approx(-2.347 / p.J_o)
-    am, ao = freewheel_accelerations(s, 1.0, 0.0, p)
-    assert am == pytest.approx(1.0 / p.J_m)
-    assert ao == 0.0
+    hub = linear_hub(p.K_s)
+    s = TransitionState(0.3, 0.0, 0.0, 0.0, Mode.PEA, 0.03)
+    s2, _ = step(s, SimClock(), 0.0, p, hub, NO_LOAD)
+    assert s2 == s
+    s2, _ = step(s, SimClock(), 0.0, p, hub, NO_LOAD, tau_out_extra=2.347)
+    assert s2.omega_m == 0.0
+    assert s2.omega_o / p.dt == pytest.approx(-2.347 / p.J_o)
+    s2, _ = step(s, SimClock(), 1.0, p, hub, NO_LOAD)
+    assert s2.omega_m / p.dt == pytest.approx(1.0 / p.J_m)
+    assert s2.omega_o == 0.0
 
 
 def test_coulomb_friction_shape():
@@ -114,8 +123,8 @@ def test_non_finite_inputs_rejected():
     p = undamped_params()
     hub = linear_hub(p.K_s)
     s = SeaState(0.0, 0.0, 0.0, 0.0, 0.0)
-    with pytest.raises(ValueError, match="non-finite"):
-        sea_accelerations(s, math.nan, 0.0, p, hub)
+    with pytest.raises(SimulationError, match="non-finite state after step 0"):
+        step(s, SimClock(), math.nan, p, hub, NO_LOAD)
     with pytest.raises(ValueError, match="non-finite"):
         pea_acceleration(PeaState(0.0, 0.0, 0.0), 0.0, math.inf, p, hub)
 

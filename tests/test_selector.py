@@ -3,13 +3,8 @@ import pytest
 from tsea.params import ActuatorParams
 from tsea.plant import Mode, PeaState, SeaState, TransitionState
 from tsea.selector import (
-    COMPLETED,
-    REJECTED,
     SelectorError,
-    SwitchRecord,
-    SwitchRequest,
     advance_selector,
-    cycle_counter,
     engagement_energy_loss,
     request_switch,
     transmitted_torque,
@@ -46,7 +41,7 @@ def test_transmitted_undefined_in_transition():
 
 def test_request_accepted_when_unloaded():
     s = SeaState(0.0, 0.0, 0.0, 0.0, 0.0)
-    d = request_switch(SwitchRequest(Mode.PEA, 0.0), s, 0.0, 0.0, P, HUB)
+    d = request_switch(Mode.PEA, s, 0.0, 0.0, P, HUB)
     assert d.accepted
     assert d.transition.t_remaining == P.t_switch
     assert d.transition.target_mode is Mode.PEA
@@ -54,7 +49,7 @@ def test_request_accepted_when_unloaded():
 
 def test_request_rejected_above_gate():
     s = SeaState(2.0 / P.K_s, 0.0, 0.0, 0.0, 0.0)  # 2.0 Nm through the spring
-    d = request_switch(SwitchRequest(Mode.PEA, 0.0), s, 0.0, 0.0, P, HUB)
+    d = request_switch(Mode.PEA, s, 0.0, 0.0, P, HUB)
     assert not d.accepted
     assert d.transition is None
     assert d.transmitted == pytest.approx(2.0)
@@ -63,7 +58,7 @@ def test_request_rejected_above_gate():
 
 def test_request_pea_lightly_loaded_accepted():
     s = PeaState(0.0, 0.0, 0.0)
-    d = request_switch(SwitchRequest(Mode.SEA, 0.0), s, 0.5, 0.5, P, HUB)
+    d = request_switch(Mode.SEA, s, 0.5, 0.5, P, HUB)
     assert d.accepted
     assert d.transmitted == pytest.approx(0.5, abs=1e-12)
     # the single coordinate unpacks into both transition coordinates
@@ -73,13 +68,13 @@ def test_request_pea_lightly_loaded_accepted():
 def test_self_transition_rejected():
     s = SeaState(0.0, 0.0, 0.0, 0.0, 0.0)
     with pytest.raises(SelectorError, match="self-transition"):
-        request_switch(SwitchRequest(Mode.SEA, 0.0), s, 0.0, 0.0, P, HUB)
+        request_switch(Mode.SEA, s, 0.0, 0.0, P, HUB)
 
 
 def test_request_during_transition_rejected():
     s = TransitionState(0, 0, 0, 0, Mode.PEA, 0.01)
     with pytest.raises(SelectorError, match="in progress"):
-        request_switch(SwitchRequest(Mode.SEA, 0.0), s, 0.0, 0.0, P, HUB)
+        request_switch(Mode.SEA, s, 0.0, 0.0, P, HUB)
 
 
 def test_advance_counts_down():
@@ -146,14 +141,3 @@ def test_engagement_energy_loss():
     s_sea = TransitionState(0.0, 1.0, 0.0, 0.0, Mode.SEA, P.dt)
     assert engagement_energy_loss(s_sea, P) == 0.0
 
-
-def _record(outcome: str) -> SwitchRecord:
-    return SwitchRecord(0.0, 0.03 if outcome == COMPLETED else None,
-                        Mode.SEA, Mode.PEA, 0.0, outcome)
-
-
-def test_cycle_counter():
-    assert cycle_counter([]) == {"completed": 0, "rejected": 0}
-    assert cycle_counter([_record(COMPLETED)] * 324) == {"completed": 324, "rejected": 0}
-    mixed = [_record(COMPLETED), _record(REJECTED), _record(COMPLETED), _record(REJECTED)]
-    assert cycle_counter(mixed) == {"completed": 2, "rejected": 2}
