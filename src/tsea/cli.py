@@ -75,9 +75,13 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _positive(flag: str, value: float) -> None:
+def _finite(flag: str, value: float) -> None:
     if not math.isfinite(value):
         raise CliError(f"{flag} must be finite (got {value})")
+
+
+def _positive(flag: str, value: float) -> None:
+    _finite(flag, value)
     if value <= 0.0:
         raise CliError(f"{flag} must be positive (got {value})")
 
@@ -92,6 +96,8 @@ def _check_args(args) -> None:
     if args.command == "track":
         _positive("--duration", args.duration)
         _positive("--period", args.period)
+    elif args.command == "disturb":
+        _finite("--impulse", args.impulse)  # zero and negative pulses are legal
     elif args.command == "stiffness":
         _positive("--rate", args.rate)
         _at_least("--cycles", args.cycles, 1)

@@ -121,8 +121,10 @@ def test_simulation_blowup_exits_2(tmp_path, capsys):
      "--cycles must be >= 1 (got 0)"),
     (["hub-curve", "--range", "nan"], "--range must be finite (got nan)"),
     (["hub-curve", "--range", "0"], "--range must be positive (got 0.0)"),
+    (["disturb", "--mode", "sea", "--impulse", "nan"], "--impulse must be finite (got nan)"),
+    (["disturb", "--mode", "pea", "--impulse=-inf"], "--impulse must be finite (got -inf)"),
 ], ids=["period-zero", "period-inf", "duration-negative", "duration-nan", "rate-zero",
-        "cycles-zero", "range-nan", "range-zero"])
+        "cycles-zero", "range-nan", "range-zero", "impulse-nan", "impulse-inf"])
 def test_bad_numbers_fail_fast(argv, message, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 1
