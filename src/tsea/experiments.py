@@ -727,7 +727,8 @@ def run_disturbance(
 ) -> tuple[Trace, DisturbanceReport]:
     """Impulse response under position hold at the horizontal.
 
-    A rectangular torque pulse strikes the output side; peak deflection and
+    A rectangular torque pulse of round(impact_duration / dt) steps strikes
+    the output side; peak deflection and
     settling into the ±band are measured on the impacted (output-side) angle
     relative to its pre-impact rest value. In parallel mode the motor and
     output angles are one coordinate, so the choice of side is moot there.
@@ -749,18 +750,18 @@ def run_disturbance(
     drv.hold(hold_target, omega_tol=1e-4, window_s=0.25, timeout_s=40.0, min_hold_s=1.0)
 
     post_steps = round(post_window_s / preset.params.dt)
+    # a whole number of steps, so the impulse does not depend on the start time
+    pulse_steps = round(impact_duration / preset.params.dt)
     peaks, settles, crossings, freqs = [], [], [], []
 
     for _ in range(n_impacts):
         reference = angle(drv.state)
         seg_t = array("d")
         seg_y = array("d")
-        pulse_end = drv.clock.t + impact_duration
-        for _ in range(post_steps):
-            t = drv.clock.t
-            seg_t.append(t)
+        for k in range(post_steps):
+            seg_t.append(drv.clock.t)
             seg_y.append(angle(drv.state))
-            drv.tick(hold_target, impact_torque if t < pulse_end else 0.0)
+            drv.tick(hold_target, impact_torque if k < pulse_steps else 0.0)
 
         seg_t_np = np.asarray(seg_t)
         err = np.asarray(seg_y) - reference

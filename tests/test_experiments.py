@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import tsea.plant
+
 from conftest import with_params, without_friction
 from oracles import exponential_band_crossing
 from tsea.experiments import (
@@ -206,6 +208,26 @@ def test_disturbance_motor_side_measurement_is_smaller(calibrated):
     _, mot = run_disturbance(Mode.SEA, calibrated, n_impacts=1, post_window_s=4.0,
                              measure="motor")
     assert mot.peaks_deg[0] < 0.5 * out.peaks_deg[0]
+
+
+def test_impact_pulse_is_a_whole_number_of_steps(calibrated, monkeypatch):
+    # the second strike starts at step 31970, where the end-time test
+    # t < t0 + 10 ms used to let the pulse last 81 steps instead of 80
+    dt = calibrated.params.dt
+    step = tsea.plant.step
+    pushed = []
+
+    def spy(state, clock, tau_m, p, hub, load, tau_out_extra=0.0):
+        if tau_out_extra != 0.0:
+            pushed.append(clock.step_index)
+        return step(state, clock, tau_m, p, hub, load, tau_out_extra)
+
+    monkeypatch.setattr(tsea.plant, "step", spy)
+    run_disturbance(Mode.PEA, calibrated, n_impacts=2, post_window_s=2.52375)
+    starts = [i for i in pushed if i - 1 not in pushed]
+    assert starts[1] == 31970
+    assert sum(1 for i in range(31970, 32070) if i * dt < 31970 * dt + 0.010) == 81
+    assert pushed == [i for start in starts for i in range(start, start + 80)]
 
 
 def test_disturbance_validates_args(calibrated):
