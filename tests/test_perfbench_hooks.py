@@ -1,0 +1,42 @@
+"""The per-layer benchmark run must still attach to the simulator.
+
+perfbench/traced.py wraps tsea functions by name from outside src/. A
+refactor that calls them some other way would leave its counters at zero
+without failing, so these runs check that every hot layer is counted.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def traced_counts(tmp_path: Path, *tsea_args: str) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    stats = tmp_path / "stats.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "traced.py"), "--stats", str(stats),
+         "--spans", str(tmp_path / "spans.json"), "--", *tsea_args,
+         "--out", str(tmp_path / "out")],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(stats.read_text())["counts"]
+
+
+def test_traced_cycle_counts_every_layer(tmp_path):
+    counts = traced_counts(tmp_path, "cycle", "--n", "3")
+    steps = sum(v for k, v in counts.items() if k.startswith("plant.step.calls."))
+    assert steps > 0
+    assert counts["control.p_position.calls"] == counts["experiments.record.calls"] == steps
+    assert counts["selector.request_switch.calls"] >= 3
+    assert counts["selector.advance_selector.calls"] > 0
+
+
+def test_traced_stiffness_runs(tmp_path):
+    counts = traced_counts(tmp_path, "stiffness", "--mode", "sea", "--cycles", "1",
+                           "--preset", "paper-full-range")
+    assert counts["experiments.record.calls"] > 0
