@@ -728,10 +728,10 @@ def run_disturbance(
     """Impulse response under position hold at the horizontal.
 
     A rectangular torque pulse of round(impact_duration / dt) steps strikes
-    the output side; peak deflection and
-    settling into the ±band are measured on the impacted (output-side) angle
-    relative to its pre-impact rest value. In parallel mode the motor and
-    output angles are one coordinate, so the choice of side is moot there.
+    the output side; peak deflection and settling into the ±band are
+    measured on the impacted (output-side) angle relative to its pre-impact
+    rest value. In parallel mode the motor and output angles are one
+    coordinate, so the choice of side is moot there.
     """
     if mode not in (Mode.SEA, Mode.PEA):
         raise ValueError("disturbance protocol characterizes an engaged mode")
@@ -749,9 +749,10 @@ def run_disturbance(
     # settle into the pre-impact hold
     drv.hold(hold_target, omega_tol=1e-4, window_s=0.25, timeout_s=40.0, min_hold_s=1.0)
 
-    post_steps = round(post_window_s / preset.params.dt)
+    dt = preset.params.dt
+    post_steps = round(post_window_s / dt)
     # a whole number of steps, so the impulse does not depend on the start time
-    pulse_steps = round(impact_duration / preset.params.dt)
+    pulse_steps = round(impact_duration / dt)
     peaks, settles, crossings, freqs = [], [], [], []
 
     for _ in range(n_impacts):
