@@ -17,7 +17,6 @@ from .plant import (
     Mode,
     PeaState,
     SeaState,
-    SimClock,
     SimulationError,
     TransitionState,
     coulomb_friction,
@@ -40,7 +39,7 @@ __all__ = [
     "ActuatorParams", "HubGeometry", "LoadModel", "Preset",
     "default_output_inertia", "load_named_preset", "load_preset",
     "resolve_preset", "save_preset", "validate",
-    "Mode", "PeaState", "SeaState", "SimClock", "SimulationError",
+    "Mode", "PeaState", "SeaState", "SimulationError",
     "TransitionState", "coulomb_friction", "gravity_torque", "step",
     "HubModel", "LINEARIZED", "NONLINEAR", "effective_length", "hub_torque",
     "linear_hub", "linearized_stiffness", "preload_force", "spring_length",

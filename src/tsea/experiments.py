@@ -19,18 +19,18 @@ import numpy as np
 
 from . import plant
 from .control import p_position
-from .params import Preset
+from .params import ActuatorParams, Preset
 from .plant import (
     Mode,
     PeaState,
     PlantState,
     SeaState,
-    SimClock,
     SimulationError,
     TransitionState,
     clamp_torque,
     gravity_torque,
     mode_of,
+    rk4_body,
     spring_torque,
 )
 from .selector import (
@@ -42,7 +42,6 @@ from .selector import (
     engagement_energy_loss,
     request_switch,
 )
-from .spring_hub import HubModel, linear_hub
 
 MODE_NAMES = ("SEA", "PEA", "TRANS")
 MODE_CODE = {Mode.SEA: 0, Mode.PEA: 1, Mode.TRANS: 2}
@@ -107,7 +106,7 @@ class TraceRecorder:
         return len(self._mode)
 
     def record(self, t: float, state: PlantState, tau_cmd: float,
-               tau_applied: float, hub: HubModel, K_t: float) -> None:
+               tau_applied: float, p: ActuatorParams) -> None:
         keep = self._step % self.stride == 0
         self._step += 1
         if not keep:
@@ -116,16 +115,13 @@ class TraceRecorder:
         if cls is SeaState:
             code = 0
             qm, wm, qo, wo = state.theta_m, state.omega_m, state.theta_o, state.omega_o
-            ts = hub.torque(qm - qo - state.beta_offset)
         elif cls is PeaState:
             code = 1
             qm = qo = state.theta
             wm = wo = state.omega
-            ts = hub.torque(state.theta - state.theta_anchor)
         else:
             code = 2
             qm, wm, qo, wo = state.theta_m, state.omega_m, state.theta_o, state.omega_o
-            ts = 0.0
         c = self._cols
         c["t"].append(t)
         c["theta_m"].append(qm)
@@ -134,8 +130,8 @@ class TraceRecorder:
         c["omega_o"].append(wo)
         c["tau_cmd"].append(tau_cmd)
         c["tau_applied"].append(tau_applied)
-        c["tau_spring"].append(ts)
-        c["i_q"].append(tau_applied / K_t)
+        c["tau_spring"].append(spring_torque(state, p))
+        c["i_q"].append(tau_applied / p.K_t)
         self._mode.append(code)
 
     def record_raw(self, t: float, code: int, qm: float, wm: float, qo: float,
@@ -398,11 +394,6 @@ def _record_dict(r: SwitchRecord) -> dict:
 # Shared harness pieces
 # ---------------------------------------------------------------------------
 
-def dynamics_hub(preset: Preset) -> HubModel:
-    """Linearized hub at the configured (measured) stiffness K_s."""
-    return linear_hub(preset.params.K_s, preset.hub)
-
-
 def initial_state(mode: Mode, theta: float = 0.0) -> PlantState:
     """Engaged at rest with the spring unloaded at the given angle."""
     if mode is Mode.SEA:
@@ -417,17 +408,17 @@ class _Driver:
     controller, the selector gate, the trace recorder and the plant.
 
     Protocols script their phases as calls to tick() and hold(); the driver
-    owns the state, the clock and the recorder in between.
+    owns the state, the step count, the time and the recorder in between.
     """
 
     def __init__(self, preset: Preset, kp: float, state: PlantState,
                  record_hz: float | None):
         self.p, self.load = preset.params, preset.load
-        self.hub = dynamics_hub(preset)
         self.rec = TraceRecorder(self.p.dt, _stride_for(self.p.dt, record_hz))
         self.kp = kp
         self.state = state
-        self.clock = SimClock()
+        self.k = 0     # steps taken
+        self.t = 0.0   # k*dt, a product so that it cannot drift
         # the transition state the last tick's engagement consumed, else None
         self.engaged_from: TransitionState | None = None
 
@@ -440,19 +431,24 @@ class _Driver:
 
         Returns the gate's decision, or None when no switch was requested.
         """
-        p, hub, state, clock = self.p, self.hub, self.state, self.clock
+        p, state = self.p, self.state
         pea = type(state) is PeaState
         tau_cmd = p_position(target, state.theta if pea else state.theta_m, self.kp)
         tau_applied = clamp_torque(tau_cmd, p)
         decision = None
         if want is not None:
             tau_ext = gravity_torque(state.theta if pea else state.theta_o, self.load)
-            decision = request_switch(want, state, tau_applied, tau_ext, p, hub)
+            decision = request_switch(want, state, tau_applied, tau_ext, p)
             if decision.accepted:
                 state = decision.transition
-        self.rec.record(clock.t, state, tau_cmd, tau_applied, hub, p.K_t)
+        self.rec.record(self.t, state, tau_cmd, tau_applied, p)
         was_trans = type(state) is TransitionState
-        state, self.clock = plant.step(state, clock, tau_cmd, p, hub, self.load, extra)
+        try:
+            state = plant.step(state, tau_cmd, p, self.load, extra)
+        except SimulationError as exc:
+            raise SimulationError(f"{exc} after step {self.k} (t={self.t:.6f} s)") from exc
+        self.k += 1
+        self.t = self.k * p.dt
         self.engaged_from = None
         if was_trans:
             advanced = advance_selector(state, p.dt, p)
@@ -493,14 +489,14 @@ def run_hold(
     omega_tol: float = 1e-6,
     timeout_s: float = 40.0,
     record_hz: float | None = None,
-) -> tuple[Trace, PlantState, SimClock]:
+) -> tuple[Trace, PlantState]:
     """Hold a position under gravity until the plant is numerically at rest.
 
     Used for the steady-state torque identities.
     """
     drv = _Driver(preset, kp, initial_state(mode, theta_target), record_hz)
     drv.hold(theta_target, omega_tol, window_s=0.05, timeout_s=timeout_s)
-    return drv.rec.trace(), drv.state, drv.clock
+    return drv.rec.trace(), drv.state
 
 
 # ---------------------------------------------------------------------------
@@ -533,8 +529,6 @@ def run_static_stiffness(
     tau_c = p.tau_c_sea if mode is Mode.SEA else p.tau_c_pea
     code = MODE_CODE[mode]
     dt = p.dt
-    half = 0.5 * dt
-    sixth = dt / 6.0
     rec = TraceRecorder(dt, _stride_for(dt, record_hz))
     window_steps = max(1, round(settle_window_s / dt))
     timeout_steps = round(settle_timeout_s / dt)
@@ -555,12 +549,7 @@ def run_static_stiffness(
         def f(q: float, w: float) -> tuple[float, float]:
             return w, (tau - K_rig * q - b * w - tau_c * tanh(w / w_eps)) / J
 
-        k1 = f(theta, omega)
-        k2 = f(theta + half * k1[0], omega + half * k1[1])
-        k3 = f(theta + half * k2[0], omega + half * k2[1])
-        k4 = f(theta + dt * k3[0], omega + dt * k3[1])
-        theta += sixth * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0])
-        omega += sixth * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1])
+        theta, omega = rk4_body(f, theta, omega, dt)
         if not (math.isfinite(theta) and math.isfinite(omega)):
             raise SimulationError(f"stiffness rig blew up at t={t:.6f} s")
         step_i += 1
@@ -648,7 +637,7 @@ def run_dynamic_switching(
     seg_marks: list[tuple[int, int]] = [(MODE_CODE[Mode.SEA], 0)]
 
     for k in range(n_steps):
-        t = drv.clock.t
+        t = drv.t
         want = None
         if next_req < n_switches and k >= request_steps[next_req] and pending is None:
             current = mode_of(drv.state)
@@ -662,7 +651,7 @@ def run_dynamic_switching(
                 retried += 1  # retry on every following step until the gate opens
         if drv.engaged_from is not None:
             request_t, from_mode, to_mode, torque = pending
-            records.append(SwitchRecord(request_t, drv.clock.t, from_mode, to_mode,
+            records.append(SwitchRecord(request_t, drv.t, from_mode, to_mode,
                                         torque, COMPLETED))
             seg_marks.append((MODE_CODE[to_mode], drv.rec.n_recorded))
             pending = None
@@ -760,7 +749,7 @@ def run_disturbance(
         seg_t = array("d")
         seg_y = array("d")
         for k in range(post_steps):
-            seg_t.append(drv.clock.t)
+            seg_t.append(drv.t)
             seg_y.append(angle(drv.state))
             drv.tick(hold_target, impact_torque if k < pulse_steps else 0.0)
 
@@ -827,9 +816,9 @@ def run_switch_cycle(
         current = mode_of(drv.state)
         want = Mode.PEA if current is Mode.SEA else Mode.SEA
 
-        first_t = drv.clock.t
+        first_t = drv.t
         for attempt in range(retry_steps):
-            request_t, request_step = drv.clock.t, drv.clock.step_index
+            request_t, request_step = drv.t, drv.k
             decision = drv.tick(hold, want=want)
             if decision.accepted:
                 break
@@ -844,7 +833,7 @@ def run_switch_cycle(
         while drv.engaged_from is None:
             drv.tick(hold)
         pre_engage, state = drv.engaged_from, drv.state
-        records.append(SwitchRecord(request_t, drv.clock.t, current, want,
+        records.append(SwitchRecord(request_t, drv.t, current, want,
                                     decision.transmitted, COMPLETED))
 
         # --- invariants ---
@@ -852,15 +841,15 @@ def run_switch_cycle(
             raise InvariantViolation(
                 f"cycle {i}: gate unsound, accepted at {decision.transmitted:.4f} Nm"
             )
-        steps_taken = drv.clock.step_index - request_step
+        steps_taken = drv.k - request_step
         if steps_taken != latency_steps:
             raise InvariantViolation(
                 f"cycle {i}: latency {steps_taken} steps != t_switch ({latency_steps} steps)"
             )
-        if spring_torque(state, drv.hub) != 0.0:
+        if spring_torque(state, p) != 0.0:
             raise InvariantViolation(
                 f"cycle {i}: spring not unloaded after engagement "
-                f"(tau={spring_torque(state, drv.hub)!r} Nm)"
+                f"(tau={spring_torque(state, p)!r} Nm)"
             )
         if want is Mode.PEA:
             merged = (p.J_m * pre_engage.omega_m + p.J_o * pre_engage.omega_o) / (p.J_m + p.J_o)

@@ -19,8 +19,8 @@ from .plant import (
     TransitionState,
     mode_of,
     pea_acceleration,
+    spring_torque,
 )
-from .spring_hub import HubModel
 
 COMPLETED = "completed"
 REJECTED = "rejected"
@@ -49,7 +49,7 @@ class SwitchDecision:
 
 
 def transmitted_torque(
-    state: PlantState, tau_m: float, tau_ext: float, p: ActuatorParams, hub: HubModel
+    state: PlantState, tau_m: float, tau_ext: float, p: ActuatorParams
 ) -> float:
     """Torque carried by the engaged path [Nm].
 
@@ -57,9 +57,9 @@ def transmitted_torque(
     with alpha the current body acceleration.
     """
     if type(state) is SeaState:
-        return hub.torque(state.theta_m - state.theta_o - state.beta_offset)
+        return spring_torque(state, p)
     if type(state) is PeaState:
-        alpha = pea_acceleration(state, tau_m, tau_ext, p, hub)
+        alpha = pea_acceleration(state, tau_m, tau_ext, p)
         return tau_m - p.J_m * alpha
     raise SelectorError("transmitted torque is undefined while the selector travels")
 
@@ -70,7 +70,6 @@ def request_switch(
     tau_m: float,
     tau_ext: float,
     p: ActuatorParams,
-    hub: HubModel,
 ) -> SwitchDecision:
     """Gate a switch to target on |transmitted torque| < tau_disengage.
 
@@ -84,7 +83,7 @@ def request_switch(
     if target is current:
         raise SelectorError(f"self-transition requested ({current.value} -> {current.value})")
 
-    tau_tr = transmitted_torque(state, tau_m, tau_ext, p, hub)
+    tau_tr = transmitted_torque(state, tau_m, tau_ext, p)
     if abs(tau_tr) >= p.tau_disengage:
         return SwitchDecision(
             False, None, tau_tr,

@@ -22,8 +22,8 @@ from tsea.experiments import (
     run_switch_cycle,
 )
 from tsea.params import HubGeometry, load_named_preset
-from tsea.plant import Mode, SeaState, SimClock, gravity_torque, step
-from tsea.spring_hub import hub_torque, linear_hub, linearized_stiffness
+from tsea.plant import Mode, SeaState, gravity_torque, step
+from tsea.spring_hub import hub_torque, linearized_stiffness
 
 PRESET_NAMES = ("calibrated", "paper-full-range", "paper-linear-window")
 
@@ -137,12 +137,12 @@ def test_criterion_5_steady_state_identities():
     preset = load_named_preset("calibrated")
     p = preset.params
 
-    _, s, _ = run_hold(Mode.SEA, preset, 0.0, omega_tol=1e-6)
+    _, s = run_hold(Mode.SEA, preset, 0.0, omega_tol=1e-6)
     tau_m = p_position(0.0, s.theta_m, 30.0)
     tau_ext = gravity_torque(s.theta_o, preset.load)
     sea_resid = abs(tau_m - tau_ext)
 
-    _, s, _ = run_hold(Mode.PEA, preset, 0.0, omega_tol=1e-6)
+    _, s = run_hold(Mode.PEA, preset, 0.0, omega_tol=1e-6)
     tau_m = p_position(0.0, s.theta, 30.0)
     tau_ext = gravity_torque(s.theta, preset.load)
     pea_resid = abs(tau_m - tau_ext - p.K_s * (s.theta - s.theta_anchor))
@@ -175,22 +175,20 @@ def test_criterion_7_numerical_integrity():
     p = dataclasses.replace(preset.params, b_m=0.0, b_o=0.0,
                             tau_c_sea=0.0, tau_c_pea=0.0, tau_c_out=0.0)
     load0 = dataclasses.replace(preset.load, mass=0.0)
-    hub = linear_hub(p.K_s)
 
     s = SeaState(0.1, 0.0, 0.0, 0.0, 0.0)
-    clock = SimClock()
     e0 = 0.5 * p.K_s * 0.1 ** 2
     drift = 0.0
     crossings = []
     prev_beta = 0.1
-    for _ in range(round(10.0 / p.dt)):
-        s, clock = step(s, clock, 0.0, p, hub, load0)
+    for k in range(1, round(10.0 / p.dt) + 1):
+        s = step(s, 0.0, p, load0)
         beta = s.theta_m - s.theta_o
         e = (0.5 * p.J_m * s.omega_m ** 2 + 0.5 * p.J_o * s.omega_o ** 2
              + 0.5 * p.K_s * beta ** 2)
         drift = max(drift, abs(e - e0) / e0)
         if prev_beta > 0.0 >= beta or prev_beta < 0.0 <= beta:
-            crossings.append(clock.t - p.dt * beta / (beta - prev_beta))
+            crossings.append(k * p.dt - p.dt * beta / (beta - prev_beta))
         prev_beta = beta
     f_meas = (len(crossings) - 1) / (2.0 * (crossings[-1] - crossings[0]))
     f_analytic = math.sqrt(p.K_s * (p.J_m + p.J_o) / (p.J_m * p.J_o)) / (2 * math.pi)

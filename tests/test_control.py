@@ -11,8 +11,8 @@ from tsea.experiments import (
     run_dynamic_switching,
     run_static_stiffness,
 )
+from tsea.params import ActuatorParams
 from tsea.plant import Mode, PeaState
-from tsea.spring_hub import linear_hub
 
 VERTICES = (-1.0, 0.0, 1.0)
 
@@ -38,9 +38,9 @@ def test_p_position_linearity():
 def test_torque_to_current():
     # the logged q-axis current is the applied torque over K_t (ideal motor)
     rec = TraceRecorder(1.25e-4)
-    hub = linear_hub(5.57)
+    p = ActuatorParams(K_t=0.083)
     for tau in (0.083, 0.0, 2.347):
-        rec.record(0.0, PeaState(0.0, 0.0, 0.0), tau, tau, hub, 0.083)
+        rec.record(0.0, PeaState(0.0, 0.0, 0.0), tau, tau, p)
     i_q = rec.trace().i_q
     assert i_q[0] == pytest.approx(1.0)
     assert i_q[1] == 0.0

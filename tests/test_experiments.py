@@ -1,4 +1,6 @@
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,9 +11,12 @@ from conftest import with_params, without_friction
 from oracles import exponential_band_crossing
 from tsea.experiments import (
     HANG_CENTER_RAD,
+    HOLD_KP,
+    _Driver,
     crossing_times,
     dominant_frequency,
     hysteresis_area,
+    initial_state,
     linear_fit,
     peak_deflection,
     rms,
@@ -21,7 +26,7 @@ from tsea.experiments import (
     run_switch_cycle,
     settling_time,
 )
-from tsea.plant import Mode
+from tsea.plant import Mode, SimulationError
 from tsea.selector import COMPLETED, REJECTED
 
 
@@ -215,12 +220,14 @@ def test_impact_pulse_is_a_whole_number_of_steps(calibrated, monkeypatch):
     # t < t0 + 10 ms used to let the pulse last 81 steps instead of 80
     dt = calibrated.params.dt
     step = tsea.plant.step
+    index = itertools.count()  # steps taken before this call
     pushed = []
 
-    def spy(state, clock, tau_m, p, hub, load, tau_out_extra=0.0):
+    def spy(state, tau_m, p, load, tau_out_extra=0.0):
+        i = next(index)
         if tau_out_extra != 0.0:
-            pushed.append(clock.step_index)
-        return step(state, clock, tau_m, p, hub, load, tau_out_extra)
+            pushed.append(i)
+        return step(state, tau_m, p, load, tau_out_extra)
 
     monkeypatch.setattr(tsea.plant, "step", spy)
     run_disturbance(Mode.PEA, calibrated, n_impacts=2, post_window_s=2.52375)
@@ -228,6 +235,25 @@ def test_impact_pulse_is_a_whole_number_of_steps(calibrated, monkeypatch):
     assert starts[1] == 31970
     assert sum(1 for i in range(31970, 32070) if i * dt < 31970 * dt + 0.010) == 81
     assert pushed == [i for start in starts for i in range(start, start + 80)]
+
+
+def test_driver_clock_stays_exact(calibrated):
+    drv = _Driver(calibrated, HOLD_KP, initial_state(Mode.PEA), None)
+    for _ in range(1000):
+        drv.tick(0.0)
+    assert drv.k == 1000
+    assert drv.t == 1000 * calibrated.params.dt  # product bookkeeping, no accumulation drift
+
+
+def test_blowup_names_mode_step_and_time(calibrated):
+    with pytest.raises(SimulationError) as err:
+        run_disturbance(Mode.SEA, calibrated, n_impacts=1, impact_torque=math.nan)
+    found = re.fullmatch(r"non-finite SEA state after step (\d+) \(t=(\S+) s\)",
+                         str(err.value))
+    assert found, str(err.value)
+    k, dt = int(found[1]), calibrated.params.dt
+    assert k >= round(1.0 / dt)  # the NaN pulse starts after the one-second hold
+    assert float(found[2]) == round(k * dt, 6)
 
 
 def test_disturbance_validates_args(calibrated):

@@ -15,14 +15,14 @@ from tsea.io import (
     write_report_json,
     write_trace_csv,
 )
+from tsea.params import ActuatorParams
 from tsea.plant import PeaState, SeaState
 from tsea.selector import COMPLETED
-from tsea.spring_hub import linear_hub
 
 
 def _synthetic_trace(n: int, dt: float = 1.25e-4) -> Trace:
     rec = TraceRecorder(dt)
-    hub = linear_hub(5.57)
+    p = ActuatorParams(K_s=5.57, K_t=0.083)
     rng = np.random.default_rng(42)
     for i in range(n):
         t = i * dt
@@ -30,7 +30,7 @@ def _synthetic_trace(n: int, dt: float = 1.25e-4) -> Trace:
             state = PeaState(float(rng.normal()), 0.1, 0.0)
         else:
             state = SeaState(float(rng.normal()), -0.2, float(rng.normal()), 0.3, 0.0)
-        rec.record(t, state, 0.5, 0.5, hub, 0.083)
+        rec.record(t, state, 0.5, 0.5, p)
     return rec.trace()
 
 

@@ -8,7 +8,6 @@ from tsea.plant import (
     Mode,
     PeaState,
     SeaState,
-    SimClock,
     TransitionState,
     clamp_torque,
     SimulationError,
@@ -19,7 +18,6 @@ from tsea.plant import (
     spring_torque,
     step,
 )
-from tsea.spring_hub import linear_hub
 
 ARM_LOAD = LoadModel()
 NO_LOAD = LoadModel(mass=0.0)
@@ -38,10 +36,9 @@ def test_gravity_torque_landmarks():
 def test_sea_equilibrium():
     # a loaded spring held by equal motor and output torques stays at rest
     p = undamped_params()
-    hub = linear_hub(p.K_s)
     s = SeaState(0.1, 0.0, 0.0, 0.0, 0.0)
-    tau_s = spring_torque(s, hub)
-    s2, _ = step(s, SimClock(), tau_s, p, hub, NO_LOAD, tau_out_extra=tau_s)
+    tau_s = spring_torque(s, p)
+    s2 = step(s, tau_s, p, NO_LOAD, tau_out_extra=tau_s)
     assert s2 == s
 
 
@@ -49,9 +46,8 @@ def test_sea_spring_coupling():
     # the wound-up spring pulls the motor back and the output forward, with
     # equal and opposite momentum
     p = undamped_params(K_s=5.57)
-    hub = linear_hub(p.K_s)
     s = SeaState(0.1, 0.0, 0.0, 0.0, 0.0)
-    s2, _ = step(s, SimClock(), 0.0, p, hub, NO_LOAD)
+    s2 = step(s, 0.0, p, NO_LOAD)
     assert s2.omega_m / p.dt == pytest.approx(-0.557 / p.J_m, rel=1e-3)
     assert s2.omega_o / p.dt == pytest.approx(+0.557 / p.J_o, rel=1e-3)
     assert p.J_m * s2.omega_m + p.J_o * s2.omega_o == pytest.approx(0.0, abs=1e-15)
@@ -59,51 +55,46 @@ def test_sea_spring_coupling():
 
 def test_sea_offset_zeroes_spring():
     p = undamped_params()
-    hub = linear_hub(p.K_s)
     s = SeaState(0.375, 0.0, 0.125, 0.0, 0.25)  # dyadic angles: offset cancels exactly
-    s2, _ = step(s, SimClock(), 0.0, p, hub, NO_LOAD)
+    s2 = step(s, 0.0, p, NO_LOAD)
     assert s2 == s
-    assert spring_torque(s, hub) == 0.0
+    assert spring_torque(s, p) == 0.0
 
 
 def test_pea_anchored_equilibrium():
     p = undamped_params()
-    hub = linear_hub(p.K_s)
     s = PeaState(0.25, 0.0, 0.25)
-    assert pea_acceleration(s, 1.5, 1.5, p, hub) == 0.0
+    assert pea_acceleration(s, 1.5, 1.5, p) == 0.0
 
 
 def test_pea_static_balance():
     # at rest the motor supplies the external load plus the parallel spring
     p = undamped_params(K_s=5.57)
-    hub = linear_hub(p.K_s)
     s = PeaState(0.2, 0.0, 0.0)
     tau_ext = 0.8
     tau_m = tau_ext + p.K_s * 0.2
-    assert pea_acceleration(s, tau_m, tau_ext, p, hub) == pytest.approx(0.0, abs=1e-12)
+    assert pea_acceleration(s, tau_m, tau_ext, p) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_pea_gravity_compensation():
     # spring tuned against the load: zero motor torque at rest
     p = undamped_params(K_s=5.57)
-    hub = linear_hub(p.K_s)
     theta = 0.3
     tau_ext = -p.K_s * theta  # load exactly cancelled by the grounded spring
     s = PeaState(theta, 0.0, 0.0)
-    assert pea_acceleration(s, 0.0, tau_ext, p, hub) == pytest.approx(0.0, abs=1e-12)
+    assert pea_acceleration(s, 0.0, tau_ext, p) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_freewheel_decoupled():
     # no spring acts while the selector travels, however far apart the sides are
     p = undamped_params()
-    hub = linear_hub(p.K_s)
     s = TransitionState(0.3, 0.0, 0.0, 0.0, Mode.PEA, 0.03)
-    s2, _ = step(s, SimClock(), 0.0, p, hub, NO_LOAD)
+    s2 = step(s, 0.0, p, NO_LOAD)
     assert s2 == s
-    s2, _ = step(s, SimClock(), 0.0, p, hub, NO_LOAD, tau_out_extra=2.347)
+    s2 = step(s, 0.0, p, NO_LOAD, tau_out_extra=2.347)
     assert s2.omega_m == 0.0
     assert s2.omega_o / p.dt == pytest.approx(-2.347 / p.J_o)
-    s2, _ = step(s, SimClock(), 1.0, p, hub, NO_LOAD)
+    s2 = step(s, 1.0, p, NO_LOAD)
     assert s2.omega_m / p.dt == pytest.approx(1.0 / p.J_m)
     assert s2.omega_o == 0.0
 
@@ -121,55 +112,37 @@ def test_coulomb_friction_shape():
 
 def test_non_finite_inputs_rejected():
     p = undamped_params()
-    hub = linear_hub(p.K_s)
     s = SeaState(0.0, 0.0, 0.0, 0.0, 0.0)
-    with pytest.raises(SimulationError, match="non-finite state after step 0"):
-        step(s, SimClock(), math.nan, p, hub, NO_LOAD)
+    with pytest.raises(SimulationError, match="non-finite SEA state"):
+        step(s, math.nan, p, NO_LOAD)
     with pytest.raises(ValueError, match="non-finite"):
-        pea_acceleration(PeaState(0.0, 0.0, 0.0), 0.0, math.inf, p, hub)
+        pea_acceleration(PeaState(0.0, 0.0, 0.0), 0.0, math.inf, p)
 
 
 def test_step_fixed_point():
     p = undamped_params()
-    hub = linear_hub(p.K_s)
     s = SeaState(0.1, 0.0, 0.1, 0.0, 0.0)
-    s2, clock = step(s, SimClock(), 0.0, p, hub, NO_LOAD)
-    assert s2 == s
-    assert clock.step_index == 1
+    assert step(s, 0.0, p, NO_LOAD) == s
 
 
 def test_step_clamps_torque():
     p = undamped_params()
-    hub = linear_hub(p.K_s)
     assert clamp_torque(99.0, p) == p.tau_max
     assert clamp_torque(-99.0, p) == -p.tau_max
     # a huge command accelerates exactly as the clamped torque would
     s = SeaState(0.0, 0.0, 0.0, 0.0, 0.0)
-    a, _ = step(s, SimClock(), 1e6, p, hub, NO_LOAD)
-    b, _ = step(s, SimClock(), p.tau_max, p, hub, NO_LOAD)
+    a = step(s, 1e6, p, NO_LOAD)
+    b = step(s, p.tau_max, p, NO_LOAD)
     assert a == b
-
-
-def test_clock_stays_exact():
-    p = undamped_params()
-    hub = linear_hub(p.K_s)
-    s = PeaState(0.0, 0.0, 0.0)
-    clock = SimClock()
-    for _ in range(1000):
-        s, clock = step(s, clock, 0.0, p, hub, NO_LOAD)
-    assert clock.step_index == 1000
-    assert clock.t == 1000 * p.dt  # product bookkeeping, no accumulation drift
 
 
 def test_short_energy_conservation():
     # the 10 s / 1e-6 budget lives in the acceptance suite; this is the fast gate
     p = undamped_params()
-    hub = linear_hub(p.K_s)
     s = SeaState(0.1, 0.0, 0.0, 0.0, 0.0)
-    clock = SimClock()
     e0 = 0.5 * p.K_s * 0.1 ** 2
     for _ in range(round(1.0 / p.dt)):
-        s, clock = step(s, clock, 0.0, p, hub, NO_LOAD)
+        s = step(s, 0.0, p, NO_LOAD)
         beta = s.theta_m - s.theta_o
         e = 0.5 * p.J_m * s.omega_m ** 2 + 0.5 * p.J_o * s.omega_o ** 2 + 0.5 * p.K_s * beta ** 2
         assert abs(e - e0) / e0 < 1e-7
@@ -177,12 +150,10 @@ def test_short_energy_conservation():
 
 def test_step_blowup_raises():
     p = undamped_params(dt=10.0)  # absurd step destabilizes RK4 on the spring mode
-    hub = linear_hub(p.K_s)
     s = SeaState(0.1, 0.0, 0.0, 0.0, 0.0)
-    clock = SimClock()
     with pytest.raises(Exception):
         for _ in range(2000):
-            s, clock = step(s, clock, 0.0, p, hub, NO_LOAD)
+            s = step(s, 0.0, p, NO_LOAD)
             assert abs(s.omega_m) < 1e12
 
 
@@ -195,8 +166,7 @@ def test_mode_of():
 def test_pulse_torque_reaches_output_only_in_sea(calibrated):
     pre = without_friction(calibrated)
     p = pre.params
-    hub = linear_hub(p.K_s)
     s = SeaState(0.0, 0.0, 0.0, 0.0, 0.0)
-    s2, _ = step(s, SimClock(), 0.0, p, hub, NO_LOAD, tau_out_extra=1.0)
+    s2 = step(s, 0.0, p, NO_LOAD, tau_out_extra=1.0)
     assert s2.omega_o < 0.0  # pushed downward
     assert abs(s2.omega_m) < abs(s2.omega_o) * 1e-3  # motor only via the spring

@@ -1,7 +1,7 @@
 import pytest
 
 from tsea.params import ActuatorParams
-from tsea.plant import Mode, PeaState, SeaState, TransitionState
+from tsea.plant import Mode, PeaState, SeaState, TransitionState, spring_torque
 from tsea.selector import (
     SelectorError,
     advance_selector,
@@ -9,20 +9,18 @@ from tsea.selector import (
     request_switch,
     transmitted_torque,
 )
-from tsea.spring_hub import linear_hub
 
 P = ActuatorParams(b_m=0.0, b_o=0.0, tau_c_sea=0.0, tau_c_pea=0.0)
-HUB = linear_hub(P.K_s)
 
 
 def test_transmitted_sea_unloaded():
     s = SeaState(0.4, 0.0, 0.2, 0.0, 0.2)
-    assert transmitted_torque(s, 0.0, 0.0, P, HUB) == 0.0
+    assert transmitted_torque(s, 0.0, 0.0, P) == 0.0
 
 
 def test_transmitted_sea_spring_law():
     s = SeaState(0.1, 0.0, 0.0, 0.0, 0.0)
-    assert transmitted_torque(s, 0.0, 0.0, P, HUB) == pytest.approx(0.557)
+    assert transmitted_torque(s, 0.0, 0.0, P) == pytest.approx(0.557)
 
 
 def test_transmitted_pea_static():
@@ -30,18 +28,18 @@ def test_transmitted_pea_static():
     theta, tau_ext = 0.2, 0.8
     tau_m = tau_ext + P.K_s * theta
     s = PeaState(theta, 0.0, 0.0)
-    assert transmitted_torque(s, tau_m, tau_ext, P, HUB) == pytest.approx(tau_m, abs=1e-12)
+    assert transmitted_torque(s, tau_m, tau_ext, P) == pytest.approx(tau_m, abs=1e-12)
 
 
 def test_transmitted_undefined_in_transition():
     s = TransitionState(0, 0, 0, 0, Mode.PEA, 0.01)
     with pytest.raises(SelectorError):
-        transmitted_torque(s, 0.0, 0.0, P, HUB)
+        transmitted_torque(s, 0.0, 0.0, P)
 
 
 def test_request_accepted_when_unloaded():
     s = SeaState(0.0, 0.0, 0.0, 0.0, 0.0)
-    d = request_switch(Mode.PEA, s, 0.0, 0.0, P, HUB)
+    d = request_switch(Mode.PEA, s, 0.0, 0.0, P)
     assert d.accepted
     assert d.transition.t_remaining == P.t_switch
     assert d.transition.target_mode is Mode.PEA
@@ -49,7 +47,7 @@ def test_request_accepted_when_unloaded():
 
 def test_request_rejected_above_gate():
     s = SeaState(2.0 / P.K_s, 0.0, 0.0, 0.0, 0.0)  # 2.0 Nm through the spring
-    d = request_switch(Mode.PEA, s, 0.0, 0.0, P, HUB)
+    d = request_switch(Mode.PEA, s, 0.0, 0.0, P)
     assert not d.accepted
     assert d.transition is None
     assert d.transmitted == pytest.approx(2.0)
@@ -58,7 +56,7 @@ def test_request_rejected_above_gate():
 
 def test_request_pea_lightly_loaded_accepted():
     s = PeaState(0.0, 0.0, 0.0)
-    d = request_switch(Mode.SEA, s, 0.5, 0.5, P, HUB)
+    d = request_switch(Mode.SEA, s, 0.5, 0.5, P)
     assert d.accepted
     assert d.transmitted == pytest.approx(0.5, abs=1e-12)
     # the single coordinate unpacks into both transition coordinates
@@ -68,13 +66,13 @@ def test_request_pea_lightly_loaded_accepted():
 def test_self_transition_rejected():
     s = SeaState(0.0, 0.0, 0.0, 0.0, 0.0)
     with pytest.raises(SelectorError, match="self-transition"):
-        request_switch(Mode.SEA, s, 0.0, 0.0, P, HUB)
+        request_switch(Mode.SEA, s, 0.0, 0.0, P)
 
 
 def test_request_during_transition_rejected():
     s = TransitionState(0, 0, 0, 0, Mode.PEA, 0.01)
     with pytest.raises(SelectorError, match="in progress"):
-        request_switch(Mode.SEA, s, 0.0, 0.0, P, HUB)
+        request_switch(Mode.SEA, s, 0.0, 0.0, P)
 
 
 def test_advance_counts_down():
@@ -131,7 +129,7 @@ def test_sea_engagement_keeps_coordinates():
     assert isinstance(out, SeaState)
     assert (out.theta_m, out.omega_m, out.theta_o, out.omega_o) == (0.37, 0.5, 0.11, -0.2)
     assert out.beta_offset == 0.37 - 0.11
-    assert HUB.torque(out.theta_m - out.theta_o - out.beta_offset) == 0.0
+    assert spring_torque(out, P) == 0.0
 
 
 def test_engagement_energy_loss():
