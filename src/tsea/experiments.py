@@ -159,6 +159,11 @@ class TraceRecorder:
                      mode=np.asarray(self._mode, dtype=np.int8), **cols)
 
 
+def _check_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be positive and finite (got {value})")
+
+
 def _stride_for(dt: float, record_hz: float | None) -> int:
     if record_hz is None:
         return 1
@@ -524,6 +529,9 @@ def run_static_stiffness(
     """
     if mode not in (Mode.SEA, Mode.PEA):
         raise ValueError("stiffness protocol characterizes an engaged mode")
+    _check_positive("ramp_rate", ramp_rate)
+    if cycles < 1:
+        raise ValueError(f"cycles must be >= 1 (got {cycles})")
     p = preset.params
     K_rig = p.K_s if mode is Mode.SEA else p.K_s + p.K_struct
     tau_c = p.tau_c_sea if mode is Mode.SEA else p.tau_c_pea
@@ -620,6 +628,7 @@ def run_dynamic_switching(
     crosses below the disengagement gate once per stroke; rejected requests
     are retried every following step until accepted.
     """
+    _check_positive("switch_period", switch_period)
     dt = preset.params.dt
     drv = _Driver(preset, kp, initial_state(Mode.SEA, center), record_hz)
     n_steps = round(duration / dt)

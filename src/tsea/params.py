@@ -19,6 +19,12 @@ SCHEMA_VERSION = 1
 # tsea/presets/.
 NAMED_PRESETS = ("paper-linear-window", "paper-full-range", "calibrated")
 
+# Classical RK4 is stable for a decaying mode x' = -a*x only while a*dt < this.
+RK4_REAL_AXIS_LIMIT = 2.785
+# The JSON types a field of each annotated type accepts (bool is not a number).
+_JSON_TYPES = {"float": ((int, float), "a number"), "int": (int, "an integer"),
+               "bool": (bool, "true or false")}
+
 
 @dataclass(frozen=True, slots=True)
 class HubGeometry:
@@ -47,9 +53,9 @@ class ActuatorParams:
     tau_disengage: float = 1.0   # max transmitted torque permitting disengagement [Nm]
     t_switch: float = 0.03       # selector travel latency [s]
     dt: float = 1.25e-4          # fixed integration step [s] (8 kHz loop rate)
-    # Friction regularization scale. Must keep tau_c/omega_eps*dt/J_m under
-    # the explicit-RK4 stability bound (~2.78) or the stick phase chatters
-    # instead of settling.
+    # Friction regularization scale. validate() keeps
+    # (b + tau_c/omega_eps)*dt/J of each body under RK4_REAL_AXIS_LIMIT, or
+    # the stick phase chatters instead of settling.
     omega_eps: float = 0.02      # [rad/s]
     # Dog-tooth counts, documentation only: engagement is modeled at arbitrary
     # relative angles (chamfered teeth), so the pitch never enters the dynamics.
@@ -80,9 +86,23 @@ def default_output_inertia(load: LoadModel) -> float:
     return load.mass * load.radius * load.radius
 
 
+def _type_errors(preset: Preset) -> list[str]:
+    """A message for every field whose value has the wrong JSON type."""
+    errors = []
+    for prefix, section in (("hub.", preset.hub), ("", preset.params), ("load.", preset.load)):
+        for f in dataclasses.fields(section):
+            value = getattr(section, f.name)
+            types, want = _JSON_TYPES[f.type]
+            if not isinstance(value, types) or (f.type != "bool" and isinstance(value, bool)):
+                errors.append(f"{prefix}{f.name} must be {want} (got {value!r})")
+    return errors
+
+
 def validate(preset: Preset) -> list[str]:
     """Return every violated invariant as a message; empty list means ok."""
-    errors: list[str] = []
+    errors = _type_errors(preset)
+    if errors:  # the range checks below compare numbers
+        return errors
     h, p, load = preset.hub, preset.params, preset.load
 
     def positive(name: str, value: float) -> None:
@@ -121,6 +141,17 @@ def validate(preset: Preset) -> list[str]:
     positive("load.g", load.g)
     if not load.theta_zero_horizontal:
         errors.append("theta_zero_horizontal must be True (only the horizontal-zero convention is modeled)")
+
+    if not errors:  # (b + tau_c/omega_eps)/J: damping rate of each body RK4 moves
+        for body, b, tau_c, J in (
+            ("motor in SEA", p.b_m, p.tau_c_sea, p.J_m),
+            ("motor in the locked-output PEA rig", p.b_m, p.tau_c_pea, p.J_m),
+            ("output in SEA", p.b_o, p.tau_c_out, p.J_o),
+        ):
+            ratio = (b + tau_c / p.omega_eps) * p.dt / J
+            if ratio >= RK4_REAL_AXIS_LIMIT:
+                errors.append(f"(b + tau_c/omega_eps)*dt/J = {ratio:.4g} for the {body} "
+                              f"must be < {RK4_REAL_AXIS_LIMIT} (RK4 stability bound)")
 
     return errors
 

@@ -74,13 +74,13 @@ def hub_torque(geometry: HubGeometry, beta: float) -> float:
 
 @dataclass(frozen=True, slots=True)
 class HubModel:
-    """Hub torque law handed to the dynamics.
+    """Hub torque law for characterization; the dynamics do not use it.
 
     mode LINEARIZED gives torque(beta) = k_linear * beta exactly; k_linear
-    defaults to the geometric linearized stiffness but is normally overridden
-    with the measured hub stiffness K_s, which absorbs structural compliance
-    the geometry does not capture. Mode NONLINEAR evaluates the full
-    four-spring law and ignores k_linear.
+    defaults to the geometric linearized stiffness. Mode NONLINEAR evaluates
+    the full four-spring law and ignores k_linear. The plant drives the spring
+    as K_s * beta with the measured stiffness K_s, which absorbs structural
+    compliance the geometry does not capture.
     """
 
     geometry: HubGeometry

@@ -96,13 +96,15 @@ def test_hub_curve_steps_validation(tmp_path, capsys):
 
 def test_simulation_blowup_exits_2(tmp_path, capsys):
     # a grossly oversized step destabilizes the explicit integrator on the
-    # motor spring mode; the rig must fail loudly, not return numbers
+    # motor spring mode; the rig must fail loudly, not return numbers. The
+    # motor is undamped and frictionless so that the preset passes the
+    # damping stability bounds checked at load time.
     import json
 
     from tsea.params import load_named_preset, preset_to_dict
 
     doc = preset_to_dict(load_named_preset("calibrated"))
-    doc["params"]["dt"] = 0.05
+    doc["params"].update(dt=0.05, b_m=0.0, tau_c_sea=0.0, tau_c_pea=0.0)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     code = main(["stiffness", "--mode", "sea", "--preset", str(bad),
@@ -130,5 +132,26 @@ def test_bad_numbers_fail_fast(argv, message, tmp_path, capsys):
     assert main(argv + ["--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("omega_eps", 1e-4, "(b + tau_c/omega_eps)*dt/J = 272.6 for the motor in SEA must be < 2.785"),
+    ("dt", 5e-3, "(b + tau_c/omega_eps)*dt/J = 56.5 for the motor in SEA must be < 2.785"),
+    ("K_s", "5.57", "K_s must be a number (got '5.57')"),
+], ids=["omega_eps-tiny", "dt-large", "K_s-string"])
+def test_bad_preset_fails_at_load(field, value, message, tmp_path, capsys):
+    from tsea.params import load_named_preset, preset_to_dict
+
+    doc = preset_to_dict(load_named_preset("calibrated"))
+    doc["params"][field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["cycle", "--preset", str(bad), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: invalid preset 'calibrated': {message}")
+    assert captured.err.count("\n") == 1
     assert captured.out == ""
     assert not out.exists()

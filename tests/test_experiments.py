@@ -164,6 +164,21 @@ def test_static_stiffness_rejects_transition_mode(full_range):
         run_static_stiffness(Mode.TRANS, full_range)
 
 
+@pytest.mark.parametrize("run, kwargs", [
+    (run_static_stiffness, {"ramp_rate": 0.0}),
+    (run_static_stiffness, {"ramp_rate": math.nan}),
+    (run_static_stiffness, {"cycles": 0}),
+    (run_dynamic_switching, {"switch_period": 0.0}),
+    (run_dynamic_switching, {"switch_period": math.inf}),
+], ids=["ramp_rate-zero", "ramp_rate-nan", "cycles-zero", "switch_period-zero",
+        "switch_period-inf"])
+def test_protocols_reject_bad_arguments(run, kwargs, calibrated):
+    args = (Mode.SEA, calibrated) if run is run_static_stiffness else (calibrated,)
+    (name,) = kwargs
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        run(*args, **kwargs)
+
+
 def test_dynamic_switching_short(calibrated):
     trace, rep = run_dynamic_switching(calibrated, duration=6.0, switch_period=2.0)
     assert len(rep.switch_records) == 3  # floor(duration / period)

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import pytest
@@ -47,6 +48,39 @@ def test_validate_reports_every_violation():
     assert len(errors) >= 4
     for needle in ("J_m", "dt", "b_m", "hub.k"):
         assert any(needle in e for e in errors)
+
+
+@pytest.mark.parametrize("field, value, bodies", [
+    ("omega_eps", 1e-4, ["motor in SEA", "motor in the locked-output PEA rig"]),
+    ("dt", 5e-3, ["motor in SEA", "motor in the locked-output PEA rig"]),
+    ("tau_c_pea", 0.3, ["motor in the locked-output PEA rig"]),
+    ("tau_c_out", 30.0, ["output in SEA"]),
+])
+def test_rk4_stability_bounds_rejected(field, value, bodies):
+    preset = load_named_preset("calibrated")
+    preset = dataclasses.replace(
+        preset, params=dataclasses.replace(preset.params, **{field: value}))
+    errors = validate(preset)
+    assert len(errors) == len(bodies)
+    for error, body in zip(errors, bodies):
+        assert f"for the {body} must be < 2.785" in error
+
+
+@pytest.mark.parametrize("section, field, value, message", [
+    ("params", "K_s", "5.57", "K_s must be a number (got '5.57')"),
+    ("params", "dt", None, "dt must be a number (got None)"),
+    ("params", "teeth_inner", 16.5, "teeth_inner must be an integer (got 16.5)"),
+    ("hub", "k", True, "hub.k must be a number (got True)"),
+    ("load", "theta_zero_horizontal", 1, "load.theta_zero_horizontal must be true or false (got 1)"),
+])
+def test_field_types_rejected(section, field, value, message, tmp_path):
+    doc = preset_to_dict(load_named_preset("calibrated"))
+    doc[section][field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as err:
+        load_preset(path)
+    assert str(err.value) == f"invalid preset 'calibrated': {message}"
 
 
 def test_output_inertia_default_arm():
