@@ -159,11 +159,6 @@ class TraceRecorder:
                      mode=np.asarray(self._mode, dtype=np.int8), **cols)
 
 
-def _check_positive(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{name} must be positive and finite (got {value})")
-
-
 def _stride_for(dt: float, record_hz: float | None) -> int:
     if record_hz is None:
         return 1
@@ -399,6 +394,11 @@ def _record_dict(r: SwitchRecord) -> dict:
 # Shared harness pieces
 # ---------------------------------------------------------------------------
 
+def _check_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be positive and finite (got {value})")
+
+
 def initial_state(mode: Mode, theta: float = 0.0) -> PlantState:
     """Engaged at rest with the spring unloaded at the given angle."""
     if mode is Mode.SEA:
@@ -546,17 +546,18 @@ def run_static_stiffness(
 
     theta = 0.0
     omega = 0.0
+    tau = 0.0  # torque command held over the current step
     t = 0.0
     step_i = 0
 
-    def rig_step(tau: float) -> None:
-        nonlocal theta, omega, t, step_i
+    def f(q: float, w: float) -> tuple[float, float]:
+        return w, (tau - K_rig * q - b * w - tau_c * tanh(w / w_eps)) / J
+
+    def rig_step(tau_cmd: float) -> None:
+        nonlocal theta, omega, tau, t, step_i
+        tau = tau_cmd
         rec.record_raw(t, code, theta, omega, 0.0, 0.0, tau, tau,
                        K_rig * theta, tau / p.K_t)
-
-        def f(q: float, w: float) -> tuple[float, float]:
-            return w, (tau - K_rig * q - b * w - tau_c * tanh(w / w_eps)) / J
-
         theta, omega = rk4_body(f, theta, omega, dt)
         if not (math.isfinite(theta) and math.isfinite(omega)):
             raise SimulationError(f"stiffness rig blew up at t={t:.6f} s")
