@@ -165,6 +165,14 @@ def _stride_for(dt: float, record_hz: float | None) -> int:
     return max(1, round(1.0 / (dt * record_hz)))
 
 
+def mode_runs(mode: np.ndarray) -> list[tuple[int, int]]:
+    """[start, stop) row spans of the maximal runs of one mode code."""
+    if len(mode) == 0:
+        return []
+    edges = (np.flatnonzero(mode[1:] != mode[:-1]) + 1).tolist()
+    return list(zip([0, *edges], [*edges, len(mode)]))
+
+
 # ---------------------------------------------------------------------------
 # Metrics
 # ---------------------------------------------------------------------------
@@ -399,6 +407,11 @@ def _check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive and finite (got {value})")
 
 
+def _other_mode(mode: Mode) -> Mode:
+    """The engaged mode a switch from mode heads for."""
+    return Mode.PEA if mode is Mode.SEA else Mode.SEA
+
+
 def initial_state(mode: Mode, theta: float = 0.0) -> PlantState:
     """Engaged at rest with the spring unloaded at the given angle."""
     if mode is Mode.SEA:
@@ -426,13 +439,18 @@ class _Driver:
         self.t = 0.0   # k*dt, a product so that it cannot drift
         # the transition state the last tick's engagement consumed, else None
         self.engaged_from: TransitionState | None = None
+        self.records: list[SwitchRecord] = []  # one per engagement, in order
+        self.retried = 0  # gate tests that refused a request
+        # request time, from and to modes and torque of the switch in flight
+        self._request: tuple[float, Mode, Mode, float] | None = None
 
     def tick(self, target: float, extra: float = 0.0,
-             want: Mode | None = None) -> SwitchDecision | None:
-        """One control period: P law on the motor angle, the switch gate when
-        want is given (an accepted request enters the transition before the
-        row is logged), one trace row, one RK4 step with extra output torque,
-        and selector travel after a step that started in transition.
+             switch: bool = False) -> SwitchDecision | None:
+        """One control period: P law on the motor angle, the switch gate to
+        the other engaged mode when switch is set (an accepted request enters
+        the transition before the row is logged), one trace row, one RK4 step
+        with extra output torque, and selector travel after a step that
+        started in transition. An engagement appends its COMPLETED record.
 
         Returns the gate's decision, or None when no switch was requested.
         """
@@ -441,11 +459,16 @@ class _Driver:
         tau_cmd = p_position(target, state.theta if pea else state.theta_m, self.kp)
         tau_applied = clamp_torque(tau_cmd, p)
         decision = None
-        if want is not None:
+        if switch:
+            src = mode_of(state)
+            dst = _other_mode(src)
             tau_ext = gravity_torque(state.theta if pea else state.theta_o, self.load)
-            decision = request_switch(want, state, tau_applied, tau_ext, p)
+            decision = request_switch(dst, state, tau_applied, tau_ext, p)
             if decision.accepted:
                 state = decision.transition
+                self._request = (self.t, src, dst, decision.transmitted)
+            else:
+                self.retried += 1
         self.rec.record(self.t, state, tau_cmd, tau_applied, p)
         was_trans = type(state) is TransitionState
         try:
@@ -459,6 +482,9 @@ class _Driver:
             advanced = advance_selector(state, p.dt, p)
             if type(advanced) is not TransitionState:
                 self.engaged_from = state
+                request_t, src, dst, torque = self._request
+                self.records.append(SwitchRecord(request_t, self.t, src, dst,
+                                                 torque, COMPLETED))
             state = advanced
         self.state = state
         return decision
@@ -638,54 +664,29 @@ def run_dynamic_switching(
     amp = math.radians(amplitude_deg)
     two_pi_f = 2.0 * math.pi * freq_hz
 
-    records: list[SwitchRecord] = []
-    retried = 0
-    pending: tuple[float, Mode, Mode, float] | None = None  # request t, from, to, torque
-    next_req = 0
-
-    # engagement bookkeeping for segment stats: (mode_code, start_index)
-    seg_marks: list[tuple[int, int]] = [(MODE_CODE[Mode.SEA], 0)]
-
     for k in range(n_steps):
-        t = drv.t
-        want = None
-        if next_req < n_switches and k >= request_steps[next_req] and pending is None:
-            current = mode_of(drv.state)
-            want = Mode.PEA if current is Mode.SEA else Mode.SEA
-        decision = drv.tick(center + amp * math.sin(two_pi_f * t), want=want)
-        if decision is not None:
-            if decision.accepted:
-                pending = (t, current, want, decision.transmitted)
-                next_req += 1
-            else:
-                retried += 1  # retry on every following step until the gate opens
-        if drv.engaged_from is not None:
-            request_t, from_mode, to_mode, torque = pending
-            records.append(SwitchRecord(request_t, drv.t, from_mode, to_mode,
-                                        torque, COMPLETED))
-            seg_marks.append((MODE_CODE[to_mode], drv.rec.n_recorded))
-            pending = None
+        # a request is due once its step comes and the last switch has engaged
+        done = len(drv.records)
+        switch = (done < n_switches and k >= request_steps[done]
+                  and type(drv.state) is not TransitionState)
+        drv.tick(center + amp * math.sin(two_pi_f * drv.t), switch=switch)
 
     trace = drv.rec.trace()
+    err_all = center + amp * np.sin(two_pi_f * trace.t) - trace.theta_m
     segments: list[SegmentStats] = []
-    target_all = center + amp * np.sin(two_pi_f * trace.t)
-    err_all = target_all - trace.theta_m
     pooled: dict[str, dict[str, list]] = {
         "SEA": {"err": [], "iq": []}, "PEA": {"err": [], "iq": []}
     }
-    for idx, (code, start) in enumerate(seg_marks):
-        end = seg_marks[idx + 1][1] if idx + 1 < len(seg_marks) else len(trace)
-        sel = slice(start, end)
-        engaged = trace.mode[sel] == code  # drop the transition tail inside the span
-        if not np.any(engaged):
+    for start, stop in mode_runs(trace.mode):
+        name = MODE_NAMES[trace.mode[start]]
+        if name == "TRANS":
             continue
-        e = err_all[sel][engaged]
-        iq = trace.i_q[sel][engaged]
-        name = MODE_NAMES[code]
+        e = err_all[start:stop]
+        iq = trace.i_q[start:stop]
         segments.append(SegmentStats(
             mode=name,
-            t_start=float(trace.t[sel][engaged][0]),
-            t_end=float(trace.t[sel][engaged][-1]),
+            t_start=float(trace.t[start]),
+            t_end=float(trace.t[stop - 1]),
             rms_error_rad=rms(e),
             rms_iq=rms(iq),
             peak_iq=float(np.max(np.abs(iq))),
@@ -703,7 +704,7 @@ def run_dynamic_switching(
                 "rms_iq_a": rms(iq),
                 "peak_iq_a": float(np.max(np.abs(iq))),
             }
-    report = TrackingReport(segments, per_mode, records, retried)
+    report = TrackingReport(segments, per_mode, drv.records, drv.retried)
     return trace, report
 
 
@@ -815,27 +816,23 @@ def run_switch_cycle(
     drv = _Driver(preset, kp, initial_state(Mode.SEA, hold), record_hz)
     drv.hold(hold, omega_tol=1e-3, window_s=0.05, timeout_s=20.0, min_hold_s=0.5)
 
-    records: list[SwitchRecord] = []
-    retried = 0
     max_ke_loss = 0.0
     retry_steps = max(1, round(retry_window_s / p.dt))
     dwell_steps = round(dwell_s / p.dt)
     latency_steps = round(p.t_switch / p.dt)
+    records = drv.records
 
     for i in range(n):
-        current = mode_of(drv.state)
-        want = Mode.PEA if current is Mode.SEA else Mode.SEA
-
         first_t = drv.t
-        for attempt in range(retry_steps):
-            request_t, request_step = drv.t, drv.k
-            decision = drv.tick(hold, want=want)
+        for _ in range(retry_steps):
+            request_step = drv.k
+            decision = drv.tick(hold, switch=True)
             if decision.accepted:
                 break
-            retried += 1 if attempt > 0 else 0
         else:
+            current = mode_of(drv.state)
             records.append(SwitchRecord(
-                first_t, None, current, want, decision.transmitted, REJECTED,
+                first_t, None, current, _other_mode(current), decision.transmitted, REJECTED,
             ))
             continue
 
@@ -843,8 +840,6 @@ def run_switch_cycle(
         while drv.engaged_from is None:
             drv.tick(hold)
         pre_engage, state = drv.engaged_from, drv.state
-        records.append(SwitchRecord(request_t, drv.t, current, want,
-                                    decision.transmitted, COMPLETED))
 
         # --- invariants ---
         if abs(decision.transmitted) >= p.tau_disengage:
@@ -861,7 +856,7 @@ def run_switch_cycle(
                 f"cycle {i}: spring not unloaded after engagement "
                 f"(tau={spring_torque(state, p)!r} Nm)"
             )
-        if want is Mode.PEA:
+        if type(state) is PeaState:
             merged = (p.J_m * pre_engage.omega_m + p.J_o * pre_engage.omega_o) / (p.J_m + p.J_o)
             if state.omega != merged:
                 raise InvariantViolation(
@@ -879,7 +874,7 @@ def run_switch_cycle(
     report = CycleReport(
         completed=completed,
         rejected=len(records) - completed,
-        retried_attempts=retried,
+        retried_attempts=drv.retried,
         max_ke_loss_j=max_ke_loss,
         records=records,
     )

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .experiments import MODE_NAMES, Trace
+from .experiments import MODE_NAMES, Trace, mode_runs
 
 SCHEMA_VERSION = 1
 
@@ -224,10 +224,7 @@ def emit_svg_plot(
 
 def mode_bands(trace: Trace) -> list[tuple[float, float, str]]:
     """Contiguous same-mode spans of a trace, for plot shading."""
-    if len(trace) == 0:
-        return []
     mode, t = trace.mode, trace.t
-    edges = (np.flatnonzero(mode[1:] != mode[:-1]) + 1).tolist()
-    starts = [0, *edges]
-    ends = [*edges, len(trace) - 1]
-    return [(float(t[a]), float(t[b]), MODE_NAMES[mode[a]]) for a, b in zip(starts, ends)]
+    last = len(trace) - 1  # a band ends where the next one starts, the last at t[-1]
+    return [(float(t[a]), float(t[min(b, last)]), MODE_NAMES[mode[a]])
+            for a, b in mode_runs(mode)]
