@@ -75,35 +75,20 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _finite(flag: str, value: float) -> None:
+def _positive(flag: str, value: float) -> None:
     if not math.isfinite(value):
         raise CliError(f"{flag} must be finite (got {value})")
-
-
-def _positive(flag: str, value: float) -> None:
-    _finite(flag, value)
     if value <= 0.0:
         raise CliError(f"{flag} must be positive (got {value})")
 
 
-def _at_least(flag: str, value: int, low: int) -> None:
-    if value < low:
-        raise CliError(f"{flag} must be >= {low} (got {value})")
-
-
 def _check_args(args) -> None:
-    """Reject bad numbers before any simulation runs or any file is written."""
-    if args.command == "track":
-        _positive("--duration", args.duration)
-        _positive("--period", args.period)
-    elif args.command == "disturb":
-        _finite("--impulse", args.impulse)  # zero and negative pulses are legal
-    elif args.command == "stiffness":
-        _positive("--rate", args.rate)
-        _at_least("--cycles", args.cycles, 1)
-    elif args.command == "hub-curve":
+    """Reject bad hub-curve numbers before any file is written. The protocols
+    check their own arguments and raise ValueError before they simulate."""
+    if args.command == "hub-curve":
         _positive("--range", args.sweep_range)
-        _at_least("--steps", args.steps, 2)
+        if args.steps < 2:
+            raise CliError(f"--steps must be >= 2 (got {args.steps})")
 
 
 def _write_outputs(out_dir: Path, trace, report_dict: dict, svg_series: dict,

@@ -655,6 +655,7 @@ def run_dynamic_switching(
     crosses below the disengagement gate once per stroke; rejected requests
     are retried every following step until accepted.
     """
+    _check_positive("duration", duration)
     _check_positive("switch_period", switch_period)
     dt = preset.params.dt
     drv = _Driver(preset, kp, initial_state(Mode.SEA, center), record_hz)
@@ -739,6 +740,8 @@ def run_disturbance(
         n_impacts = 6 if mode is Mode.SEA else 5
     if n_impacts < 1:
         raise ValueError("n_impacts must be >= 1")
+    if not math.isfinite(impact_torque):  # zero and negative pulses are legal
+        raise ValueError(f"impact_torque must be finite (got {impact_torque})")
     if measure not in ("output", "motor"):
         raise ValueError("measure must be 'output' or 'motor'")
 

@@ -21,6 +21,8 @@ NAMED_PRESETS = ("paper-linear-window", "paper-full-range", "calibrated")
 
 # Classical RK4 is stable for a decaying mode x' = -a*x only while a*dt < this.
 RK4_REAL_AXIS_LIMIT = 2.785
+# ... and for an undamped oscillation at omega only while omega*dt < this.
+RK4_IMAG_AXIS_LIMIT = 2.0 * math.sqrt(2.0)
 # The JSON types a field of each annotated type accepts (bool is not a number).
 _JSON_TYPES = {"float": ((int, float), "a number"), "int": (int, "an integer"),
                "bool": (bool, "true or false")}
@@ -152,6 +154,14 @@ def validate(preset: Preset) -> list[str]:
             if ratio >= RK4_REAL_AXIS_LIMIT:
                 errors.append(f"(b + tau_c/omega_eps)*dt/J = {ratio:.4g} for the {body} "
                               f"must be < {RK4_REAL_AXIS_LIMIT} (RK4 stability bound)")
+        for rig, omega_sq in (  # spring modes: the free SEA pair, the locked PEA rig
+            ("SEA spring pair", p.K_s * (1.0 / p.J_m + 1.0 / p.J_o)),
+            ("locked-output PEA rig", (p.K_s + p.K_struct) / p.J_m),
+        ):
+            ratio = p.dt * math.sqrt(omega_sq)
+            if ratio >= RK4_IMAG_AXIS_LIMIT:
+                errors.append(f"dt*omega = {ratio:.4g} for the {rig} "
+                              f"must be < {RK4_IMAG_AXIS_LIMIT:.4g} (RK4 stability bound)")
 
     return errors
 

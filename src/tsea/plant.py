@@ -157,7 +157,7 @@ def step(
     tau_m is clamped to ±tau_max before use and held over the step. The
     external output torque (gravity plus tau_out_extra, e.g. an impact pulse)
     is re-evaluated inside every RK4 stage. Raises SimulationError if the new
-    state is not finite.
+    state, or a stage angle the gravity term needs, is not finite.
     """
     tau = clamp_torque(tau_m, p)
     mgr = load.mass * load.g * load.radius
@@ -179,7 +179,10 @@ def step(
             ) / J
             return w, a
 
-        q, w = rk4_body(g, state.theta, state.omega, p.dt)
+        try:
+            q, w = rk4_body(g, state.theta, state.omega, p.dt)
+        except ValueError:  # math.cos of an infinite stage angle
+            q = w = math.nan
         if math.isfinite(q) and math.isfinite(w):
             return PeaState(q, w, anchor)
         raise SimulationError("non-finite PEA state")
@@ -204,8 +207,11 @@ def step(
             ao = (-(mgr * cos(qo) + tau_out_extra) - b_o * wo) / J_o
             return wm, am, wo, ao
 
-    qm, wm, qo, wo = _rk4_pair(f, state.theta_m, state.omega_m,
-                               state.theta_o, state.omega_o, p.dt)
+    try:
+        qm, wm, qo, wo = _rk4_pair(f, state.theta_m, state.omega_m,
+                                   state.theta_o, state.omega_o, p.dt)
+    except ValueError:  # math.cos of an infinite stage angle
+        qm = wm = qo = wo = math.nan
     if not (math.isfinite(qm) and math.isfinite(wm)
             and math.isfinite(qo) and math.isfinite(wo)):
         raise SimulationError(f"non-finite {mode_of(state).value} state")

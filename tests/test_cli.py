@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -95,36 +96,42 @@ def test_hub_curve_steps_validation(tmp_path, capsys):
 
 
 def test_simulation_blowup_exits_2(tmp_path, capsys):
-    # a grossly oversized step destabilizes the explicit integrator on the
-    # motor spring mode; the rig must fail loudly, not return numbers. The
-    # motor is undamped and frictionless so that the preset passes the
-    # damping stability bounds checked at load time.
-    import json
+    # an absurd impulse drives the integrator to infinity; the run must fail
+    # loudly with exit 2, not return numbers or a traceback
+    out = tmp_path / "out"
+    code = main(["disturb", "--mode", "sea", "--impacts", "1", "--impulse", "1e308",
+                 "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("simulation error: non-finite SEA state")
+    assert not out.exists()
 
-    from tsea.params import load_named_preset, preset_to_dict
 
-    doc = preset_to_dict(load_named_preset("calibrated"))
-    doc["params"].update(dt=0.05, b_m=0.0, tau_c_sea=0.0, tau_c_pea=0.0)
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
-    code = main(["stiffness", "--mode", "sea", "--preset", str(bad),
+def test_stage_blowup_names_mode_step_and_time(tmp_path, capsys):
+    # math.cos raises on the infinite stage angle; the plant turns that into
+    # the same one-line simulation error as a non-finite state
+    code = main(["disturb", "--mode", "pea", "--impacts", "1", "--impulse", "1e308",
                  "--out", str(tmp_path / "out")])
     assert code == 2
-    assert "simulation error" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert re.fullmatch(r"simulation error: non-finite PEA state after step \d+ "
+                        r"\(t=\S+ s\)\n", captured.err), captured.err
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["track", "--period", "0"], "--period must be positive (got 0.0)"),
-    (["track", "--period", "inf"], "--period must be finite (got inf)"),
-    (["track", "--duration", "-1"], "--duration must be positive (got -1.0)"),
-    (["track", "--duration", "nan"], "--duration must be finite (got nan)"),
-    (["stiffness", "--mode", "sea", "--rate", "0"], "--rate must be positive (got 0.0)"),
+    (["track", "--period", "0"], "switch_period must be positive and finite (got 0.0)"),
+    (["track", "--period", "inf"], "switch_period must be positive and finite (got inf)"),
+    (["track", "--duration", "-1"], "duration must be positive and finite (got -1.0)"),
+    (["track", "--duration", "nan"], "duration must be positive and finite (got nan)"),
+    (["stiffness", "--mode", "sea", "--rate", "0"],
+     "ramp_rate must be positive and finite (got 0.0)"),
     (["stiffness", "--mode", "sea", "--cycles", "0", "--rate", "5"],
-     "--cycles must be >= 1 (got 0)"),
+     "cycles must be >= 1 (got 0)"),
     (["hub-curve", "--range", "nan"], "--range must be finite (got nan)"),
     (["hub-curve", "--range", "0"], "--range must be positive (got 0.0)"),
-    (["disturb", "--mode", "sea", "--impulse", "nan"], "--impulse must be finite (got nan)"),
-    (["disturb", "--mode", "pea", "--impulse=-inf"], "--impulse must be finite (got -inf)"),
+    (["disturb", "--mode", "sea", "--impulse", "nan"], "impact_torque must be finite (got nan)"),
+    (["disturb", "--mode", "pea", "--impulse=-inf"],
+     "impact_torque must be finite (got -inf)"),
 ], ids=["period-zero", "period-inf", "duration-negative", "duration-nan", "rate-zero",
         "cycles-zero", "range-nan", "range-zero", "impulse-nan", "impulse-inf"])
 def test_bad_numbers_fail_fast(argv, message, tmp_path, capsys):

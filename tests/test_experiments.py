@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+import tsea.experiments
 import tsea.plant
 
 from conftest import with_params, without_friction
@@ -18,6 +19,7 @@ from tsea.experiments import (
     hysteresis_area,
     initial_state,
     linear_fit,
+    mode_runs,
     peak_deflection,
     rms,
     run_disturbance,
@@ -133,6 +135,13 @@ def test_peak_deflection():
         peak_deflection([], 0.0)
 
 
+def test_mode_runs():
+    assert mode_runs(np.array([], dtype=np.int8)) == []
+    assert mode_runs(np.array([1], dtype=np.int8)) == [(0, 1)]
+    mode = np.array([0, 0, 2, 2, 2, 1, 0], dtype=np.int8)
+    assert mode_runs(mode) == [(0, 2), (2, 5), (5, 6), (6, 7)]
+
+
 def test_crossing_times_hysteresis_filter():
     t = np.linspace(0.0, 10.0, 10001)
     y = np.exp(-t / 2.0) * np.sin(2 * np.pi * 1.0 * t)
@@ -170,10 +179,16 @@ def test_static_stiffness_rejects_transition_mode(full_range):
     (run_static_stiffness, {"cycles": 0}),
     (run_dynamic_switching, {"switch_period": 0.0}),
     (run_dynamic_switching, {"switch_period": math.inf}),
+    (run_dynamic_switching, {"duration": 0.0}),
+    (run_dynamic_switching, {"duration": -1.0}),
+    (run_dynamic_switching, {"duration": math.nan}),
+    (run_disturbance, {"impact_torque": math.nan}),
+    (run_disturbance, {"impact_torque": -math.inf}),
 ], ids=["ramp_rate-zero", "ramp_rate-nan", "cycles-zero", "switch_period-zero",
-        "switch_period-inf"])
+        "switch_period-inf", "duration-zero", "duration-negative", "duration-nan",
+        "impact_torque-nan", "impact_torque-inf"])
 def test_protocols_reject_bad_arguments(run, kwargs, calibrated):
-    args = (Mode.SEA, calibrated) if run is run_static_stiffness else (calibrated,)
+    args = (calibrated,) if run is run_dynamic_switching else (Mode.SEA, calibrated)
     (name,) = kwargs
     with pytest.raises(ValueError, match=f"^{name} must be"):
         run(*args, **kwargs)
@@ -212,6 +227,28 @@ def test_dynamic_switching_retries_until_gate_opens(calibrated):
     assert rep.retried_attempts > 0
     for r in rep.switch_records:
         assert abs(r.torque_at_request) < calibrated.params.tau_disengage
+
+
+def spy_on_gate(monkeypatch) -> list:
+    """Collect every decision request_switch returns while the test runs."""
+    decisions = []
+    gate = tsea.experiments.request_switch
+
+    def spy(*args):
+        decisions.append(gate(*args))
+        return decisions[-1]
+
+    monkeypatch.setattr(tsea.experiments, "request_switch", spy)
+    return decisions
+
+
+def test_track_retried_attempts_counts_refusals(calibrated, monkeypatch):
+    decisions = spy_on_gate(monkeypatch)
+    _, rep = run_dynamic_switching(calibrated, duration=4.0, switch_period=1.0, center=0.0)
+    refused = sum(1 for d in decisions if not d.accepted)
+    assert refused > 0
+    assert rep.retried_attempts == refused
+    assert len(decisions) - refused == len(rep.switch_records)
 
 
 def test_disturbance_zero_impulse(calibrated):
@@ -262,12 +299,12 @@ def test_driver_clock_stays_exact(calibrated):
 
 def test_blowup_names_mode_step_and_time(calibrated):
     with pytest.raises(SimulationError) as err:
-        run_disturbance(Mode.SEA, calibrated, n_impacts=1, impact_torque=math.nan)
+        run_disturbance(Mode.SEA, calibrated, n_impacts=1, impact_torque=1e308)
     found = re.fullmatch(r"non-finite SEA state after step (\d+) \(t=(\S+) s\)",
                          str(err.value))
     assert found, str(err.value)
     k, dt = int(found[1]), calibrated.params.dt
-    assert k >= round(1.0 / dt)  # the NaN pulse starts after the one-second hold
+    assert k >= round(1.0 / dt)  # the pulse starts after the one-second hold
     assert float(found[2]) == round(k * dt, 6)
 
 
@@ -299,6 +336,16 @@ def test_switch_cycle_gate_forced_closed(calibrated):
     assert rep.completed == 0
     assert rep.rejected == 3
     assert all(r.outcome == REJECTED and r.engage_time is None for r in rep.records)
+
+
+def test_switch_cycle_counts_every_refusal(calibrated, monkeypatch):
+    # the gate is forced closed as above: each of the 3 requests is refused
+    # on all 160 steps of its 0.02 s retry window, the first refusal included
+    decisions = spy_on_gate(monkeypatch)
+    pre = with_params(calibrated, tau_disengage=1e-12)
+    _, rep = run_switch_cycle(pre, n=3, hold=HANG_CENTER_RAD + 0.25, retry_window_s=0.02)
+    assert rep.retried_attempts == 3 * 160
+    assert sum(1 for d in decisions if not d.accepted) == rep.retried_attempts
 
 
 def test_metrics_are_pure(calibrated):

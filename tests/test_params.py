@@ -66,6 +66,29 @@ def test_rk4_stability_bounds_rejected(field, value, bodies):
         assert f"for the {body} must be < 2.785" in error
 
 
+@pytest.mark.parametrize("field, value, message", [
+    # K_s*(1/J_m + 1/J_o) crosses the bound while (K_s + K_struct)/J_m stays under it
+    ("K_s", 2.55e5, "dt*omega = 2.834 for the SEA spring pair must be < 2.828"),
+    ("K_struct", 3e5, "dt*omega = 3.062 for the locked-output PEA rig must be < 2.828"),
+], ids=["sea-pair", "pea-rig"])
+def test_rk4_spring_bounds_rejected(field, value, message):
+    preset = load_named_preset("calibrated")
+    preset = dataclasses.replace(
+        preset, params=dataclasses.replace(preset.params, **{field: value}))
+    assert validate(preset) == [f"{message} (RK4 stability bound)"]
+
+
+def test_undamped_large_step_rejected_on_both_spring_modes():
+    # an undamped motor passes the damping bounds at any step; at dt = 0.05
+    # both spring modes are past the imaginary-axis limit and would blow up
+    preset = load_named_preset("calibrated")
+    preset = dataclasses.replace(preset, params=dataclasses.replace(
+        preset.params, dt=0.05, b_m=0.0, tau_c_sea=0.0, tau_c_pea=0.0))
+    errors = validate(preset)
+    assert len(errors) == 2
+    assert "SEA spring pair" in errors[0] and "locked-output PEA rig" in errors[1]
+
+
 @pytest.mark.parametrize("section, field, value, message", [
     ("params", "K_s", "5.57", "K_s must be a number (got '5.57')"),
     ("params", "dt", None, "dt must be a number (got None)"),

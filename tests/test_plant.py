@@ -157,6 +157,18 @@ def test_step_blowup_raises():
             assert abs(s.omega_m) < 1e12
 
 
+@pytest.mark.parametrize("state", [
+    SeaState(0.1, 0.0, 0.0, 0.0, 0.0),
+    PeaState(0.1, 0.0, 0.0),
+    TransitionState(0.1, 0.0, 0.0, 0.0, Mode.SEA, 0.03),
+], ids=["sea", "pea", "trans"])
+def test_infinite_stage_angle_is_a_simulation_error(state):
+    # an impulse of 1e308 Nm drives a mid-step RK4 stage angle to -inf, where
+    # math.cos raises ValueError; the step reports the blow-up instead
+    with pytest.raises(SimulationError, match=f"^non-finite {mode_of(state).value} state$"):
+        step(state, 0.0, undamped_params(), ARM_LOAD, 1e308)
+
+
 def test_mode_of():
     assert mode_of(SeaState(0, 0, 0, 0, 0)) is Mode.SEA
     assert mode_of(PeaState(0, 0, 0)) is Mode.PEA

@@ -1,6 +1,8 @@
-"""Property tests of the hub torque law and the selector latency."""
+"""Property tests of the hub torque law and the selector: latency, the
+momentum merge at parallel engagement and the disengagement gate."""
 
 import dataclasses
+import sys
 
 import pytest
 
@@ -9,8 +11,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from tsea.params import ActuatorParams, HubGeometry
-from tsea.plant import Mode, TransitionState
-from tsea.selector import advance_selector
+from tsea.plant import Mode, PeaState, SeaState, TransitionState
+from tsea.selector import advance_selector, request_switch, transmitted_torque
 from tsea.spring_hub import hub_torque, linearized_stiffness
 
 
@@ -50,3 +52,44 @@ def test_latency_is_exact_for_whole_step_switch_times(n, dt):
         state = advance_selector(state, p.dt, p)
         calls += 1
     assert calls == n
+
+
+EPS = sys.float_info.epsilon
+angles = st.floats(-10.0, 10.0)
+speeds = st.floats(-100.0, 100.0)
+inertias = st.floats(1e-5, 1.0)
+
+
+@settings(deadline=None)
+@given(angles, speeds, angles, speeds, inertias, inertias)
+def test_pea_engagement_merges_momentum_exactly(qm, wm, qo, wo, J_m, J_o):
+    p = dataclasses.replace(ActuatorParams(), J_m=J_m, J_o=J_o)
+    state = advance_selector(TransitionState(qm, wm, qo, wo, Mode.PEA, p.dt), p.dt, p)
+    assert type(state) is PeaState
+    # the common velocity is the momentum quotient itself, bit for bit, so
+    # the momentum after engagement differs from before only by rounding
+    assert state.omega == (J_m * wm + J_o * wo) / (J_m + J_o)
+    scale = J_m * abs(wm) + J_o * abs(wo)
+    assert abs((J_m + J_o) * state.omega - (J_m * wm + J_o * wo)) <= 8 * EPS * scale
+    assert state.theta == state.theta_anchor == qo
+
+
+@st.composite
+def engaged_states(draw):
+    if draw(st.booleans()):
+        return SeaState(draw(angles), draw(speeds), draw(angles), draw(speeds), draw(angles))
+    return PeaState(draw(angles), draw(speeds), draw(angles))
+
+
+@settings(deadline=None)
+@given(engaged_states(), st.floats(-3.0, 3.0), st.floats(-5.0, 5.0),
+       st.floats(1e-3, 5.0))
+def test_accepted_request_is_below_the_gate(state, tau_m, tau_ext, gate):
+    p = dataclasses.replace(ActuatorParams(), tau_disengage=gate)
+    target = Mode.PEA if type(state) is SeaState else Mode.SEA
+    decision = request_switch(target, state, tau_m, tau_ext, p)
+    assert decision.transmitted == transmitted_torque(state, tau_m, tau_ext, p)
+    assert decision.accepted == (abs(decision.transmitted) < gate)
+    if decision.accepted:
+        assert abs(decision.transmitted) < p.tau_disengage
+        assert decision.transition.target_mode is target
