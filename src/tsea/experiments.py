@@ -426,7 +426,8 @@ class _Driver:
     controller, the selector gate, the trace recorder and the plant.
 
     Protocols script their phases as calls to tick() and hold(); the driver
-    owns the state, the step count, the time and the recorder in between.
+    owns the state, the step count, the time, the recorder and the switch
+    bookkeeping (completed records, refused gate tests) in between.
     """
 
     def __init__(self, preset: Preset, kp: float, state: PlantState,

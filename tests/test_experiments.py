@@ -194,6 +194,19 @@ def test_protocols_reject_bad_arguments(run, kwargs, calibrated):
         run(*args, **kwargs)
 
 
+def spy_on_gate(monkeypatch) -> list:
+    """Collect every decision request_switch returns while the test runs."""
+    decisions = []
+    gate = tsea.experiments.request_switch
+
+    def spy(*args):
+        decisions.append(gate(*args))
+        return decisions[-1]
+
+    monkeypatch.setattr(tsea.experiments, "request_switch", spy)
+    return decisions
+
+
 def test_dynamic_switching_short(calibrated):
     trace, rep = run_dynamic_switching(calibrated, duration=6.0, switch_period=2.0)
     assert len(rep.switch_records) == 3  # floor(duration / period)
@@ -218,37 +231,17 @@ def test_dynamic_switching_short(calibrated):
     assert rep.per_mode.keys() == {"SEA", "PEA"}
 
 
-def test_dynamic_switching_retries_until_gate_opens(calibrated):
+def test_dynamic_switching_retries_until_gate_opens(calibrated, monkeypatch):
     # holding around the horizontal keeps the spring loaded near 2.3 Nm, so
     # requests are refused until the stroke unloads the path
+    decisions = spy_on_gate(monkeypatch)
     trace, rep = run_dynamic_switching(
         calibrated, duration=4.0, switch_period=1.0, center=0.0
     )
     assert rep.retried_attempts > 0
+    assert rep.retried_attempts == sum(1 for d in decisions if not d.accepted)
     for r in rep.switch_records:
         assert abs(r.torque_at_request) < calibrated.params.tau_disengage
-
-
-def spy_on_gate(monkeypatch) -> list:
-    """Collect every decision request_switch returns while the test runs."""
-    decisions = []
-    gate = tsea.experiments.request_switch
-
-    def spy(*args):
-        decisions.append(gate(*args))
-        return decisions[-1]
-
-    monkeypatch.setattr(tsea.experiments, "request_switch", spy)
-    return decisions
-
-
-def test_track_retried_attempts_counts_refusals(calibrated, monkeypatch):
-    decisions = spy_on_gate(monkeypatch)
-    _, rep = run_dynamic_switching(calibrated, duration=4.0, switch_period=1.0, center=0.0)
-    refused = sum(1 for d in decisions if not d.accepted)
-    assert refused > 0
-    assert rep.retried_attempts == refused
-    assert len(decisions) - refused == len(rep.switch_records)
 
 
 def test_disturbance_zero_impulse(calibrated):

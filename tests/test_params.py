@@ -66,27 +66,23 @@ def test_rk4_stability_bounds_rejected(field, value, bodies):
         assert f"for the {body} must be < 2.785" in error
 
 
-@pytest.mark.parametrize("field, value, message", [
+SEA_PAIR = "for the SEA spring pair must be < 2.828 (RK4 stability bound)"
+PEA_RIG = "for the locked-output PEA rig must be < 2.828 (RK4 stability bound)"
+
+
+@pytest.mark.parametrize("fields, messages", [
     # K_s*(1/J_m + 1/J_o) crosses the bound while (K_s + K_struct)/J_m stays under it
-    ("K_s", 2.55e5, "dt*omega = 2.834 for the SEA spring pair must be < 2.828"),
-    ("K_struct", 3e5, "dt*omega = 3.062 for the locked-output PEA rig must be < 2.828"),
-], ids=["sea-pair", "pea-rig"])
-def test_rk4_spring_bounds_rejected(field, value, message):
+    ({"K_s": 2.55e5}, [f"dt*omega = 2.834 {SEA_PAIR}"]),
+    ({"K_struct": 3e5}, [f"dt*omega = 3.062 {PEA_RIG}"]),
+    # an undamped motor passes the damping bounds at any step
+    ({"dt": 0.05, "b_m": 0.0, "tau_c_sea": 0.0, "tau_c_pea": 0.0},
+     [f"dt*omega = 5.298 {SEA_PAIR}", f"dt*omega = 6.535 {PEA_RIG}"]),
+], ids=["sea-pair", "pea-rig", "undamped-large-step"])
+def test_rk4_spring_bounds_rejected(fields, messages):
     preset = load_named_preset("calibrated")
     preset = dataclasses.replace(
-        preset, params=dataclasses.replace(preset.params, **{field: value}))
-    assert validate(preset) == [f"{message} (RK4 stability bound)"]
-
-
-def test_undamped_large_step_rejected_on_both_spring_modes():
-    # an undamped motor passes the damping bounds at any step; at dt = 0.05
-    # both spring modes are past the imaginary-axis limit and would blow up
-    preset = load_named_preset("calibrated")
-    preset = dataclasses.replace(preset, params=dataclasses.replace(
-        preset.params, dt=0.05, b_m=0.0, tau_c_sea=0.0, tau_c_pea=0.0))
-    errors = validate(preset)
-    assert len(errors) == 2
-    assert "SEA spring pair" in errors[0] and "locked-output PEA rig" in errors[1]
+        preset, params=dataclasses.replace(preset.params, **fields))
+    assert validate(preset) == messages
 
 
 @pytest.mark.parametrize("section, field, value, message", [
