@@ -19,17 +19,12 @@ from .plant import (
     SeaState,
     SimulationError,
     TransitionState,
-    coulomb_friction,
     gravity_torque,
     step,
 )
 from .spring_hub import (
-    HubModel,
-    LINEARIZED,
-    NONLINEAR,
     effective_length,
     hub_torque,
-    linear_hub,
     linearized_stiffness,
     preload_force,
     spring_length,
@@ -40,9 +35,9 @@ __all__ = [
     "default_output_inertia", "load_named_preset", "load_preset",
     "resolve_preset", "save_preset", "validate",
     "Mode", "PeaState", "SeaState", "SimulationError",
-    "TransitionState", "coulomb_friction", "gravity_torque", "step",
-    "HubModel", "LINEARIZED", "NONLINEAR", "effective_length", "hub_torque",
-    "linear_hub", "linearized_stiffness", "preload_force", "spring_length",
+    "TransitionState", "gravity_torque", "step",
+    "effective_length", "hub_torque", "linearized_stiffness", "preload_force",
+    "spring_length",
 ]
 
 __version__ = "0.1.0"

@@ -80,11 +80,6 @@ def gravity_torque(theta: float, load: LoadModel) -> float:
     return load.mass * load.g * load.radius * math.cos(theta)
 
 
-def coulomb_friction(omega: float, tau_c: float, omega_eps: float) -> float:
-    """Regularized Coulomb torque tau_c*tanh(omega/omega_eps) [Nm]."""
-    return tau_c * math.tanh(omega / omega_eps)
-
-
 def clamp_torque(tau: float, p: ActuatorParams) -> float:
     if tau > p.tau_max:
         return p.tau_max
@@ -93,17 +88,25 @@ def clamp_torque(tau: float, p: ActuatorParams) -> float:
     return tau
 
 
-def pea_acceleration(
-    s: PeaState, tau_m: float, tau_ext: float, p: ActuatorParams
-) -> float:
-    """Angular acceleration of the rigidly coupled body in the parallel topology."""
-    if not (math.isfinite(tau_m) and math.isfinite(tau_ext)):
-        raise ValueError(f"non-finite input torque: tau_m={tau_m}, tau_ext={tau_ext}")
-    return (
-        tau_m - spring_torque(s, p) - tau_ext
-        - (p.b_m + p.b_o) * s.omega
-        - coulomb_friction(s.omega, p.tau_c_pea + p.tau_c_out, p.omega_eps)
-    ) / (p.J_m + p.J_o)
+def pea_rhs(tau: float, tau_ext: float, p: ActuatorParams, anchor: float,
+            mgr: float = 0.0):
+    """Derivative g(q, w) -> (w, alpha) of the rigidly coupled parallel body.
+
+    The motor torque tau is held; the output load mgr*cos(q) + tau_ext is
+    re-evaluated at every call, so the default mgr = 0 holds tau_ext constant.
+    """
+    K, w_eps, J = p.K_s, p.omega_eps, p.J_m + p.J_o
+    b, tc = p.b_m + p.b_o, p.tau_c_pea + p.tau_c_out
+    tanh, cos = math.tanh, math.cos
+
+    def g(q: float, w: float):
+        a = (
+            tau - K * (q - anchor) - (mgr * cos(q) + tau_ext)
+            - b * w - tc * tanh(w / w_eps)
+        ) / J
+        return w, a
+
+    return g
 
 
 def spring_torque(state: PlantState, p: ActuatorParams) -> float:
@@ -161,32 +164,21 @@ def step(
     """
     tau = clamp_torque(tau_m, p)
     mgr = load.mass * load.g * load.radius
-    K, w_eps = p.K_s, p.omega_eps
-    tanh = math.tanh
-    cos = math.cos
     cls = type(state)
 
     if cls is PeaState:
-        J = p.J_m + p.J_o
-        b = p.b_m + p.b_o
-        tc = p.tau_c_pea + p.tau_c_out
         anchor = state.theta_anchor
-
-        def g(q: float, w: float):
-            a = (
-                tau - K * (q - anchor) - (mgr * cos(q) + tau_out_extra)
-                - b * w - tc * tanh(w / w_eps)
-            ) / J
-            return w, a
-
         try:
-            q, w = rk4_body(g, state.theta, state.omega, p.dt)
+            q, w = rk4_body(pea_rhs(tau, tau_out_extra, p, anchor, mgr),
+                            state.theta, state.omega, p.dt)
         except ValueError:  # math.cos of an infinite stage angle
             q = w = math.nan
         if math.isfinite(q) and math.isfinite(w):
             return PeaState(q, w, anchor)
         raise SimulationError("non-finite PEA state")
 
+    K, w_eps = p.K_s, p.omega_eps
+    tanh, cos = math.tanh, math.cos
     J_m, J_o = p.J_m, p.J_o
     b_m, b_o = p.b_m, p.b_o
     if cls is SeaState:

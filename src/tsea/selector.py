@@ -8,6 +8,7 @@ spring as unloaded and reconciling velocities.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .params import ActuatorParams
@@ -18,7 +19,7 @@ from .plant import (
     SeaState,
     TransitionState,
     mode_of,
-    pea_acceleration,
+    pea_rhs,
     spring_torque,
 )
 
@@ -45,7 +46,6 @@ class SwitchDecision:
     accepted: bool
     transition: TransitionState | None
     transmitted: float
-    reason: str | None = None
 
 
 def transmitted_torque(
@@ -54,12 +54,15 @@ def transmitted_torque(
     """Torque carried by the engaged path [Nm].
 
     SEA: the spring torque. PEA: the inner-race reaction tau_m - J_m*alpha
-    with alpha the current body acceleration.
+    with alpha the acceleration plant.step's parallel body has at this state
+    under the output torque tau_ext.
     """
     if type(state) is SeaState:
         return spring_torque(state, p)
     if type(state) is PeaState:
-        alpha = pea_acceleration(state, tau_m, tau_ext, p)
+        if not (math.isfinite(tau_m) and math.isfinite(tau_ext)):
+            raise ValueError(f"non-finite input torque: tau_m={tau_m}, tau_ext={tau_ext}")
+        _, alpha = pea_rhs(tau_m, tau_ext, p, state.theta_anchor)(state.theta, state.omega)
         return tau_m - p.J_m * alpha
     raise SelectorError("transmitted torque is undefined while the selector travels")
 
@@ -85,10 +88,7 @@ def request_switch(
 
     tau_tr = transmitted_torque(state, tau_m, tau_ext, p)
     if abs(tau_tr) >= p.tau_disengage:
-        return SwitchDecision(
-            False, None, tau_tr,
-            f"transmitted torque {tau_tr:.3f} Nm >= gate {p.tau_disengage:.3f} Nm",
-        )
+        return SwitchDecision(False, None, tau_tr)
 
     if type(state) is SeaState:
         trans = TransitionState(

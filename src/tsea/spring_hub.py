@@ -1,4 +1,4 @@
-"""Radial spring hub torque model, nonlinear and linearized.
+"""Radial spring hub torque model.
 
 Four extension springs at 90° intervals connect an inner plate (hook radius
 r1) to an outer plate (hook radius r2). A relative plate rotation beta
@@ -19,9 +19,6 @@ import math
 from dataclasses import dataclass
 
 from .params import HubGeometry
-
-NONLINEAR = "nonlinear"
-LINEARIZED = "linearized"
 
 _MM_NM = 1e-3  # N·mm -> Nm
 
@@ -74,36 +71,10 @@ def hub_torque(geometry: HubGeometry, beta: float) -> float:
 
 @dataclass(frozen=True, slots=True)
 class HubModel:
-    """Hub torque law for characterization; the dynamics do not use it.
-
-    mode LINEARIZED gives torque(beta) = k_linear * beta exactly; k_linear
-    defaults to the geometric linearized stiffness. Mode NONLINEAR evaluates
-    the full four-spring law and ignores k_linear. The plant drives the spring
-    as K_s * beta with the measured stiffness K_s, which absorbs structural
-    compliance the geometry does not capture.
-    """
+    """The nonlinear hub law on one geometry. The simulator never calls it (the
+    plant drives K_s*beta); it stays because the benchmark wraps its torque."""
 
     geometry: HubGeometry
-    mode: str = LINEARIZED
-    k_linear: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.mode not in (NONLINEAR, LINEARIZED):
-            raise ValueError(f"unknown hub mode {self.mode!r}")
-        if self.mode == LINEARIZED and self.k_linear is None:
-            object.__setattr__(self, "k_linear", linearized_stiffness(self.geometry))
-
-    @property
-    def preload_offset(self) -> float:
-        return preload_offset(self.geometry)
 
     def torque(self, beta: float) -> float:
-        if self.mode == LINEARIZED:
-            return self.k_linear * beta
         return hub_torque(self.geometry, beta)
-
-
-def linear_hub(stiffness: float, geometry: HubGeometry | None = None) -> HubModel:
-    """Linear spring law with an explicit stiffness [Nm/rad]."""
-    return HubModel(geometry if geometry is not None else HubGeometry(),
-                    mode=LINEARIZED, k_linear=stiffness)

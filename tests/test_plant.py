@@ -11,13 +11,13 @@ from tsea.plant import (
     TransitionState,
     clamp_torque,
     SimulationError,
-    coulomb_friction,
     gravity_torque,
     mode_of,
-    pea_acceleration,
+    pea_rhs,
     spring_torque,
     step,
 )
+from tsea.selector import transmitted_torque
 
 ARM_LOAD = LoadModel()
 NO_LOAD = LoadModel(mass=0.0)
@@ -63,17 +63,16 @@ def test_sea_offset_zeroes_spring():
 
 def test_pea_anchored_equilibrium():
     p = undamped_params()
-    s = PeaState(0.25, 0.0, 0.25)
-    assert pea_acceleration(s, 1.5, 1.5, p) == 0.0
+    assert pea_rhs(1.5, 1.5, p, anchor=0.25)(0.25, 0.0) == (0.0, 0.0)
 
 
 def test_pea_static_balance():
     # at rest the motor supplies the external load plus the parallel spring
     p = undamped_params(K_s=5.57)
-    s = PeaState(0.2, 0.0, 0.0)
     tau_ext = 0.8
     tau_m = tau_ext + p.K_s * 0.2
-    assert pea_acceleration(s, tau_m, tau_ext, p) == pytest.approx(0.0, abs=1e-12)
+    _, alpha = pea_rhs(tau_m, tau_ext, p, anchor=0.0)(0.2, 0.0)
+    assert alpha == pytest.approx(0.0, abs=1e-12)
 
 
 def test_pea_gravity_compensation():
@@ -81,8 +80,12 @@ def test_pea_gravity_compensation():
     p = undamped_params(K_s=5.57)
     theta = 0.3
     tau_ext = -p.K_s * theta  # load exactly cancelled by the grounded spring
-    s = PeaState(theta, 0.0, 0.0)
-    assert pea_acceleration(s, 0.0, tau_ext, p) == pytest.approx(0.0, abs=1e-12)
+    _, alpha = pea_rhs(0.0, tau_ext, p, anchor=0.0)(theta, 0.0)
+    assert alpha == pytest.approx(0.0, abs=1e-12)
+    # the same balance with the load as gravity, re-evaluated at the angle
+    mgr = tau_ext / math.cos(theta)
+    _, alpha = pea_rhs(0.0, 0.0, p, anchor=0.0, mgr=mgr)(theta, 0.0)
+    assert alpha == pytest.approx(0.0, abs=1e-12)
 
 
 def test_freewheel_decoupled():
@@ -100,14 +103,20 @@ def test_freewheel_decoupled():
 
 
 def test_coulomb_friction_shape():
-    assert coulomb_friction(0.0, 0.5, 1e-3) == 0.0
-    assert coulomb_friction(1.0, 0.5, 1e-3) == pytest.approx(0.5, rel=1e-9)
-    assert coulomb_friction(1e-3, 0.1, 1e-3) == pytest.approx(0.0762, abs=1e-4)
+    # the parallel body's only force here is Coulomb friction: tau_c_pea plus
+    # the output bearing's tau_c_out, tanh-regularized
+    p = ActuatorParams(b_m=0.0, b_o=0.0, tau_c_pea=0.2, tau_c_out=0.1, omega_eps=1e-2)
+    tc, J = p.tau_c_pea + p.tau_c_out, p.J_m + p.J_o
+    g = pea_rhs(0.0, 0.0, p, anchor=0.0)
+    assert g(0.0, 0.0) == (0.0, 0.0)
+    assert -J * g(0.0, 1.0)[1] == pytest.approx(tc, rel=1e-9)
+    assert -J * g(0.0, 1e-2)[1] == pytest.approx(tc * 0.7616, abs=1e-4)
     for w in (-2.0, -0.01, 0.003, 5.0):
-        assert coulomb_friction(w, 0.3, 1e-2) == -coulomb_friction(-w, 0.3, 1e-2)
-        # magnitude never exceeds tau_c; strictly below it until tanh saturates
-        assert abs(coulomb_friction(w, 0.3, 1e-2)) <= 0.3
-    assert abs(coulomb_friction(0.05, 0.3, 1e-2)) < 0.3
+        assert g(0.0, w)[1] == -g(0.0, -w)[1]
+        # it opposes the motion, never above tc; strictly below until tanh saturates
+        assert -g(0.0, w)[1] * w > 0.0
+        assert abs(g(0.0, w)[1]) <= tc / J
+    assert abs(g(0.0, 0.05)[1]) < tc / J
 
 
 def test_non_finite_inputs_rejected():
@@ -116,7 +125,9 @@ def test_non_finite_inputs_rejected():
     with pytest.raises(SimulationError, match="non-finite SEA state"):
         step(s, math.nan, p, NO_LOAD)
     with pytest.raises(ValueError, match="non-finite"):
-        pea_acceleration(PeaState(0.0, 0.0, 0.0), 0.0, math.inf, p)
+        transmitted_torque(PeaState(0.0, 0.0, 0.0), 0.0, math.inf, p)
+    with pytest.raises(ValueError, match="non-finite"):
+        transmitted_torque(PeaState(0.0, 0.0, 0.0), math.nan, 0.0, p)
 
 
 def test_step_fixed_point():

@@ -6,13 +6,9 @@ import pytest
 from oracles import spring_force_torque
 from tsea.params import HubGeometry
 from tsea.spring_hub import (
-    HubModel,
-    LINEARIZED,
-    NONLINEAR,
     effective_length,
     hub_torque,
     installed_length,
-    linear_hub,
     linearized_stiffness,
     preload_force,
     preload_offset,
@@ -78,12 +74,9 @@ def test_oracle_sweep_zero_offset_geometry():
 
 
 def test_odd_symmetry_both_modes():
-    nonlinear = HubModel(GEOM, mode=NONLINEAR)
-    linear = HubModel(GEOM, mode=LINEARIZED)
     for b in np.linspace(-math.pi, math.pi, 101):
         b = float(b)
-        assert nonlinear.torque(-b) == -nonlinear.torque(b)
-        assert linear.torque(-b) == -linear.torque(b)
+        assert hub_torque(GEOM, -b) == -hub_torque(GEOM, b)
 
 
 def test_linearized_stiffness_value():
@@ -118,13 +111,3 @@ def test_preload_force():
 def test_preload_offset_value():
     assert preload_offset(GEOM) == pytest.approx(2.0, abs=1e-9)
 
-
-def test_linear_hub_override():
-    hub = linear_hub(5.57, GEOM)
-    assert hub.torque(0.1) == pytest.approx(0.557)
-    assert hub.torque(0.0) == 0.0
-
-
-def test_unknown_mode_rejected():
-    with pytest.raises(ValueError, match="hub mode"):
-        HubModel(GEOM, mode="weird")
