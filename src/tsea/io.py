@@ -19,7 +19,6 @@ exactly what csv.writer produced):
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, replace
@@ -96,29 +95,6 @@ def write_trace_csv(trace: Trace, path: str | Path, decimate_to_hz: float | None
             )
             fh.write(CSV_TERMINATOR.join(map(",".join, zip(*fields))) + CSV_TERMINATOR)
     return len(range(0, n, k))
-
-
-def read_trace_csv(path: str | Path) -> Trace:
-    """Parse a trace written by write_trace_csv."""
-    code = {name: i for i, name in enumerate(MODE_NAMES)}
-    cols: dict[str, list] = {name: [] for name in CSV_HEADER}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != CSV_HEADER:
-            raise ValueError(f"unexpected CSV header {header!r}")
-        for row in reader:
-            for name, value in zip(CSV_HEADER, row):
-                cols[name].append(code[value] if name == "mode" else float(value))
-    t = np.asarray(cols["t"], dtype=np.float64)
-    dt = float(t[1] - t[0]) if len(t) > 1 else 0.0
-    return Trace(
-        dt=dt, t=t, mode=np.asarray(cols["mode"], dtype=np.int8),
-        theta_m=np.asarray(cols["theta_m"]), omega_m=np.asarray(cols["omega_m"]),
-        theta_o=np.asarray(cols["theta_o"]), omega_o=np.asarray(cols["omega_o"]),
-        tau_cmd=np.asarray(cols["tau_cmd"]), tau_applied=np.asarray(cols["tau_applied"]),
-        tau_spring=np.asarray(cols["tau_spring"]), i_q=np.asarray(cols["i_q"]),
-    )
 
 
 def write_report_json(report_dict: dict, path: str | Path) -> None:

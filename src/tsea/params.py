@@ -49,7 +49,7 @@ class ActuatorParams:
     b_o: float = 0.145           # output-side viscous damping [Nm·s/rad]
     tau_c_sea: float = 0.109     # Coulomb friction magnitude, spring path engaged [Nm]
     tau_c_pea: float = 0.058     # Coulomb friction magnitude, rigid path engaged [Nm]
-    tau_c_out: float = 0.0       # output-bearing Coulomb friction, both modes [Nm]
+    tau_c_out: float = 0.0       # output-bearing Coulomb friction, every state [Nm]
     K_t: float = 0.083           # torque constant [Nm/A]
     tau_max: float = 3.0         # motor torque saturation [Nm]
     tau_disengage: float = 1.0   # max transmitted torque permitting disengagement [Nm]

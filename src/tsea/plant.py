@@ -14,9 +14,10 @@ The hub spring is the linear law K_s*beta in both engaged modes; the geometric
 model in spring_hub characterizes the hub and does not enter the dynamics.
 
 Friction model: the per-mode Coulomb magnitude (tau_c_sea / tau_c_pea) acts
-on the motor-side body, where the hub plates and dog interfaces live; the
-output bearing gets its own (normally zero) magnitude tau_c_out. All Coulomb
-terms are tanh-regularized.
+on the motor-side body, where the hub plates and dog interfaces live, and is
+off in transition, where no interface is engaged. The output bearing gets its
+own (normally zero) magnitude tau_c_out, which acts in every state. All
+Coulomb terms are tanh-regularized.
 """
 
 from __future__ import annotations
@@ -181,8 +182,9 @@ def step(
     tanh, cos = math.tanh, math.cos
     J_m, J_o = p.J_m, p.J_o
     b_m, b_o = p.b_m, p.b_o
+    tc_o = p.tau_c_out
     if cls is SeaState:
-        tc_m, tc_o = p.tau_c_sea, p.tau_c_out
+        tc_m = p.tau_c_sea
         off = state.beta_offset
 
         def f(qm: float, wm: float, qo: float, wo: float):
@@ -196,7 +198,10 @@ def step(
     else:
         def f(qm: float, wm: float, qo: float, wo: float):
             am = (tau - b_m * wm) / J_m
-            ao = (-(mgr * cos(qo) + tau_out_extra) - b_o * wo) / J_o
+            ao = (
+                -(mgr * cos(qo) + tau_out_extra) - b_o * wo
+                - tc_o * tanh(wo / w_eps)
+            ) / J_o
             return wm, am, wo, ao
 
     try:

@@ -4,7 +4,8 @@ These deliberately avoid the closed-form torque expression in
 tsea.spring_hub: torques come from explicit hook coordinates, per-spring
 tension resolution and summed moments. The reference trace writer and
 mode-band scan are the original row-by-row loops that the columnar versions
-in tsea.io must match exactly.
+in tsea.io must match exactly; the trace reader parses what the writer wrote
+back into a Trace for the bit-exact round trip.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import csv
 import math
 from pathlib import Path
+
+import numpy as np
 
 from tsea.experiments import MODE_NAMES, Trace
 from tsea.io import CSV_HEADER
@@ -74,6 +77,29 @@ def reference_write_trace_csv(trace: Trace, path: str | Path,
             ))
             rows += 1
     return rows
+
+
+def read_trace_csv(path: str | Path) -> Trace:
+    """Parse a trace written by write_trace_csv."""
+    code = {name: i for i, name in enumerate(MODE_NAMES)}
+    cols: dict[str, list] = {name: [] for name in CSV_HEADER}
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        if tuple(header) != CSV_HEADER:
+            raise ValueError(f"unexpected CSV header {header!r}")
+        for row in reader:
+            for name, value in zip(CSV_HEADER, row):
+                cols[name].append(code[value] if name == "mode" else float(value))
+    t = np.asarray(cols["t"], dtype=np.float64)
+    dt = float(t[1] - t[0]) if len(t) > 1 else 0.0
+    return Trace(
+        dt=dt, t=t, mode=np.asarray(cols["mode"], dtype=np.int8),
+        theta_m=np.asarray(cols["theta_m"]), omega_m=np.asarray(cols["omega_m"]),
+        theta_o=np.asarray(cols["theta_o"]), omega_o=np.asarray(cols["omega_o"]),
+        tau_cmd=np.asarray(cols["tau_cmd"]), tau_applied=np.asarray(cols["tau_applied"]),
+        tau_spring=np.asarray(cols["tau_spring"]), i_q=np.asarray(cols["i_q"]),
+    )
 
 
 def reference_mode_bands(trace: Trace) -> list[tuple[float, float, str]]:

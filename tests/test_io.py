@@ -3,7 +3,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
-from oracles import reference_mode_bands, reference_write_trace_csv
+from oracles import read_trace_csv, reference_mode_bands, reference_write_trace_csv
 
 from tsea.experiments import MODE_NAMES, Trace, TraceRecorder, run_dynamic_switching
 from tsea.io import (
@@ -11,7 +11,6 @@ from tsea.io import (
     apply_noise,
     emit_svg_plot,
     mode_bands,
-    read_trace_csv,
     write_report_json,
     write_trace_csv,
 )

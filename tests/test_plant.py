@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -100,6 +101,22 @@ def test_freewheel_decoupled():
     s2 = step(s, 1.0, p, NO_LOAD)
     assert s2.omega_m / p.dt == pytest.approx(1.0 / p.J_m)
     assert s2.omega_o == 0.0
+
+
+def test_output_bearing_rubs_in_transition():
+    # tau_c_out acts on the output in every state; the motor-side Coulomb
+    # terms need an engaged interface and stay off while the selector travels
+    free = undamped_params()
+    rub = dataclasses.replace(free, tau_c_sea=0.1, tau_c_pea=0.1, tau_c_out=0.05)
+    for w in (2.0, -2.0):
+        s = TransitionState(0.0, w, 0.0, w, Mode.SEA, 0.03)
+        a = step(s, 0.0, free, NO_LOAD)
+        b = step(s, 0.0, rub, NO_LOAD)
+        assert b.omega_m == a.omega_m == w
+        assert a.omega_o == w
+        assert abs(b.omega_o) < abs(w)
+        assert (a.omega_o - b.omega_o) / rub.dt == pytest.approx(
+            math.copysign(0.05, w) / rub.J_o, rel=1e-6)
 
 
 def test_coulomb_friction_shape():
