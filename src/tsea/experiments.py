@@ -5,7 +5,7 @@ locked, dynamic switching during sinusoidal tracking, impulse disturbance
 rejection under position hold, and a switching endurance run. Each protocol
 returns (Trace, report); all metric functions are pure. The three protocols
 that move the actuator script their phases on one driver loop (_Driver);
-the stiffness rig integrates its locked single mass on its own.
+the stiffness rig steps its locked motor on the plant's single-body kernel.
 """
 
 from __future__ import annotations
@@ -27,10 +27,10 @@ from .plant import (
     SeaState,
     SimulationError,
     TransitionState,
+    body_step,
     clamp_torque,
     gravity_torque,
     mode_of,
-    rk4_body,
     spring_torque,
 )
 from .selector import (
@@ -100,6 +100,8 @@ class TraceRecorder:
         self._step = 0
         self._cols = {name: array("d") for name in _FLOAT_COLS}
         self._mode = array("b")
+        # bound appends in _FLOAT_COLS order, then the mode code's
+        self._appends = (*(col.append for col in self._cols.values()), self._mode.append)
 
     @property
     def n_recorded(self) -> int:
@@ -122,17 +124,17 @@ class TraceRecorder:
         else:
             code = 2
             qm, wm, qo, wo = state.theta_m, state.omega_m, state.theta_o, state.omega_o
-        c = self._cols
-        c["t"].append(t)
-        c["theta_m"].append(qm)
-        c["omega_m"].append(wm)
-        c["theta_o"].append(qo)
-        c["omega_o"].append(wo)
-        c["tau_cmd"].append(tau_cmd)
-        c["tau_applied"].append(tau_applied)
-        c["tau_spring"].append(spring_torque(state, p))
-        c["i_q"].append(tau_applied / p.K_t)
-        self._mode.append(code)
+        t_, qm_, wm_, qo_, wo_, cmd_, app_, spring_, iq_, mode_ = self._appends
+        t_(t)
+        qm_(qm)
+        wm_(wm)
+        qo_(qo)
+        wo_(wo)
+        cmd_(tau_cmd)
+        app_(tau_applied)
+        spring_(spring_torque(state, p))
+        iq_(tau_applied / p.K_t)
+        mode_(code)
 
     def record_raw(self, t: float, code: int, qm: float, wm: float, qo: float,
                    wo: float, tau_cmd: float, tau_applied: float,
@@ -141,17 +143,17 @@ class TraceRecorder:
         self._step += 1
         if not keep:
             return
-        c = self._cols
-        c["t"].append(t)
-        c["theta_m"].append(qm)
-        c["omega_m"].append(wm)
-        c["theta_o"].append(qo)
-        c["omega_o"].append(wo)
-        c["tau_cmd"].append(tau_cmd)
-        c["tau_applied"].append(tau_applied)
-        c["tau_spring"].append(tau_spring)
-        c["i_q"].append(i_q)
-        self._mode.append(code)
+        t_, qm_, wm_, qo_, wo_, cmd_, app_, spring_, iq_, mode_ = self._appends
+        t_(t)
+        qm_(qm)
+        wm_(wm)
+        qo_(qo)
+        wo_(wo)
+        cmd_(tau_cmd)
+        app_(tau_applied)
+        spring_(tau_spring)
+        iq_(i_q)
+        mode_(code)
 
     def trace(self) -> Trace:
         cols = {name: np.asarray(col, dtype=np.float64) for name, col in self._cols.items()}
@@ -568,24 +570,23 @@ def run_static_stiffness(
     window_steps = max(1, round(settle_window_s / dt))
     timeout_steps = round(settle_timeout_s / dt)
 
-    J, b, w_eps = p.J_m, p.b_m, p.omega_eps
-    tanh = math.tanh
+    J, b, w_eps, K_t = p.J_m, p.b_m, p.omega_eps, p.K_t
+    record = rec.record_raw
 
     theta = 0.0
     omega = 0.0
-    tau = 0.0  # torque command held over the current step
     t = 0.0
     step_i = 0
 
-    def f(q: float, w: float) -> tuple[float, float]:
-        return w, (tau - K_rig * q - b * w - tau_c * tanh(w / w_eps)) / J
-
-    def rig_step(tau_cmd: float) -> None:
-        nonlocal theta, omega, tau, t, step_i
-        tau = tau_cmd
-        rec.record_raw(t, code, theta, omega, 0.0, 0.0, tau, tau,
-                       K_rig * theta, tau / p.K_t)
-        theta, omega = rk4_body(f, theta, omega, dt)
+    def rig_step(tau: float) -> None:
+        # the locked output makes the motor one body on a grounded spring
+        nonlocal theta, omega, t, step_i
+        record(t, code, theta, omega, 0.0, 0.0, tau, tau, K_rig * theta, tau / K_t)
+        try:
+            theta, omega = body_step(theta, omega, dt, tau, 0.0, 0.0, 0.0,
+                                     K_rig, b, tau_c, w_eps, J)
+        except ValueError:  # math.cos of an infinite stage angle
+            theta = omega = math.nan
         if not (math.isfinite(theta) and math.isfinite(omega)):
             raise SimulationError(f"stiffness rig blew up at t={t:.6f} s")
         step_i += 1
@@ -855,10 +856,10 @@ def run_switch_cycle(
             raise InvariantViolation(
                 f"cycle {i}: latency {steps_taken} steps != t_switch ({latency_steps} steps)"
             )
-        if spring_torque(state, p) != 0.0:
+        tau_spring = spring_torque(state, p)
+        if tau_spring != 0.0:
             raise InvariantViolation(
-                f"cycle {i}: spring not unloaded after engagement "
-                f"(tau={spring_torque(state, p)!r} Nm)"
+                f"cycle {i}: spring not unloaded after engagement (tau={tau_spring!r} Nm)"
             )
         if type(state) is PeaState:
             merged = (p.J_m * pre_engage.omega_m + p.J_o * pre_engage.omega_o) / (p.J_m + p.J_o)

@@ -13,6 +13,12 @@ Three engagement states share one integrator entry point:
 The hub spring is the linear law K_s*beta in both engaged modes; the geometric
 model in spring_hub characterizes the hub and does not enter the dynamics.
 
+step() unpacks the state into floats and runs one RK4 kernel per body shape,
+each with its four stages written out: pair_step for the motor/output pair
+(series_accel engaged in SEA, freewheel_accel in transition) and body_step for
+one rigid body (body_accel), which the parallel body and the locked-output
+stiffness rig share. Each body's forces are written once, in its derivative.
+
 Friction model: the per-mode Coulomb magnitude (tau_c_sea / tau_c_pea) acts
 on the motor-side body, where the hub plates and dog interfaces live, and is
 off in transition, where no interface is engaged. The output bearing gets its
@@ -25,6 +31,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from math import cos, isfinite, tanh
 
 from .params import ActuatorParams, LoadModel
 
@@ -89,27 +96,6 @@ def clamp_torque(tau: float, p: ActuatorParams) -> float:
     return tau
 
 
-def pea_rhs(tau: float, tau_ext: float, p: ActuatorParams, anchor: float,
-            mgr: float = 0.0):
-    """Derivative g(q, w) -> (w, alpha) of the rigidly coupled parallel body.
-
-    The motor torque tau is held; the output load mgr*cos(q) + tau_ext is
-    re-evaluated at every call, so the default mgr = 0 holds tau_ext constant.
-    """
-    K, w_eps, J = p.K_s, p.omega_eps, p.J_m + p.J_o
-    b, tc = p.b_m + p.b_o, p.tau_c_pea + p.tau_c_out
-    tanh, cos = math.tanh, math.cos
-
-    def g(q: float, w: float):
-        a = (
-            tau - K * (q - anchor) - (mgr * cos(q) + tau_ext)
-            - b * w - tc * tanh(w / w_eps)
-        ) / J
-        return w, a
-
-    return g
-
-
 def spring_torque(state: PlantState, p: ActuatorParams) -> float:
     """Torque K_s*beta currently carried by the hub spring [Nm]; zero while freewheeling."""
     if type(state) is SeaState:
@@ -119,33 +105,107 @@ def spring_torque(state: PlantState, p: ActuatorParams) -> float:
     return 0.0
 
 
-def rk4_body(f, q: float, w: float, dt: float) -> tuple[float, float]:
-    """One classical RK4 step of a single body; f(q, w) returns (dq, dw)."""
+def body_accel(q: float, w: float, tau: float, tau_ext: float, mgr: float,
+               anchor: float, K: float, b: float, tc: float, w_eps: float,
+               J: float) -> float:
+    """Acceleration of one rigid body on a grounded spring.
+
+    The body at angle q, velocity w carries motor torque tau, the spring
+    K*(q - anchor), the output load mgr*cos(q) + tau_ext, viscous damping b
+    and Coulomb friction tc. The parallel body (pea_body) and the locked-output
+    stiffness rig (anchor = mgr = tau_ext = 0) are both this body.
+    """
+    return (
+        tau - K * (q - anchor) - (mgr * cos(q) + tau_ext)
+        - b * w - tc * tanh(w / w_eps)
+    ) / J
+
+
+def pea_body(p: ActuatorParams) -> tuple[float, float, float, float, float]:
+    """(K, b, tc, w_eps, J) of the rigidly coupled parallel body for body_accel."""
+    return p.K_s, p.b_m + p.b_o, p.tau_c_pea + p.tau_c_out, p.omega_eps, p.J_m + p.J_o
+
+
+def body_step(q: float, w: float, dt: float, tau: float, tau_ext: float,
+              mgr: float, anchor: float, K: float, b: float, tc: float,
+              w_eps: float, J: float) -> tuple[float, float]:
+    """One classical RK4 step of body_accel's body; tau and tau_ext are held.
+
+    Raises ValueError (from math.cos) if a stage angle is infinite.
+    """
     half = 0.5 * dt
-    k1 = f(q, w)
-    k2 = f(q + half * k1[0], w + half * k1[1])
-    k3 = f(q + half * k2[0], w + half * k2[1])
-    k4 = f(q + dt * k3[0], w + dt * k3[1])
+    a1 = body_accel(q, w, tau, tau_ext, mgr, anchor, K, b, tc, w_eps, J)
+    w2 = w + half * a1
+    a2 = body_accel(q + half * w, w2, tau, tau_ext, mgr, anchor, K, b, tc, w_eps, J)
+    w3 = w + half * a2
+    a3 = body_accel(q + half * w2, w3, tau, tau_ext, mgr, anchor, K, b, tc, w_eps, J)
+    w4 = w + dt * a3
+    a4 = body_accel(q + dt * w3, w4, tau, tau_ext, mgr, anchor, K, b, tc, w_eps, J)
     sixth = dt / 6.0
     return (
-        q + sixth * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0]),
-        w + sixth * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1]),
+        q + sixth * (w + 2.0 * (w2 + w3) + w4),
+        w + sixth * (a1 + 2.0 * (a2 + a3) + a4),
     )
 
 
-def _rk4_pair(f, qm: float, wm: float, qo: float, wo: float, dt: float):
-    """One classical RK4 step of two bodies; f returns (dqm, dwm, dqo, dwo)."""
+def series_accel(qm: float, wm: float, qo: float, wo: float, tau: float,
+                 tau_ext: float, mgr: float, off: float, K: float, tc_m: float,
+                 b_m: float, J_m: float, b_o: float, tc_o: float, J_o: float,
+                 w_eps: float) -> tuple[float, float]:
+    """Motor and output accelerations of the pair coupled by the hub spring.
+
+    The spring carries K*(qm - qo - off); the motor-side Coulomb magnitude is
+    tc_m, the output bearing's tc_o. The output load is mgr*cos(qo) + tau_ext.
+    """
+    tau_s = K * (qm - qo - off)
+    return (
+        (tau - tau_s - b_m * wm - tc_m * tanh(wm / w_eps)) / J_m,
+        (tau_s - (mgr * cos(qo) + tau_ext) - b_o * wo - tc_o * tanh(wo / w_eps)) / J_o,
+    )
+
+
+def freewheel_accel(qm: float, wm: float, qo: float, wo: float, tau: float,
+                    tau_ext: float, mgr: float, off: float, K: float, tc_m: float,
+                    b_m: float, J_m: float, b_o: float, tc_o: float, J_o: float,
+                    w_eps: float) -> tuple[float, float]:
+    """series_accel's pair while the selector travels: no spring and no
+    motor-side Coulomb term, so off, K and tc_m are ignored."""
+    return (
+        (tau - b_m * wm) / J_m,
+        (-(mgr * cos(qo) + tau_ext) - b_o * wo - tc_o * tanh(wo / w_eps)) / J_o,
+    )
+
+
+def pair_step(accel, qm: float, wm: float, qo: float, wo: float, dt: float,
+              tau: float, tau_ext: float, mgr: float, off: float, K: float,
+              tc_m: float, b_m: float, J_m: float, b_o: float, tc_o: float,
+              J_o: float, w_eps: float) -> tuple[float, float, float, float]:
+    """One classical RK4 step of the motor/output pair under accel
+    (series_accel or freewheel_accel); tau and tau_ext are held.
+
+    Raises ValueError (from math.cos) if a stage angle is infinite.
+    """
     half = 0.5 * dt
-    k1 = f(qm, wm, qo, wo)
-    k2 = f(qm + half * k1[0], wm + half * k1[1], qo + half * k1[2], wo + half * k1[3])
-    k3 = f(qm + half * k2[0], wm + half * k2[1], qo + half * k2[2], wo + half * k2[3])
-    k4 = f(qm + dt * k3[0], wm + dt * k3[1], qo + dt * k3[2], wo + dt * k3[3])
+    am1, ao1 = accel(qm, wm, qo, wo, tau, tau_ext, mgr, off, K, tc_m,
+                     b_m, J_m, b_o, tc_o, J_o, w_eps)
+    wm2 = wm + half * am1
+    wo2 = wo + half * ao1
+    am2, ao2 = accel(qm + half * wm, wm2, qo + half * wo, wo2, tau, tau_ext, mgr,
+                     off, K, tc_m, b_m, J_m, b_o, tc_o, J_o, w_eps)
+    wm3 = wm + half * am2
+    wo3 = wo + half * ao2
+    am3, ao3 = accel(qm + half * wm2, wm3, qo + half * wo2, wo3, tau, tau_ext, mgr,
+                     off, K, tc_m, b_m, J_m, b_o, tc_o, J_o, w_eps)
+    wm4 = wm + dt * am3
+    wo4 = wo + dt * ao3
+    am4, ao4 = accel(qm + dt * wm3, wm4, qo + dt * wo3, wo4, tau, tau_ext, mgr,
+                     off, K, tc_m, b_m, J_m, b_o, tc_o, J_o, w_eps)
     sixth = dt / 6.0
     return (
-        qm + sixth * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0]),
-        wm + sixth * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1]),
-        qo + sixth * (k1[2] + 2.0 * (k2[2] + k3[2]) + k4[2]),
-        wo + sixth * (k1[3] + 2.0 * (k2[3] + k3[3]) + k4[3]),
+        qm + sixth * (wm + 2.0 * (wm2 + wm3) + wm4),
+        wm + sixth * (am1 + 2.0 * (am2 + am3) + am4),
+        qo + sixth * (wo + 2.0 * (wo2 + wo3) + wo4),
+        wo + sixth * (ao1 + 2.0 * (ao2 + ao3) + ao4),
     )
 
 
@@ -169,48 +229,28 @@ def step(
 
     if cls is PeaState:
         anchor = state.theta_anchor
+        K, b, tc, w_eps, J = pea_body(p)
         try:
-            q, w = rk4_body(pea_rhs(tau, tau_out_extra, p, anchor, mgr),
-                            state.theta, state.omega, p.dt)
+            q, w = body_step(state.theta, state.omega, p.dt, tau, tau_out_extra,
+                             mgr, anchor, K, b, tc, w_eps, J)
         except ValueError:  # math.cos of an infinite stage angle
             q = w = math.nan
-        if math.isfinite(q) and math.isfinite(w):
+        if isfinite(q) and isfinite(w):
             return PeaState(q, w, anchor)
         raise SimulationError("non-finite PEA state")
 
-    K, w_eps = p.K_s, p.omega_eps
-    tanh, cos = math.tanh, math.cos
-    J_m, J_o = p.J_m, p.J_o
-    b_m, b_o = p.b_m, p.b_o
-    tc_o = p.tau_c_out
     if cls is SeaState:
-        tc_m = p.tau_c_sea
-        off = state.beta_offset
-
-        def f(qm: float, wm: float, qo: float, wo: float):
-            tau_s = K * (qm - qo - off)
-            am = (tau - tau_s - b_m * wm - tc_m * tanh(wm / w_eps)) / J_m
-            ao = (
-                tau_s - (mgr * cos(qo) + tau_out_extra) - b_o * wo
-                - tc_o * tanh(wo / w_eps)
-            ) / J_o
-            return wm, am, wo, ao
+        accel, off, tc_m = series_accel, state.beta_offset, p.tau_c_sea
     else:
-        def f(qm: float, wm: float, qo: float, wo: float):
-            am = (tau - b_m * wm) / J_m
-            ao = (
-                -(mgr * cos(qo) + tau_out_extra) - b_o * wo
-                - tc_o * tanh(wo / w_eps)
-            ) / J_o
-            return wm, am, wo, ao
-
+        accel, off, tc_m = freewheel_accel, 0.0, 0.0
     try:
-        qm, wm, qo, wo = _rk4_pair(f, state.theta_m, state.omega_m,
-                                   state.theta_o, state.omega_o, p.dt)
+        qm, wm, qo, wo = pair_step(
+            accel, state.theta_m, state.omega_m, state.theta_o, state.omega_o,
+            p.dt, tau, tau_out_extra, mgr, off, p.K_s, tc_m,
+            p.b_m, p.J_m, p.b_o, p.tau_c_out, p.J_o, p.omega_eps)
     except ValueError:  # math.cos of an infinite stage angle
         qm = wm = qo = wo = math.nan
-    if not (math.isfinite(qm) and math.isfinite(wm)
-            and math.isfinite(qo) and math.isfinite(wo)):
+    if not (isfinite(qm) and isfinite(wm) and isfinite(qo) and isfinite(wo)):
         raise SimulationError(f"non-finite {mode_of(state).value} state")
     if cls is SeaState:
         return SeaState(qm, wm, qo, wo, off)

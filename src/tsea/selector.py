@@ -18,8 +18,9 @@ from .plant import (
     PlantState,
     SeaState,
     TransitionState,
+    body_accel,
     mode_of,
-    pea_rhs,
+    pea_body,
     spring_torque,
 )
 
@@ -62,7 +63,8 @@ def transmitted_torque(
     if type(state) is PeaState:
         if not (math.isfinite(tau_m) and math.isfinite(tau_ext)):
             raise ValueError(f"non-finite input torque: tau_m={tau_m}, tau_ext={tau_ext}")
-        _, alpha = pea_rhs(tau_m, tau_ext, p, state.theta_anchor)(state.theta, state.omega)
+        alpha = body_accel(state.theta, state.omega, tau_m, tau_ext, 0.0,
+                           state.theta_anchor, *pea_body(p))
         return tau_m - p.J_m * alpha
     raise SelectorError("transmitted torque is undefined while the selector travels")
 

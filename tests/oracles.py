@@ -5,7 +5,9 @@ tsea.spring_hub: torques come from explicit hook coordinates, per-spring
 tension resolution and summed moments. The reference trace writer and
 mode-band scan are the original row-by-row loops that the columnar versions
 in tsea.io must match exactly; the trace reader parses what the writer wrote
-back into a Trace for the bit-exact round trip.
+back into a Trace for the bit-exact round trip. The closure-based RK4 steps
+are the original integrators that the float kernels in tsea.plant must match
+bit for bit.
 """
 
 from __future__ import annotations
@@ -18,7 +20,16 @@ import numpy as np
 
 from tsea.experiments import MODE_NAMES, Trace
 from tsea.io import CSV_HEADER
-from tsea.params import HubGeometry
+from tsea.params import ActuatorParams, HubGeometry, LoadModel
+from tsea.plant import (
+    PeaState,
+    PlantState,
+    SeaState,
+    SimulationError,
+    TransitionState,
+    clamp_torque,
+    mode_of,
+)
 
 
 def spring_force_torque(geometry: HubGeometry, beta: float) -> float:
@@ -114,3 +125,120 @@ def reference_mode_bands(trace: Trace) -> list[tuple[float, float, str]]:
             start = i
     bands.append((float(trace.t[start]), float(trace.t[-1]), MODE_NAMES[trace.mode[start]]))
     return bands
+
+
+def rk4_body(f, q: float, w: float, dt: float) -> tuple[float, float]:
+    """One classical RK4 step of a single body; f(q, w) returns (dq, dw)."""
+    half = 0.5 * dt
+    k1 = f(q, w)
+    k2 = f(q + half * k1[0], w + half * k1[1])
+    k3 = f(q + half * k2[0], w + half * k2[1])
+    k4 = f(q + dt * k3[0], w + dt * k3[1])
+    sixth = dt / 6.0
+    return (
+        q + sixth * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0]),
+        w + sixth * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1]),
+    )
+
+
+def rk4_pair(f, qm: float, wm: float, qo: float, wo: float, dt: float):
+    """One classical RK4 step of two bodies; f returns (dqm, dwm, dqo, dwo)."""
+    half = 0.5 * dt
+    k1 = f(qm, wm, qo, wo)
+    k2 = f(qm + half * k1[0], wm + half * k1[1], qo + half * k1[2], wo + half * k1[3])
+    k3 = f(qm + half * k2[0], wm + half * k2[1], qo + half * k2[2], wo + half * k2[3])
+    k4 = f(qm + dt * k3[0], wm + dt * k3[1], qo + dt * k3[2], wo + dt * k3[3])
+    sixth = dt / 6.0
+    return (
+        qm + sixth * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0]),
+        wm + sixth * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1]),
+        qo + sixth * (k1[2] + 2.0 * (k2[2] + k3[2]) + k4[2]),
+        wo + sixth * (k1[3] + 2.0 * (k2[3] + k3[3]) + k4[3]),
+    )
+
+
+def pea_rhs(tau: float, tau_ext: float, p: ActuatorParams, anchor: float,
+            mgr: float = 0.0):
+    """Derivative g(q, w) -> (w, alpha) of the rigidly coupled parallel body."""
+    K, w_eps, J = p.K_s, p.omega_eps, p.J_m + p.J_o
+    b, tc = p.b_m + p.b_o, p.tau_c_pea + p.tau_c_out
+    tanh, cos = math.tanh, math.cos
+
+    def g(q: float, w: float):
+        a = (
+            tau - K * (q - anchor) - (mgr * cos(q) + tau_ext)
+            - b * w - tc * tanh(w / w_eps)
+        ) / J
+        return w, a
+
+    return g
+
+
+def reference_step(state: PlantState, tau_m: float, p: ActuatorParams,
+                   load: LoadModel, tau_out_extra: float = 0.0) -> PlantState:
+    """The original plant.step: derivative closures integrated by rk4_body/rk4_pair."""
+    tau = clamp_torque(tau_m, p)
+    mgr = load.mass * load.g * load.radius
+    cls = type(state)
+
+    if cls is PeaState:
+        anchor = state.theta_anchor
+        try:
+            q, w = rk4_body(pea_rhs(tau, tau_out_extra, p, anchor, mgr),
+                            state.theta, state.omega, p.dt)
+        except ValueError:  # math.cos of an infinite stage angle
+            q = w = math.nan
+        if math.isfinite(q) and math.isfinite(w):
+            return PeaState(q, w, anchor)
+        raise SimulationError("non-finite PEA state")
+
+    K, w_eps = p.K_s, p.omega_eps
+    tanh, cos = math.tanh, math.cos
+    J_m, J_o = p.J_m, p.J_o
+    b_m, b_o = p.b_m, p.b_o
+    tc_o = p.tau_c_out
+    if cls is SeaState:
+        tc_m = p.tau_c_sea
+        off = state.beta_offset
+
+        def f(qm: float, wm: float, qo: float, wo: float):
+            tau_s = K * (qm - qo - off)
+            am = (tau - tau_s - b_m * wm - tc_m * tanh(wm / w_eps)) / J_m
+            ao = (
+                tau_s - (mgr * cos(qo) + tau_out_extra) - b_o * wo
+                - tc_o * tanh(wo / w_eps)
+            ) / J_o
+            return wm, am, wo, ao
+    else:
+        def f(qm: float, wm: float, qo: float, wo: float):
+            am = (tau - b_m * wm) / J_m
+            ao = (
+                -(mgr * cos(qo) + tau_out_extra) - b_o * wo
+                - tc_o * tanh(wo / w_eps)
+            ) / J_o
+            return wm, am, wo, ao
+
+    try:
+        qm, wm, qo, wo = rk4_pair(f, state.theta_m, state.omega_m,
+                                  state.theta_o, state.omega_o, p.dt)
+    except ValueError:  # math.cos of an infinite stage angle
+        qm = wm = qo = wo = math.nan
+    if not (math.isfinite(qm) and math.isfinite(wm)
+            and math.isfinite(qo) and math.isfinite(wo)):
+        raise SimulationError(f"non-finite {mode_of(state).value} state")
+    if cls is SeaState:
+        return SeaState(qm, wm, qo, wo, off)
+    return TransitionState(qm, wm, qo, wo, state.target_mode, state.t_remaining)
+
+
+def reference_rig_step(theta: float, omega: float, tau: float, K_rig: float,
+                       tau_c: float, p: ActuatorParams) -> tuple[float, float]:
+    """One step of the original stiffness rig: the locked motor as one body,
+    integrated through its own derivative closure."""
+    J, b, w_eps = p.J_m, p.b_m, p.omega_eps
+    tanh = math.tanh
+
+    def f(q: float, w: float) -> tuple[float, float]:
+        return w, (tau - K_rig * q - b * w - tau_c * tanh(w / w_eps)) / J
+
+    return rk4_body(f, theta, omega, p.dt)

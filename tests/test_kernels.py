@@ -1,0 +1,171 @@
+"""The float RK4 kernels replay the original closure-based integrators bit for bit.
+
+plant.step, the switch gate and the stiffness rig run module-level float
+kernels whose stages are written out in the original arithmetic order. These
+tests run them against the closure-based references in oracles on seeded
+random inputs and compare float.hex, so a zero whose sign moved (-0.0 against
+0.0) fails as loudly as a changed digit.
+"""
+
+import math
+import random
+import sys
+
+import pytest
+
+from oracles import pea_rhs, reference_rig_step, reference_step
+from tsea.params import ActuatorParams, LoadModel
+from tsea.plant import (
+    Mode,
+    PeaState,
+    SeaState,
+    SimulationError,
+    TransitionState,
+    body_step,
+    step,
+)
+from tsea.selector import transmitted_torque
+
+N_RANDOM = 10_000
+BIG = sys.float_info.max
+SIGNED_TINY = (0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -2.5e-310, 2.2250738585072014e-308)
+
+
+def bits(x: float) -> str:
+    return float.hex(x) if isinstance(x, float) else repr(x)
+
+
+class Sampler:
+    """Seeded random inputs. In a fifth of the samples almost every value is
+    a signed zero or a subnormal, where only the order of the operations
+    decides the sign of a zero result."""
+
+    def __init__(self, seed: str):
+        self.rng = random.Random(seed)
+        self.z = 0.0  # chance that a value is drawn from SIGNED_TINY
+
+    def next_sample(self) -> None:
+        self.z = 0.8 if self.rng.random() < 0.2 else 0.1
+
+    def tiny(self) -> bool:
+        return self.rng.random() < self.z
+
+    def angle(self) -> float:
+        rng = self.rng
+        if self.tiny():
+            return rng.choice(SIGNED_TINY)
+        if rng.random() < 0.1:  # far from the origin, where a stage step is below one ulp
+            return rng.choice((1.0, -1.0)) * 1e6 * rng.uniform(0.999, 1.001)
+        return rng.uniform(-4.0, 4.0)
+
+    def velocity(self) -> float:
+        rng = self.rng
+        if self.tiny():
+            return rng.choice(SIGNED_TINY)
+        return rng.uniform(-2e3, 2e3) if rng.random() < 0.05 else rng.uniform(-20.0, 20.0)
+
+    def torque(self, scale: float) -> float:
+        # beyond tau_max = 3 Nm now and then, so the clamp acts
+        return self.rng.choice(SIGNED_TINY) if self.tiny() else self.rng.uniform(-scale, scale)
+
+    def coefficient(self, value: float) -> float:
+        """A damping or friction magnitude, sometimes a signed zero."""
+        rng = self.rng
+        return rng.choice((0.0, -0.0)) if self.tiny() else value * rng.uniform(0.5, 2.0)
+
+    def params(self) -> ActuatorParams:
+        rng, c, d = self.rng, self.coefficient, ActuatorParams()
+        return ActuatorParams(
+            J_m=d.J_m * rng.uniform(0.5, 2.0), J_o=d.J_o * rng.uniform(0.5, 2.0),
+            K_s=d.K_s * rng.uniform(0.5, 2.0), K_struct=d.K_struct * rng.uniform(0.5, 2.0),
+            b_m=c(d.b_m), b_o=c(d.b_o), tau_c_sea=c(d.tau_c_sea),
+            tau_c_pea=c(d.tau_c_pea), tau_c_out=c(0.05),
+            dt=d.dt * rng.uniform(0.25, 2.0), omega_eps=d.omega_eps * rng.uniform(0.5, 2.0),
+        )
+
+    def load(self) -> LoadModel:
+        return LoadModel(mass=0.0 if self.tiny() else self.rng.uniform(0.1, 2.0))
+
+    def state(self, mode: Mode):
+        if mode is Mode.PEA:
+            return PeaState(self.angle(), self.velocity(), self.angle())
+        qm, wm, qo, wo = self.angle(), self.velocity(), self.angle(), self.velocity()
+        if mode is Mode.SEA:
+            return SeaState(qm, wm, qo, wo, self.angle())
+        return TransitionState(qm, wm, qo, wo, self.rng.choice((Mode.SEA, Mode.PEA)),
+                               self.rng.uniform(0.0, 0.03))
+
+
+def outcome(fn, *args):
+    """The new state's fields in bits, or the error it raised."""
+    try:
+        s = fn(*args)
+    except SimulationError as exc:
+        return ("SimulationError", str(exc))
+    return (type(s).__name__, *(bits(getattr(s, f)) for f in s.__slots__))
+
+
+def assert_same_step(state, tau_m, p, ld, extra):
+    new = outcome(step, state, tau_m, p, ld, extra)
+    ref = outcome(reference_step, state, tau_m, p, ld, extra)
+    assert new == ref, (state, tau_m, p, ld, extra)
+    return new
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+def test_step_matches_reference_on_random_states(mode):
+    sample = Sampler(f"kernels-{mode.value}")
+    errors = 0
+    for _ in range(N_RANDOM):
+        sample.next_sample()
+        p, ld, state = sample.params(), sample.load(), sample.state(mode)
+        result = assert_same_step(state, sample.torque(5.0), p, ld, sample.torque(10.0))
+        errors += result[0] == "SimulationError"
+    assert errors < N_RANDOM // 100  # nearly every sample reached the comparison of bits
+
+
+@pytest.mark.parametrize("state, extra, message", [
+    (SeaState(0.0, 0.0, BIG, 1e308, 0.0), 0.0, "non-finite SEA state"),
+    (SeaState(0.0, 0.0, 0.0, 0.0, 0.0), 1e308, "non-finite SEA state"),
+    (PeaState(-BIG, -1e308, 0.0), 0.0, "non-finite PEA state"),
+    (PeaState(0.0, 0.0, 0.0), -1e308, "non-finite PEA state"),
+    (TransitionState(0.0, 0.0, BIG, 1e308, Mode.PEA, 0.03), 0.0, "non-finite TRANS state"),
+    (TransitionState(0.0, 0.0, 0.0, 0.0, Mode.SEA, 0.03), 1e308, "non-finite TRANS state"),
+], ids=["sea-angle", "sea-impulse", "pea-angle", "pea-impulse", "trans-angle", "trans-impulse"])
+def test_infinite_stage_angle_raises_the_same_error(state, extra, message):
+    # a finite start whose mid-step stage angle overflows, so math.cos raises
+    result = assert_same_step(state, 0.0, ActuatorParams(), LoadModel(), extra)
+    assert result == ("SimulationError", message)
+
+
+def test_pea_gate_matches_reference():
+    sample = Sampler("kernels-gate")
+    for _ in range(N_RANDOM):
+        sample.next_sample()
+        p, s = sample.params(), sample.state(Mode.PEA)
+        tau_m, tau_ext = sample.torque(3.0), sample.torque(5.0)
+        _, alpha = pea_rhs(tau_m, tau_ext, p, s.theta_anchor)(s.theta, s.omega)
+        assert bits(transmitted_torque(s, tau_m, tau_ext, p)) == bits(tau_m - p.J_m * alpha)
+
+
+def test_rig_matches_reference():
+    # the locked-output rig is body_step's body with anchor = mgr = tau_ext = 0
+    sample = Sampler("kernels-rig")
+    special = [(BIG, 1e308), (-BIG, -1e308), (math.inf, 0.0), (math.nan, 0.0)]
+    for i in range(N_RANDOM + len(special)):
+        sample.next_sample()
+        p = sample.params()
+        if sample.rng.random() < 0.5:
+            K_rig, tau_c = p.K_s, p.tau_c_sea
+        else:
+            K_rig, tau_c = p.K_s + p.K_struct, p.tau_c_pea
+        theta, omega = special[i - N_RANDOM] if i >= N_RANDOM else (sample.angle(), sample.velocity())
+        tau = sample.torque(1.0)
+        ref = reference_rig_step(theta, omega, tau, K_rig, tau_c, p)
+        try:
+            new = body_step(theta, omega, p.dt, tau, 0.0, 0.0, 0.0,
+                            K_rig, p.b_m, tau_c, p.omega_eps, p.J_m)
+        except ValueError:  # math.cos of an infinite stage angle: the rig blows up
+            assert not all(math.isfinite(v) for v in ref), (theta, omega, tau, p)
+            continue
+        assert [bits(v) for v in new] == [bits(v) for v in ref], (theta, omega, tau, p)

@@ -10,11 +10,12 @@ from tsea.plant import (
     PeaState,
     SeaState,
     TransitionState,
+    body_accel,
     clamp_torque,
     SimulationError,
     gravity_torque,
     mode_of,
-    pea_rhs,
+    pea_body,
     spring_torque,
     step,
 )
@@ -26,6 +27,11 @@ NO_LOAD = LoadModel(mass=0.0)
 
 def undamped_params(**kw) -> ActuatorParams:
     return ActuatorParams(b_m=0.0, b_o=0.0, tau_c_sea=0.0, tau_c_pea=0.0, tau_c_out=0.0, **kw)
+
+
+def pea_alpha(q, w, tau, tau_ext, p, anchor=0.0, mgr=0.0):
+    # the parallel body's acceleration, as plant.step and the switch gate evaluate it
+    return body_accel(q, w, tau, tau_ext, mgr, anchor, *pea_body(p))
 
 
 def test_gravity_torque_landmarks():
@@ -64,7 +70,7 @@ def test_sea_offset_zeroes_spring():
 
 def test_pea_anchored_equilibrium():
     p = undamped_params()
-    assert pea_rhs(1.5, 1.5, p, anchor=0.25)(0.25, 0.0) == (0.0, 0.0)
+    assert pea_alpha(0.25, 0.0, 1.5, 1.5, p, anchor=0.25) == 0.0
 
 
 def test_pea_static_balance():
@@ -72,7 +78,7 @@ def test_pea_static_balance():
     p = undamped_params(K_s=5.57)
     tau_ext = 0.8
     tau_m = tau_ext + p.K_s * 0.2
-    _, alpha = pea_rhs(tau_m, tau_ext, p, anchor=0.0)(0.2, 0.0)
+    alpha = pea_alpha(0.2, 0.0, tau_m, tau_ext, p)
     assert alpha == pytest.approx(0.0, abs=1e-12)
 
 
@@ -81,11 +87,11 @@ def test_pea_gravity_compensation():
     p = undamped_params(K_s=5.57)
     theta = 0.3
     tau_ext = -p.K_s * theta  # load exactly cancelled by the grounded spring
-    _, alpha = pea_rhs(0.0, tau_ext, p, anchor=0.0)(theta, 0.0)
+    alpha = pea_alpha(theta, 0.0, 0.0, tau_ext, p)
     assert alpha == pytest.approx(0.0, abs=1e-12)
     # the same balance with the load as gravity, re-evaluated at the angle
     mgr = tau_ext / math.cos(theta)
-    _, alpha = pea_rhs(0.0, 0.0, p, anchor=0.0, mgr=mgr)(theta, 0.0)
+    alpha = pea_alpha(theta, 0.0, 0.0, 0.0, p, mgr=mgr)
     assert alpha == pytest.approx(0.0, abs=1e-12)
 
 
@@ -124,16 +130,19 @@ def test_coulomb_friction_shape():
     # the output bearing's tau_c_out, tanh-regularized
     p = ActuatorParams(b_m=0.0, b_o=0.0, tau_c_pea=0.2, tau_c_out=0.1, omega_eps=1e-2)
     tc, J = p.tau_c_pea + p.tau_c_out, p.J_m + p.J_o
-    g = pea_rhs(0.0, 0.0, p, anchor=0.0)
-    assert g(0.0, 0.0) == (0.0, 0.0)
-    assert -J * g(0.0, 1.0)[1] == pytest.approx(tc, rel=1e-9)
-    assert -J * g(0.0, 1e-2)[1] == pytest.approx(tc * 0.7616, abs=1e-4)
+
+    def g(w):
+        return pea_alpha(0.0, w, 0.0, 0.0, p)
+
+    assert g(0.0) == 0.0
+    assert -J * g(1.0) == pytest.approx(tc, rel=1e-9)
+    assert -J * g(1e-2) == pytest.approx(tc * 0.7616, abs=1e-4)
     for w in (-2.0, -0.01, 0.003, 5.0):
-        assert g(0.0, w)[1] == -g(0.0, -w)[1]
+        assert g(w) == -g(-w)
         # it opposes the motion, never above tc; strictly below until tanh saturates
-        assert -g(0.0, w)[1] * w > 0.0
-        assert abs(g(0.0, w)[1]) <= tc / J
-    assert abs(g(0.0, 0.05)[1]) < tc / J
+        assert -g(w) * w > 0.0
+        assert abs(g(w)) <= tc / J
+    assert abs(g(0.05)) < tc / J
 
 
 def test_non_finite_inputs_rejected():
