@@ -148,7 +148,7 @@ def validate(preset: Preset) -> list[str]:
         for body, b, tau_c, J in (
             ("motor in SEA", p.b_m, p.tau_c_sea, p.J_m),
             ("motor in the locked-output PEA rig", p.b_m, p.tau_c_pea, p.J_m),
-            ("output in SEA", p.b_o, p.tau_c_out, p.J_o),
+            ("output in SEA and in transition", p.b_o, p.tau_c_out, p.J_o),
         ):
             ratio = (b + tau_c / p.omega_eps) * p.dt / J
             if ratio >= RK4_REAL_AXIS_LIMIT:

@@ -54,7 +54,7 @@ def test_validate_reports_every_violation():
     ("omega_eps", 1e-4, ["motor in SEA", "motor in the locked-output PEA rig"]),
     ("dt", 5e-3, ["motor in SEA", "motor in the locked-output PEA rig"]),
     ("tau_c_pea", 0.3, ["motor in the locked-output PEA rig"]),
-    ("tau_c_out", 30.0, ["output in SEA"]),
+    ("tau_c_out", 30.0, ["output in SEA and in transition"]),
 ])
 def test_rk4_stability_bounds_rejected(field, value, bodies):
     preset = load_named_preset("calibrated")
