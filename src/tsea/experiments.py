@@ -116,14 +116,14 @@ class TraceRecorder:
         cls = type(state)
         if cls is SeaState:
             code = 0
-            qm, wm, qo, wo = state.theta_m, state.omega_m, state.theta_o, state.omega_o
+            qm, wm, qo, wo, _ = state
         elif cls is PeaState:
             code = 1
-            qm = qo = state.theta
-            wm = wo = state.omega
+            qm, wm, _ = state
+            qo, wo = qm, wm
         else:
             code = 2
-            qm, wm, qo, wo = state.theta_m, state.omega_m, state.theta_o, state.omega_o
+            qm, wm, qo, wo, _, _ = state
         t_, qm_, wm_, qo_, wo_, cmd_, app_, spring_, iq_, mode_ = self._appends
         t_(t)
         qm_(qm)
@@ -566,7 +566,8 @@ def run_static_stiffness(
     tau_c = p.tau_c_sea if mode is Mode.SEA else p.tau_c_pea
     code = MODE_CODE[mode]
     dt = p.dt
-    rec = TraceRecorder(dt, _stride_for(dt, record_hz))
+    stride = _stride_for(dt, record_hz)
+    rec = TraceRecorder(dt * stride)  # the rig calls it on kept steps only
     window_steps = max(1, round(settle_window_s / dt))
     timeout_steps = round(settle_timeout_s / dt)
 
@@ -575,22 +576,22 @@ def run_static_stiffness(
 
     theta = 0.0
     omega = 0.0
-    t = 0.0
     step_i = 0
 
     def rig_step(tau: float) -> None:
         # the locked output makes the motor one body on a grounded spring
-        nonlocal theta, omega, t, step_i
-        record(t, code, theta, omega, 0.0, 0.0, tau, tau, K_rig * theta, tau / K_t)
+        nonlocal theta, omega, step_i
+        if step_i % stride == 0:
+            record(step_i * dt, code, theta, omega, 0.0, 0.0, tau, tau,
+                   K_rig * theta, tau / K_t)
         try:
             theta, omega = body_step(theta, omega, dt, tau, 0.0, 0.0, 0.0,
                                      K_rig, b, tau_c, w_eps, J)
         except ValueError:  # math.cos of an infinite stage angle
             theta = omega = math.nan
         if not (math.isfinite(theta) and math.isfinite(omega)):
-            raise SimulationError(f"stiffness rig blew up at t={t:.6f} s")
+            raise SimulationError(f"stiffness rig blew up at t={step_i * dt:.6f} s")
         step_i += 1
-        t = step_i * dt
 
     def ramp_to(tau_from: float, tau_to: float) -> None:
         n = max(1, round(abs(tau_to - tau_from) / ramp_rate / dt))

@@ -19,6 +19,9 @@ each with its four stages written out: pair_step for the motor/output pair
 one rigid body (body_accel), which the parallel body and the locked-output
 stiffness rig share. Each body's forces are written once, in its derivative.
 
+The states are immutable NamedTuples. step(), the selector and the trace
+recorder unpack them by position, so their field order is part of the contract.
+
 Friction model: the per-mode Coulomb magnitude (tau_c_sea / tau_c_pea) acts
 on the motor-side body, where the hub plates and dog interfaces live, and is
 off in transition, where no interface is engaged. The output bearing gets its
@@ -30,8 +33,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from math import cos, isfinite, tanh
+from typing import NamedTuple
 
 from .params import ActuatorParams, LoadModel
 
@@ -46,8 +49,7 @@ class SimulationError(RuntimeError):
     """Simulation produced a non-finite state (blow-up)."""
 
 
-@dataclass(frozen=True, slots=True)
-class SeaState:
+class SeaState(NamedTuple):
     theta_m: float       # motor angle [rad]
     omega_m: float       # motor velocity [rad/s]
     theta_o: float       # output angle [rad]
@@ -55,15 +57,13 @@ class SeaState:
     beta_offset: float   # relative angle at which the spring is unloaded [rad]
 
 
-@dataclass(frozen=True, slots=True)
-class PeaState:
+class PeaState(NamedTuple):
     theta: float         # common motor/output angle [rad]
     omega: float         # common velocity [rad/s]
     theta_anchor: float  # output angle at which the grounded spring is unloaded [rad]
 
 
-@dataclass(frozen=True, slots=True)
-class TransitionState:
+class TransitionState(NamedTuple):
     theta_m: float
     omega_m: float
     theta_o: float
@@ -228,10 +228,10 @@ def step(
     cls = type(state)
 
     if cls is PeaState:
-        anchor = state.theta_anchor
+        q, w, anchor = state
         K, b, tc, w_eps, J = pea_body(p)
         try:
-            q, w = body_step(state.theta, state.omega, p.dt, tau, tau_out_extra,
+            q, w = body_step(q, w, p.dt, tau, tau_out_extra,
                              mgr, anchor, K, b, tc, w_eps, J)
         except ValueError:  # math.cos of an infinite stage angle
             q = w = math.nan
@@ -240,12 +240,14 @@ def step(
         raise SimulationError("non-finite PEA state")
 
     if cls is SeaState:
-        accel, off, tc_m = series_accel, state.beta_offset, p.tau_c_sea
+        qm, wm, qo, wo, off = state
+        accel, tc_m = series_accel, p.tau_c_sea
     else:
+        qm, wm, qo, wo, target, rem = state
         accel, off, tc_m = freewheel_accel, 0.0, 0.0
     try:
         qm, wm, qo, wo = pair_step(
-            accel, state.theta_m, state.omega_m, state.theta_o, state.omega_o,
+            accel, qm, wm, qo, wo,
             p.dt, tau, tau_out_extra, mgr, off, p.K_s, tc_m,
             p.b_m, p.J_m, p.b_o, p.tau_c_out, p.J_o, p.omega_eps)
     except ValueError:  # math.cos of an infinite stage angle
@@ -254,4 +256,4 @@ def step(
         raise SimulationError(f"non-finite {mode_of(state).value} state")
     if cls is SeaState:
         return SeaState(qm, wm, qo, wo, off)
-    return TransitionState(qm, wm, qo, wo, state.target_mode, state.t_remaining)
+    return TransitionState(qm, wm, qo, wo, target, rem)

@@ -112,19 +112,14 @@ def advance_selector(state: TransitionState, dt: float, p: ActuatorParams) -> Pl
     angular-momentum conservation; series mode keeps both coordinates and
     zeroes the spring at the current relative angle.
     """
-    remaining = state.t_remaining - dt
+    qm, wm, qo, wo, target, remaining = state
+    remaining -= dt
     if remaining > 0.5 * dt:  # half-step guard against float drift in the countdown
-        return TransitionState(
-            state.theta_m, state.omega_m, state.theta_o, state.omega_o,
-            state.target_mode, remaining,
-        )
-    if state.target_mode is Mode.PEA:
-        omega = (p.J_m * state.omega_m + p.J_o * state.omega_o) / (p.J_m + p.J_o)
-        return PeaState(state.theta_o, omega, state.theta_o)
-    return SeaState(
-        state.theta_m, state.omega_m, state.theta_o, state.omega_o,
-        state.theta_m - state.theta_o,
-    )
+        return TransitionState(qm, wm, qo, wo, target, remaining)
+    if target is Mode.PEA:
+        omega = (p.J_m * wm + p.J_o * wo) / (p.J_m + p.J_o)
+        return PeaState(qo, omega, qo)
+    return SeaState(qm, wm, qo, wo, qm - qo)
 
 
 def engagement_energy_loss(state: TransitionState, p: ActuatorParams) -> float:

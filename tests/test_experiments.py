@@ -13,7 +13,9 @@ from oracles import exponential_band_crossing
 from tsea.experiments import (
     HANG_CENTER_RAD,
     HOLD_KP,
+    TraceRecorder,
     _Driver,
+    _stride_for,
     crossing_times,
     dominant_frequency,
     hysteresis_area,
@@ -166,6 +168,24 @@ def test_static_stiffness_frictionless_quick(full_range):
     assert np.all(np.diff(trace.t) > 0)
     dts = np.diff(trace.t)
     assert np.allclose(dts, dts[0])
+
+
+def test_static_stiffness_records_only_kept_rows(calibrated, monkeypatch):
+    # the rig calls the recorder on the 2 kHz rows it keeps, not on every step
+    calls = []
+    record_raw = TraceRecorder.record_raw
+
+    def spy(self, *args):
+        calls.append(args)
+        record_raw(self, *args)
+
+    monkeypatch.setattr(TraceRecorder, "record_raw", spy)
+    p = calibrated.params
+    stride = _stride_for(p.dt, 2000.0)
+    assert stride > 1
+    trace, _ = run_static_stiffness(Mode.SEA, calibrated, cycles=1)
+    assert len(calls) == len(trace)
+    assert trace.dt == p.dt * stride
 
 
 def test_static_stiffness_rejects_transition_mode(full_range):

@@ -19,7 +19,7 @@ from tsea.plant import (
     spring_torque,
     step,
 )
-from tsea.selector import transmitted_torque
+from tsea.selector import advance_selector, request_switch, transmitted_torque
 
 ARM_LOAD = LoadModel()
 NO_LOAD = LoadModel(mass=0.0)
@@ -204,6 +204,47 @@ def test_infinite_stage_angle_is_a_simulation_error(state):
     # math.cos raises ValueError; the step reports the blow-up instead
     with pytest.raises(SimulationError, match=f"^non-finite {mode_of(state).value} state$"):
         step(state, 0.0, undamped_params(), ARM_LOAD, 1e308)
+
+
+@pytest.mark.parametrize("cls, fields", [
+    (SeaState, ("theta_m", "omega_m", "theta_o", "omega_o", "beta_offset")),
+    (PeaState, ("theta", "omega", "theta_anchor")),
+    (TransitionState, ("theta_m", "omega_m", "theta_o", "omega_o", "target_mode",
+                       "t_remaining")),
+], ids=["sea", "pea", "trans"])
+def test_state_field_order(cls, fields):
+    # step() and the trace recorder unpack states by position
+    assert cls._fields == fields
+
+
+@pytest.mark.parametrize("state", [
+    SeaState(0.1, 0.0, 0.0, 0.0, 0.0),
+    PeaState(0.1, 0.0, 0.0),
+    TransitionState(0.1, 0.0, 0.0, 0.0, Mode.SEA, 0.03),
+], ids=["sea", "pea", "trans"])
+def test_states_are_immutable(state):
+    with pytest.raises(AttributeError):
+        setattr(state, state._fields[1], 1.0)
+    with pytest.raises(AttributeError):
+        state.__dict__
+    assert hash(state) == hash(tuple(state))
+
+
+def test_state_classes_through_a_switch():
+    p = undamped_params()
+    sea = SeaState(0.1, 0.0, 0.1, 0.0, 0.0)
+    pea = PeaState(0.1, 0.0, 0.1)
+    assert type(step(sea, 0.0, p, NO_LOAD)) is SeaState
+    assert type(step(pea, 0.0, p, NO_LOAD)) is PeaState
+    for src, dst in ((sea, Mode.PEA), (pea, Mode.SEA)):
+        trans = request_switch(dst, src, 0.0, 0.0, p).transition
+        assert type(trans) is TransitionState
+        trans = step(trans, 0.0, p, NO_LOAD)
+        assert type(trans) is TransitionState
+        travelling = advance_selector(trans, p.dt, p)
+        assert type(travelling) is TransitionState
+        engaged = advance_selector(travelling._replace(t_remaining=p.dt), p.dt, p)
+        assert type(engaged) is {Mode.PEA: PeaState, Mode.SEA: SeaState}[dst]
 
 
 def test_mode_of():
