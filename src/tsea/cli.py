@@ -102,7 +102,7 @@ def _write_outputs(out_dir: Path, trace, report_dict: dict, svg_series: dict,
                      bands=svg_bands, title=title)
 
 
-def _run_stiffness(args, preset) -> dict:
+def _run_stiffness(args, preset, noise: io.NoiseModel) -> dict:
     mode = Mode.SEA if args.mode == "sea" else Mode.PEA
     trace, report = experiments.run_static_stiffness(mode, preset, ramp_rate=args.rate,
                                                      cycles=args.cycles)
@@ -110,14 +110,14 @@ def _run_stiffness(args, preset) -> dict:
     _write_outputs(
         Path(args.out), trace, d,
         {"theta_m [rad]": trace.theta_m, "tau_applied [Nm]": trace.tau_applied},
-        None, _noise(args), f"stiffness {args.mode}: K_fit={report.K_fit:.3f} Nm/rad",
+        None, noise, f"stiffness {args.mode}: K_fit={report.K_fit:.3f} Nm/rad",
     )
     print(f"stiffness {args.mode}: K_fit = {report.K_fit:.4f} ± {report.K_stderr:.4f} Nm/rad, "
           f"loop area = {report.loop_area:.4f} Nm·rad over {len(report.k_per_cycle)} cycles")
     return d
 
 
-def _run_track(args, preset) -> dict:
+def _run_track(args, preset, noise: io.NoiseModel) -> dict:
     trace, report = experiments.run_dynamic_switching(preset, duration=args.duration,
                                                       switch_period=args.period)
     d = report.as_dict()
@@ -126,7 +126,7 @@ def _run_track(args, preset) -> dict:
         Path(args.out), trace, d,
         {"theta_m [rad]": trace.theta_m, "theta_o [rad]": trace.theta_o,
          "i_q [A]": trace.i_q},
-        bands, _noise(args), "dynamic switching",
+        bands, noise, "dynamic switching",
     )
     done = sum(1 for r in report.switch_records if r.outcome == COMPLETED)
     print(f"track: {done} switches completed, {report.retried_attempts} retried attempts")
@@ -136,7 +136,7 @@ def _run_track(args, preset) -> dict:
     return d
 
 
-def _run_disturb(args, preset) -> dict:
+def _run_disturb(args, preset, noise: io.NoiseModel) -> dict:
     mode = Mode.SEA if args.mode == "sea" else Mode.PEA
     trace, report = experiments.run_disturbance(mode, preset, n_impacts=args.impacts,
                                                 impact_torque=args.impulse)
@@ -144,7 +144,7 @@ def _run_disturb(args, preset) -> dict:
     _write_outputs(
         Path(args.out), trace, d,
         {"theta_o [rad]": trace.theta_o, "i_q [A]": trace.i_q},
-        None, _noise(args), f"disturbance {args.mode}",
+        None, noise, f"disturbance {args.mode}",
     )
     settle = ("n/a" if report.mean_settling_ms is None
               else f"{report.mean_settling_ms:.0f} ms")
@@ -153,21 +153,21 @@ def _run_disturb(args, preset) -> dict:
     return d
 
 
-def _run_cycle(args, preset) -> dict:
+def _run_cycle(args, preset, noise: io.NoiseModel) -> dict:
     trace, report = experiments.run_switch_cycle(preset, n=args.n)
     d = report.as_dict()
     bands = io.mode_bands(trace)
     _write_outputs(
         Path(args.out), trace, d,
         {"theta_m [rad]": trace.theta_m, "tau_spring [Nm]": trace.tau_spring},
-        bands, _noise(args), f"endurance: {report.completed} switches",
+        bands, noise, f"endurance: {report.completed} switches",
     )
     print(f"cycle: {report.completed} completed, {report.rejected} rejected, "
           f"0 violations, max engagement KE loss {report.max_ke_loss_j:.2e} J")
     return d
 
 
-def _run_hub_curve(args, preset) -> dict:
+def _run_hub_curve(args, preset, _noise: io.NoiseModel) -> dict:
     betas = np.linspace(-args.sweep_range, args.sweep_range, args.steps)
     taus = np.array([hub_torque(preset.hub, float(b)) for b in betas])
     lengths = np.array([effective_length(preset.hub, float(b)) for b in betas])
@@ -188,15 +188,13 @@ def _run_hub_curve(args, preset) -> dict:
     return d
 
 
-def _noise(args) -> io.NoiseModel:
-    return io.NoiseModel(enabled=args.noise, seed=args.seed)
-
-
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         _check_args(args)
         preset = resolve_preset(args.preset)
+        # built before any run, so a bad seed fails before it simulates
+        noise = io.NoiseModel(enabled=args.noise, seed=args.seed)
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -208,7 +206,7 @@ def main(argv: list[str] | None = None) -> int:
         "hub-curve": _run_hub_curve,
     }
     try:
-        runners[args.command](args, preset)
+        runners[args.command](args, preset, noise)
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

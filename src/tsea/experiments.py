@@ -55,6 +55,9 @@ IMPACT_TORQUE_NM = 7.0
 IMPACT_DURATION_S = 0.010
 SETTLE_BAND_DEG = 0.5
 HANG_CENTER_RAD = -math.pi / 2.0  # arm hanging straight down: zero gravity torque
+# trace row rates of the two long runs; the others log every step
+CYCLE_RECORD_HZ = 1000.0
+STIFFNESS_RECORD_HZ = 2000.0
 
 
 class InvariantViolation(RuntimeError):
@@ -90,14 +93,11 @@ _FLOAT_COLS = ("t", "theta_m", "omega_m", "theta_o", "omega_o",
 
 
 class TraceRecorder:
-    """Append-only column store; keeps every stride-th simulation step."""
+    """Append-only column store; dt is the spacing of the rows its caller
+    appends (the caller decides which simulation steps become rows)."""
 
-    def __init__(self, dt: float, stride: int = 1):
-        if stride < 1:
-            raise ValueError("stride must be >= 1")
+    def __init__(self, dt: float):
         self.dt = dt
-        self.stride = stride
-        self._step = 0
         self._cols = {name: array("d") for name in _FLOAT_COLS}
         self._mode = array("b")
         # bound appends in _FLOAT_COLS order, then the mode code's
@@ -109,10 +109,6 @@ class TraceRecorder:
 
     def record(self, t: float, state: PlantState, tau_cmd: float,
                tau_applied: float, p: ActuatorParams) -> None:
-        keep = self._step % self.stride == 0
-        self._step += 1
-        if not keep:
-            return
         cls = type(state)
         if cls is SeaState:
             code = 0
@@ -139,10 +135,6 @@ class TraceRecorder:
     def record_raw(self, t: float, code: int, qm: float, wm: float, qo: float,
                    wo: float, tau_cmd: float, tau_applied: float,
                    tau_spring: float, i_q: float) -> None:
-        keep = self._step % self.stride == 0
-        self._step += 1
-        if not keep:
-            return
         t_, qm_, wm_, qo_, wo_, cmd_, app_, spring_, iq_, mode_ = self._appends
         t_(t)
         qm_(qm)
@@ -157,14 +149,12 @@ class TraceRecorder:
 
     def trace(self) -> Trace:
         cols = {name: np.asarray(col, dtype=np.float64) for name, col in self._cols.items()}
-        return Trace(dt=self.dt * self.stride,
-                     mode=np.asarray(self._mode, dtype=np.int8), **cols)
+        return Trace(dt=self.dt, mode=np.asarray(self._mode, dtype=np.int8), **cols)
 
 
-def _stride_for(dt: float, record_hz: float | None) -> int:
-    if record_hz is None:
-        return 1
-    return max(1, round(1.0 / (dt * record_hz)))
+def _stride_for(dt: float, hz: float) -> int:
+    """Steps of dt per trace row for a row rate of hz."""
+    return max(1, round(1.0 / (dt * hz)))
 
 
 def mode_runs(mode: np.ndarray) -> list[tuple[int, int]]:
@@ -432,10 +422,10 @@ class _Driver:
     bookkeeping (completed records, refused gate tests) in between.
     """
 
-    def __init__(self, preset: Preset, kp: float, state: PlantState,
-                 record_hz: float | None):
+    def __init__(self, preset: Preset, kp: float, state: PlantState, stride: int = 1):
         self.p, self.load = preset.params, preset.load
-        self.rec = TraceRecorder(self.p.dt, _stride_for(self.p.dt, record_hz))
+        self.rec = TraceRecorder(self.p.dt * stride)
+        self.stride = stride  # one trace row every stride steps
         self.kp = kp
         self.state = state
         self.k = 0     # steps taken
@@ -451,9 +441,10 @@ class _Driver:
              switch: bool = False) -> SwitchDecision | None:
         """One control period: P law on the motor angle, the switch gate to
         the other engaged mode when switch is set (an accepted request enters
-        the transition before the row is logged), one trace row, one RK4 step
-        with extra output torque, and selector travel after a step that
-        started in transition. An engagement appends its COMPLETED record.
+        the transition before the row is logged), the trace row on every
+        stride-th step, one RK4 step with extra output torque, and selector
+        travel after a step that started in transition. An engagement
+        appends its COMPLETED record.
 
         Returns the gate's decision, or None when no switch was requested.
         """
@@ -472,7 +463,8 @@ class _Driver:
                 self._request = (self.t, src, dst, decision.transmitted)
             else:
                 self.retried += 1
-        self.rec.record(self.t, state, tau_cmd, tau_applied, p)
+        if self.k % self.stride == 0:
+            self.rec.record(self.t, state, tau_cmd, tau_applied, p)
         was_trans = type(state) is TransitionState
         try:
             state = plant.step(state, tau_cmd, p, self.load, extra)
@@ -522,13 +514,12 @@ def run_hold(
     kp: float = HOLD_KP,
     omega_tol: float = 1e-6,
     timeout_s: float = 40.0,
-    record_hz: float | None = None,
 ) -> tuple[Trace, PlantState]:
     """Hold a position under gravity until the plant is numerically at rest.
 
     Used for the steady-state torque identities.
     """
-    drv = _Driver(preset, kp, initial_state(mode, theta_target), record_hz)
+    drv = _Driver(preset, kp, initial_state(mode, theta_target))
     drv.hold(theta_target, omega_tol, window_s=0.05, timeout_s=timeout_s)
     return drv.rec.trace(), drv.state
 
@@ -545,7 +536,6 @@ def run_static_stiffness(
     settle_omega: float = 1e-4,
     settle_window_s: float = 0.05,
     settle_timeout_s: float = 60.0,
-    record_hz: float | None = 2000.0,
 ) -> tuple[Trace, StiffnessReport]:
     """Quasi-static torque cycles against the locked output.
 
@@ -566,7 +556,7 @@ def run_static_stiffness(
     tau_c = p.tau_c_sea if mode is Mode.SEA else p.tau_c_pea
     code = MODE_CODE[mode]
     dt = p.dt
-    stride = _stride_for(dt, record_hz)
+    stride = _stride_for(dt, STIFFNESS_RECORD_HZ)
     rec = TraceRecorder(dt * stride)  # the rig calls it on kept steps only
     window_steps = max(1, round(settle_window_s / dt))
     timeout_steps = round(settle_timeout_s / dt)
@@ -650,7 +640,6 @@ def run_dynamic_switching(
     center: float = HANG_CENTER_RAD,
     amplitude_deg: float = 20.0,
     freq_hz: float = 1.0,
-    record_hz: float | None = None,
 ) -> tuple[Trace, TrackingReport]:
     """Sinusoidal tracking with a topology switch requested every period.
 
@@ -661,7 +650,7 @@ def run_dynamic_switching(
     _check_positive("duration", duration)
     _check_positive("switch_period", switch_period)
     dt = preset.params.dt
-    drv = _Driver(preset, kp, initial_state(Mode.SEA, center), record_hz)
+    drv = _Driver(preset, kp, initial_state(Mode.SEA, center))
     n_steps = round(duration / dt)
     n_switches = int(duration // switch_period)
     request_steps = [round(k * switch_period / dt) for k in range(n_switches)]
@@ -727,7 +716,6 @@ def run_disturbance(
     band_deg: float = SETTLE_BAND_DEG,
     post_window_s: float = 8.0,
     measure: str = "output",
-    record_hz: float | None = None,
 ) -> tuple[Trace, DisturbanceReport]:
     """Impulse response under position hold at the horizontal.
 
@@ -748,7 +736,7 @@ def run_disturbance(
     if measure not in ("output", "motor"):
         raise ValueError("measure must be 'output' or 'motor'")
 
-    drv = _Driver(preset, kp, initial_state(mode, hold_target), record_hz)
+    drv = _Driver(preset, kp, initial_state(mode, hold_target))
     angle = attrgetter("theta" if mode is Mode.PEA
                        else "theta_m" if measure == "motor" else "theta_o")
 
@@ -807,7 +795,6 @@ def run_switch_cycle(
     hold: float = HANG_CENTER_RAD,
     retry_window_s: float = 0.25,
     dwell_s: float = 0.12,
-    record_hz: float | None = 1000.0,
 ) -> tuple[Trace, CycleReport]:
     """n alternating topology switches under gravity with a position hold.
 
@@ -819,7 +806,8 @@ def run_switch_cycle(
     if n < 1:
         raise ValueError("n must be >= 1")
     p = preset.params
-    drv = _Driver(preset, kp, initial_state(Mode.SEA, hold), record_hz)
+    drv = _Driver(preset, kp, initial_state(Mode.SEA, hold),
+                  _stride_for(p.dt, CYCLE_RECORD_HZ))
     drv.hold(hold, omega_tol=1e-3, window_s=0.05, timeout_s=20.0, min_hold_s=0.5)
 
     max_ke_loss = 0.0

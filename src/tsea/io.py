@@ -53,6 +53,8 @@ class NoiseModel:
     def __post_init__(self) -> None:
         if self.sigma_deg < 0.0:
             raise ValueError(f"sigma_deg must be non-negative (got {self.sigma_deg})")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative (got {self.seed})")
 
 
 def apply_noise(trace: Trace, model: NoiseModel) -> Trace:
@@ -70,31 +72,21 @@ def apply_noise(trace: Trace, model: NoiseModel) -> Trace:
     return replace(trace, theta_o=theta_o)
 
 
-def write_trace_csv(trace: Trace, path: str | Path, decimate_to_hz: float | None = None) -> int:
-    """Write the trace; returns the number of data rows.
-
-    Decimation keeps every k-th row with k = round(sample_rate / target).
-    """
-    k = 1
-    if decimate_to_hz is not None:
-        if decimate_to_hz <= 0.0:
-            raise ValueError("decimate_to_hz must be positive")
-        k = max(1, round(1.0 / (trace.dt * decimate_to_hz)))
-    n = len(trace)
+def write_trace_csv(trace: Trace, path: str | Path) -> int:
+    """Write every row of the trace; returns the number of data rows."""
     cols = (trace.theta_m, trace.omega_m, trace.theta_o, trace.omega_o,
             trace.tau_cmd, trace.tau_applied, trace.tau_spring, trace.i_q)
-    span = k * CSV_BLOCK_ROWS
     with open(path, "w", newline="") as fh:
         fh.write(",".join(CSV_HEADER) + CSV_TERMINATOR)
-        for start in range(0, n, span):
-            block = slice(start, start + span, k)
+        for start in range(0, len(trace), CSV_BLOCK_ROWS):
+            block = slice(start, start + CSV_BLOCK_ROWS)
             fields = (
                 map(repr, trace.t[block].tolist()),
                 map(MODE_NAMES.__getitem__, trace.mode[block].tolist()),
                 *(map(repr, c[block].tolist()) for c in cols),
             )
             fh.write(CSV_TERMINATOR.join(map(",".join, zip(*fields))) + CSV_TERMINATOR)
-    return len(range(0, n, k))
+    return len(trace)
 
 
 def write_report_json(report_dict: dict, path: str | Path) -> None:

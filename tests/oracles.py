@@ -67,21 +67,15 @@ def exponential_band_crossing(amplitude: float, tau: float, band: float) -> floa
     return tau * math.log(amplitude / band)
 
 
-def reference_write_trace_csv(trace: Trace, path: str | Path,
-                              decimate_to_hz: float | None = None) -> int:
+def reference_write_trace_csv(trace: Trace, path: str | Path) -> int:
     """The original row-by-row csv.writer trace writer, kept as the byte reference."""
-    k = 1
-    if decimate_to_hz is not None:
-        if decimate_to_hz <= 0.0:
-            raise ValueError("decimate_to_hz must be positive")
-        k = max(1, round(1.0 / (trace.dt * decimate_to_hz)))
     rows = 0
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         cols = (trace.t, trace.theta_m, trace.omega_m, trace.theta_o, trace.omega_o,
                 trace.tau_cmd, trace.tau_applied, trace.tau_spring, trace.i_q)
-        for i in range(0, len(trace), k):
+        for i in range(len(trace)):
             writer.writerow((
                 repr(float(cols[0][i])), MODE_NAMES[trace.mode[i]],
                 *(repr(float(c[i])) for c in cols[1:]),

@@ -122,8 +122,11 @@ def test_simulation_blowup_exits_2(tmp_path, capsys):
     (["disturb", "--mode", "sea", "--impulse", "nan"], "impact_torque must be finite (got nan)"),
     (["disturb", "--mode", "pea", "--impulse=-inf"],
      "impact_torque must be finite (got -inf)"),
+    (["disturb", "--mode", "pea", "--impacts", "1", "--noise", "--seed", "-1"],
+     "seed must be non-negative (got -1)"),
 ], ids=["period-zero", "period-inf", "duration-negative", "duration-nan", "rate-zero",
-        "cycles-zero", "range-nan", "range-zero", "impulse-nan", "impulse-inf"])
+        "cycles-zero", "range-nan", "range-zero", "impulse-nan", "impulse-inf",
+        "seed-negative"])
 def test_bad_numbers_fail_fast(argv, message, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 1

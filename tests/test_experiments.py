@@ -11,8 +11,10 @@ import tsea.plant
 from conftest import with_params, without_friction
 from oracles import exponential_band_crossing
 from tsea.experiments import (
+    CYCLE_RECORD_HZ,
     HANG_CENTER_RAD,
     HOLD_KP,
+    STIFFNESS_RECORD_HZ,
     TraceRecorder,
     _Driver,
     _stride_for,
@@ -170,22 +172,29 @@ def test_static_stiffness_frictionless_quick(full_range):
     assert np.allclose(dts, dts[0])
 
 
-def test_static_stiffness_records_only_kept_rows(calibrated, monkeypatch):
-    # the rig calls the recorder on the 2 kHz rows it keeps, not on every step
+@pytest.mark.parametrize("method, hz, run", [
+    ("record_raw", STIFFNESS_RECORD_HZ,
+     lambda pre: run_static_stiffness(Mode.SEA, pre, cycles=1)),
+    ("record", CYCLE_RECORD_HZ, lambda pre: run_switch_cycle(pre, n=3)),
+], ids=["stiffness", "cycle"])
+def test_records_only_kept_rows(method, hz, run, calibrated, monkeypatch):
+    # the loop that counts the steps calls the recorder on the rows it keeps,
+    # not on every step
     calls = []
-    record_raw = TraceRecorder.record_raw
+    original = getattr(TraceRecorder, method)
 
     def spy(self, *args):
         calls.append(args)
-        record_raw(self, *args)
+        original(self, *args)
 
-    monkeypatch.setattr(TraceRecorder, "record_raw", spy)
+    monkeypatch.setattr(TraceRecorder, method, spy)
     p = calibrated.params
-    stride = _stride_for(p.dt, 2000.0)
+    stride = _stride_for(p.dt, hz)
     assert stride > 1
-    trace, _ = run_static_stiffness(Mode.SEA, calibrated, cycles=1)
-    assert len(calls) == len(trace)
+    trace, _ = run(calibrated)
+    assert len(calls) == len(trace) > 1
     assert trace.dt == p.dt * stride
+    assert np.allclose(np.diff(trace.t), trace.dt, rtol=1e-9, atol=0.0)
 
 
 def test_static_stiffness_rejects_transition_mode(full_range):
@@ -303,7 +312,7 @@ def test_impact_pulse_is_a_whole_number_of_steps(calibrated, monkeypatch):
 
 
 def test_driver_clock_stays_exact(calibrated):
-    drv = _Driver(calibrated, HOLD_KP, initial_state(Mode.PEA), None)
+    drv = _Driver(calibrated, HOLD_KP, initial_state(Mode.PEA))
     for _ in range(1000):
         drv.tick(0.0)
     assert drv.k == 1000

@@ -46,24 +46,16 @@ def _edge_trace(n: int = 64) -> Trace:
     return Trace(dt=1.25e-4, mode=mode, **cols)
 
 
-def _assert_same_as_reference(trace: Trace, tmp_path, decimate_to_hz=None) -> None:
+def _assert_same_as_reference(trace: Trace, tmp_path) -> None:
     new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
-    rows = write_trace_csv(trace, new, decimate_to_hz=decimate_to_hz)
-    assert rows == reference_write_trace_csv(trace, ref, decimate_to_hz=decimate_to_hz)
+    rows = write_trace_csv(trace, new)
+    assert rows == reference_write_trace_csv(trace, ref) == len(trace)
     assert new.read_bytes() == ref.read_bytes()
 
 
 @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 5000])
 def test_writer_matches_reference(n, tmp_path):
     _assert_same_as_reference(_synthetic_trace(n), tmp_path)
-
-
-@pytest.mark.parametrize("n, hz", [(20000, 1000.0), (5000, 8000.0 / 3.0), (8000, 50.0)])
-def test_writer_matches_reference_decimated(n, hz, tmp_path):
-    trace = _synthetic_trace(n)
-    k = round(1.0 / (trace.dt * hz))
-    assert k > 1 and n % (k * 1024) != 0
-    _assert_same_as_reference(trace, tmp_path, decimate_to_hz=hz)
 
 
 def test_writer_matches_reference_edge_values(tmp_path):
@@ -82,12 +74,6 @@ def test_empty_trace_header_only(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 1
     assert lines[0] == "t,mode,theta_m,omega_m,theta_o,omega_o,tau_cmd,tau_applied,tau_spring,i_q"
-
-
-def test_decimation_to_50hz(tmp_path):
-    trace = _synthetic_trace(8000)  # one second at 8 kHz
-    path = tmp_path / "t.csv"
-    assert write_trace_csv(trace, path, decimate_to_hz=50.0) == 50
 
 
 def test_round_trip_bit_exact(tmp_path):

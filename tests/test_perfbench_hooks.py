@@ -31,7 +31,9 @@ def test_traced_cycle_counts_every_layer(tmp_path):
     counts = traced_counts(tmp_path, "cycle", "--n", "3")
     steps = sum(v for k, v in counts.items() if k.startswith("plant.step.calls."))
     assert steps > 0
-    assert counts["control.p_position.calls"] == counts["experiments.record.calls"] == steps
+    assert counts["control.p_position.calls"] == steps
+    # cycle logs at 1 kHz: the driver calls the recorder on kept rows only
+    assert counts["experiments.record.calls"] == counts["experiments.rows_kept"] > 0
     assert counts["selector.request_switch.calls"] >= 3
     assert counts["selector.advance_selector.calls"] > 0
 
