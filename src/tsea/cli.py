@@ -28,17 +28,21 @@ class CliError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # exit 1 instead of argparse's 2
-        raise CliError(f"{message}\n{self.format_usage()}")
+        usage = " ".join(self.format_usage().split())  # one line however wide
+        raise CliError(f"{message} ({usage})")
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="tsea", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp: argparse.ArgumentParser) -> None:
+    def common(sp: argparse.ArgumentParser, noise: bool = True) -> None:
         sp.add_argument("--preset", default="calibrated",
                         help="named preset or path to a preset JSON file")
         sp.add_argument("--out", default="out", help="output directory")
+        if not noise:  # no logged output angle to perturb
+            sp.set_defaults(seed=0, noise=False)
+            return
         sp.add_argument("--seed", type=int, default=0, help="noise seed")
         sp.add_argument("--noise", action="store_true",
                         help="apply encoder noise to the logged output angle")
@@ -70,7 +74,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--range", type=float, default=0.5, dest="sweep_range",
                     help="sweep limit [rad]; grid covers ±range")
     sp.add_argument("--steps", type=int, default=201)
-    common(sp)
+    common(sp, noise=False)
 
     return parser
 

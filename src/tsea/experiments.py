@@ -417,7 +417,7 @@ class _Driver:
     """The actuator loop every moving protocol runs: the motor-side P
     controller, the selector gate, the trace recorder and the plant.
 
-    Protocols script their phases as calls to tick() and hold(); the driver
+    Protocols script their phases as calls to run() and hold(); the driver
     owns the state, the step count, the time, the recorder and the switch
     bookkeeping (completed records, refused gate tests) in between.
     """
@@ -430,58 +430,76 @@ class _Driver:
         self.state = state
         self.k = 0     # steps taken
         self.t = 0.0   # k*dt, a product so that it cannot drift
-        # the transition state the last tick's engagement consumed, else None
+        # the transition state the last run's engagement consumed, else None
         self.engaged_from: TransitionState | None = None
         self.records: list[SwitchRecord] = []  # one per engagement, in order
         self.retried = 0  # gate tests that refused a request
         # request time, from and to modes and torque of the switch in flight
         self._request: tuple[float, Mode, Mode, float] | None = None
 
-    def tick(self, target: float, extra: float = 0.0,
-             switch: bool = False) -> SwitchDecision | None:
-        """One control period: P law on the motor angle, the switch gate to
-        the other engaged mode when switch is set (an accepted request enters
-        the transition before the row is logged), the trace row on every
-        stride-th step, one RK4 step with extra output torque, and selector
-        travel after a step that started in transition. An engagement
-        appends its COMPLETED record.
+    def run(self, target: float, n: int = 1, extra: float = 0.0,
+            switch: bool = False) -> SwitchDecision | None:
+        """Up to n control periods at one target, each in this order: the P
+        law on the motor angle; on the first period only, when switch is set,
+        the switch gate to the other engaged mode (an accepted request enters
+        the transition before the row is logged); the trace row on every
+        stride-th step; one RK4 step with extra output torque; selector
+        travel after a step that started in transition. The run stops after
+        the step on which an engagement appends its COMPLETED record.
 
         Returns the gate's decision, or None when no switch was requested.
         """
-        p, state = self.p, self.state
-        pea = type(state) is PeaState
-        tau_cmd = p_position(target, state.theta if pea else state.theta_m, self.kp)
-        tau_applied = clamp_torque(tau_cmd, p)
-        decision = None
-        if switch:
-            src = mode_of(state)
-            dst = _other_mode(src)
-            tau_ext = gravity_torque(state.theta if pea else state.theta_o, self.load)
-            decision = request_switch(dst, state, tau_applied, tau_ext, p)
-            if decision.accepted:
-                state = decision.transition
-                self._request = (self.t, src, dst, decision.transmitted)
-            else:
-                self.retried += 1
-        if self.k % self.stride == 0:
-            self.rec.record(self.t, state, tau_cmd, tau_applied, p)
-        was_trans = type(state) is TransitionState
+        p = self.p
+        load = self.load
+        kp = self.kp
+        stride = self.stride
+        rec = self.rec
+        dt = p.dt
+        state = self.state
+        k = self.k
+        t = self.t
+        decision = engaged = None
+        end = k + n
         try:
-            state = plant.step(state, tau_cmd, p, self.load, extra)
+            # the callables are looked up on every call, by the names that
+            # wrappers and spies patch
+            while k < end:
+                tau_cmd = p_position(target, state[0], kp)  # field 0: the motor angle
+                if switch:  # the gate tests the first step only
+                    switch = False
+                    src = mode_of(state)
+                    dst = _other_mode(src)
+                    tau_ext = gravity_torque(
+                        state.theta if type(state) is PeaState else state.theta_o, load)
+                    decision = request_switch(dst, state, clamp_torque(tau_cmd, p), tau_ext, p)
+                    if decision.accepted:
+                        state = decision.transition
+                        self._request = (t, src, dst, decision.transmitted)
+                    else:
+                        self.retried += 1
+                if k % stride == 0:
+                    rec.record(t, state, tau_cmd, clamp_torque(tau_cmd, p), p)
+                was_trans = type(state) is TransitionState
+                state = plant.step(state, tau_cmd, p, load, extra)
+                k += 1
+                t = k * dt
+                if was_trans:
+                    advanced = advance_selector(state, dt, p)
+                    if type(advanced) is not TransitionState:
+                        engaged = state
+                        request_t, src, dst, torque = self._request
+                        self.records.append(SwitchRecord(request_t, t, src, dst,
+                                                         torque, COMPLETED))
+                        state = advanced
+                        break
+                    state = advanced
         except SimulationError as exc:
-            raise SimulationError(f"{exc} after step {self.k} (t={self.t:.6f} s)") from exc
-        self.k += 1
-        self.t = self.k * p.dt
-        self.engaged_from = None
-        if was_trans:
-            advanced = advance_selector(state, p.dt, p)
-            if type(advanced) is not TransitionState:
-                self.engaged_from = state
-                request_t, src, dst, torque = self._request
-                self.records.append(SwitchRecord(request_t, self.t, src, dst,
-                                                 torque, COMPLETED))
-            state = advanced
+            self.state, self.k, self.t = state, k, t
+            raise SimulationError(f"{exc} after step {k} (t={t:.6f} s)") from exc
         self.state = state
+        self.k = k
+        self.t = t
+        self.engaged_from = engaged
         return decision
 
     def hold(self, target: float, omega_tol: float, window_s: float,
@@ -493,7 +511,7 @@ class _Driver:
         min_steps = round(min_hold_s / dt)
         quiet = 0
         for k in range(round(timeout_s / dt)):
-            self.tick(target)
+            self.run(target)
             s = self.state
             if type(s) is PeaState:
                 still = abs(s.omega) < omega_tol
@@ -662,7 +680,7 @@ def run_dynamic_switching(
         done = len(drv.records)
         switch = (done < n_switches and k >= request_steps[done]
                   and type(drv.state) is not TransitionState)
-        drv.tick(center + amp * math.sin(two_pi_f * drv.t), switch=switch)
+        drv.run(center + amp * math.sin(two_pi_f * drv.t), switch=switch)
 
     trace = drv.rec.trace()
     err_all = center + amp * np.sin(two_pi_f * trace.t) - trace.theta_m
@@ -756,7 +774,7 @@ def run_disturbance(
         for k in range(post_steps):
             seg_t.append(drv.t)
             seg_y.append(angle(drv.state))
-            drv.tick(hold_target, impact_torque if k < pulse_steps else 0.0)
+            drv.run(hold_target, 1, impact_torque if k < pulse_steps else 0.0)
 
         seg_t_np = np.asarray(seg_t)
         err = np.asarray(seg_y) - reference
@@ -820,7 +838,7 @@ def run_switch_cycle(
         first_t = drv.t
         for _ in range(retry_steps):
             request_step = drv.k
-            decision = drv.tick(hold, switch=True)
+            decision = drv.run(hold, switch=True)
             if decision.accepted:
                 break
         else:
@@ -830,9 +848,9 @@ def run_switch_cycle(
             ))
             continue
 
-        # run out the selector travel
+        # run out the selector travel (one call unless the latency invariant fails)
         while drv.engaged_from is None:
-            drv.tick(hold)
+            drv.run(hold, latency_steps)
         pre_engage, state = drv.engaged_from, drv.state
 
         # --- invariants ---
@@ -861,8 +879,7 @@ def run_switch_cycle(
             if records[-1].from_mode is not records[-2].to_mode:
                 raise InvariantViolation(f"cycle {i}: switch records do not alternate")
 
-        for _ in range(dwell_steps):
-            drv.tick(hold)
+        drv.run(hold, dwell_steps)
 
     completed = sum(1 for r in records if r.outcome == COMPLETED)
     report = CycleReport(

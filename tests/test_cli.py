@@ -95,6 +95,18 @@ def test_hub_curve_steps_validation(tmp_path, capsys):
     assert main(["hub-curve", "--steps", "1", "--out", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("flags", [["--noise"], ["--seed", "5"]], ids=["noise", "seed"])
+def test_hub_curve_rejects_noise_flags(flags, tmp_path, capsys):
+    # hub-curve logs no encoder angle, so the noise flags would do nothing
+    out = tmp_path / "out"
+    assert main(["hub-curve", *flags, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: unrecognized arguments: {' '.join(flags)} (usage: ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_simulation_blowup_exits_2(tmp_path, capsys):
     # an absurd impulse drives a mid-step RK4 stage angle to infinity, where
     # math.cos raises; the run must fail with one line naming mode, step and

@@ -32,7 +32,7 @@ from tsea.experiments import (
     run_switch_cycle,
     settling_time,
 )
-from tsea.plant import Mode, SimulationError
+from tsea.plant import Mode, SimulationError, TransitionState
 from tsea.selector import COMPLETED, REJECTED
 
 
@@ -314,9 +314,69 @@ def test_impact_pulse_is_a_whole_number_of_steps(calibrated, monkeypatch):
 def test_driver_clock_stays_exact(calibrated):
     drv = _Driver(calibrated, HOLD_KP, initial_state(Mode.PEA))
     for _ in range(1000):
-        drv.tick(0.0)
+        drv.run(0.0)
     assert drv.k == 1000
     assert drv.t == 1000 * calibrated.params.dt  # product bookkeeping, no accumulation drift
+
+
+def _driver_bits(drv: _Driver) -> tuple:
+    """What a driver run leaves behind, floats as their exact bit patterns."""
+    def bits(state):
+        if state is None:
+            return None
+        return (type(state), *(v.hex() if isinstance(v, float) else v for v in state))
+
+    trace = drv.rec.trace()
+    columns = tuple(getattr(trace, name).tobytes() for name in
+                    ("t", "mode", "theta_m", "omega_m", "theta_o", "omega_o",
+                     "tau_cmd", "tau_applied", "tau_spring", "i_q"))
+    return (columns, bits(drv.state), drv.k, drv.t.hex(), bits(drv.engaged_from),
+            drv.records, drv.retried)
+
+
+@pytest.mark.parametrize("stride", [1, 8])
+def test_run_matches_single_steps(calibrated, stride):
+    # run(target, n) must leave exactly what n calls of run(target, 1) leave,
+    # and a run through the selector travel stops after the engagement step
+    dt = calibrated.params.dt
+    latency = round(calibrated.params.t_switch / dt)
+
+    def driver():
+        drv = _Driver(calibrated, HOLD_KP, initial_state(Mode.SEA, HANG_CENTER_RAD), stride)
+        drv.run(HANG_CENTER_RAD + 0.02, 3)  # off the row grid of stride 8
+        return drv
+
+    phase, single = driver(), driver()
+    phase.run(HANG_CENTER_RAD, 997, 0.2)
+    for _ in range(997):
+        single.run(HANG_CENTER_RAD, 1, 0.2)
+    assert _driver_bits(phase) == _driver_bits(single)
+
+    for drv in (phase, single):
+        assert drv.run(HANG_CENTER_RAD, switch=True).accepted
+    request_k = phase.k - 1
+    phase.run(HANG_CENTER_RAD, 10 * latency)
+    while single.engaged_from is None:
+        single.run(HANG_CENTER_RAD)
+    assert phase.k == single.k == request_k + latency
+    assert type(phase.engaged_from) is TransitionState
+    assert phase.records[-1].outcome == COMPLETED
+    assert phase.records[-1].engage_time == phase.t
+    assert _driver_bits(phase) == _driver_bits(single)
+
+    # in the engaged mode, then into a blow-up that must name the same step
+    phase.run(HANG_CENTER_RAD, 501)
+    for _ in range(501):
+        single.run(HANG_CENTER_RAD)
+    assert _driver_bits(phase) == _driver_bits(single)
+    with pytest.raises(SimulationError) as phase_err:
+        phase.run(HANG_CENTER_RAD, 50, 1e308)
+    with pytest.raises(SimulationError) as single_err:
+        for _ in range(50):
+            single.run(HANG_CENTER_RAD, 1, 1e308)
+    assert str(phase_err.value) == str(single_err.value)
+    assert str(phase_err.value).endswith(f"after step {phase.k} (t={phase.t:.6f} s)")
+    assert _driver_bits(phase) == _driver_bits(single)
 
 
 def test_blowup_names_mode_step_and_time(calibrated):

@@ -7,6 +7,7 @@ from oracles import read_trace_csv, reference_mode_bands, reference_write_trace_
 
 from tsea.experiments import MODE_NAMES, Trace, TraceRecorder, run_dynamic_switching
 from tsea.io import (
+    CSV_BLOCK_ROWS,
     NoiseModel,
     apply_noise,
     emit_svg_plot,
@@ -53,9 +54,28 @@ def _assert_same_as_reference(trace: Trace, tmp_path) -> None:
     assert new.read_bytes() == ref.read_bytes()
 
 
-@pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 5000])
+@pytest.mark.parametrize("n", sorted({0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS,
+                                       CSV_BLOCK_ROWS + 1, 1023, 1024, 1025, 5000}))
 def test_writer_matches_reference(n, tmp_path):
     _assert_same_as_reference(_synthetic_trace(n), tmp_path)
+
+
+def test_writer_formats_each_bit_pattern(tmp_path):
+    # one block in which 0.0 sits next to -0.0, two NaN bit patterns, a value
+    # repeated across rows and columns, and a constant column: the writer
+    # formats each distinct bit pattern once and must still match per field
+    neg_nan = np.copysign(math.nan, -1.0)
+    base = np.array([0.0, -0.0, math.nan, neg_nan, 0.1, 0.1, -2.5, 1e-05])
+    assert len(set(base.view(np.int64).tolist())) == 7
+    rows = np.arange(CSV_BLOCK_ROWS)
+    cols = {name: base[(rows + j) % len(base)] for j, name in enumerate(FLOAT_COLUMNS)}
+    cols["tau_spring"] = np.full(CSV_BLOCK_ROWS, 0.1)
+    mode = (rows % len(MODE_NAMES)).astype(np.int8)
+    trace = Trace(dt=1.25e-4, mode=mode, **cols)
+    _assert_same_as_reference(trace, tmp_path)
+    lines = (tmp_path / "new.csv").read_text().splitlines()
+    assert lines[1] == "0.0,SEA,-0.0,nan,nan,0.1,0.1,-2.5,0.1,0.0"
+    assert lines[2] == "-0.0,PEA,nan,nan,0.1,0.1,-2.5,1e-05,0.1,-0.0"
 
 
 def test_writer_matches_reference_edge_values(tmp_path):
