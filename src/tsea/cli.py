@@ -76,6 +76,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--steps", type=int, default=201)
     common(sp, noise=False)
 
+    parser.commands = sub.choices  # subcommand name -> its parser
     return parser
 
 
@@ -194,7 +195,10 @@ def _run_hub_curve(args, preset, _noise: io.NoiseModel) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        parser = build_parser()
+        args, extra = parser.parse_known_args(argv)
+        if extra:  # reported with the usage of the chosen subcommand
+            parser.commands[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
         _check_args(args)
         preset = resolve_preset(args.preset)
         # built before any run, so a bad seed fails before it simulates

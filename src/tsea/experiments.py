@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 import numpy as np
 
@@ -40,6 +39,7 @@ from .selector import (
     SwitchRecord,
     advance_selector,
     engagement_energy_loss,
+    latency_steps,
     request_switch,
 )
 
@@ -366,7 +366,7 @@ class CycleReport:
     max_ke_loss_j: float
     records: list[SwitchRecord] = field(repr=False)
     # the latency invariant aborts the run unless every engagement takes
-    # exactly round(t_switch / dt) steps, so the error is 0 by construction
+    # exactly latency_steps(t_switch, dt) steps, so the error is 0 by construction
     max_latency_error_s: float = 0.0
 
     def as_dict(self) -> dict:
@@ -397,6 +397,15 @@ def _record_dict(r: SwitchRecord) -> dict:
 def _check_positive(name: str, value: float) -> None:
     if not (math.isfinite(value) and value > 0.0):
         raise ValueError(f"{name} must be positive and finite (got {value})")
+
+
+def _whole_steps(name: str, value: float, dt: float) -> int:
+    """round(value / dt) for a duration that must span at least one step."""
+    _check_positive(name, value)
+    if not 0.5 < value / dt < math.inf:
+        raise ValueError(f"{name} must be longer than half a step of {dt} s and span "
+                         f"finitely many steps (got {value})")
+    return round(value / dt)
 
 
 def _other_mode(mode: Mode) -> Mode:
@@ -525,20 +534,12 @@ class _Driver:
         )
 
 
-def run_hold(
-    mode: Mode,
-    preset: Preset,
-    theta_target: float = 0.0,
-    kp: float = HOLD_KP,
-    omega_tol: float = 1e-6,
-    timeout_s: float = 40.0,
-) -> tuple[Trace, PlantState]:
-    """Hold a position under gravity until the plant is numerically at rest.
-
-    Used for the steady-state torque identities.
+def run_hold(mode: Mode, preset: Preset) -> tuple[Trace, PlantState]:
+    """Hold the horizontal under gravity until the plant is numerically at
+    rest (|omega| < 1e-6 rad/s). Used for the steady-state torque identities.
     """
-    drv = _Driver(preset, kp, initial_state(mode, theta_target))
-    drv.hold(theta_target, omega_tol, window_s=0.05, timeout_s=timeout_s)
+    drv = _Driver(preset, HOLD_KP, initial_state(mode))
+    drv.hold(0.0, 1e-6, window_s=0.05, timeout_s=40.0)
     return drv.rec.trace(), drv.state
 
 
@@ -552,8 +553,6 @@ def run_static_stiffness(
     ramp_rate: float = 0.2,
     cycles: int = 3,
     settle_omega: float = 1e-4,
-    settle_window_s: float = 0.05,
-    settle_timeout_s: float = 60.0,
 ) -> tuple[Trace, StiffnessReport]:
     """Quasi-static torque cycles against the locked output.
 
@@ -561,8 +560,8 @@ def run_static_stiffness(
     carries the load), so the motor works against K_s in series mode and
     against K_s + K_struct through the rigid path in parallel mode. The
     torque command ramps linearly between the cycle vertices 0, +1, 0, -1, 0
-    Nm and dwells at each vertex until |omega_m| < settle_omega; the fit and
-    loop area use the continuously sampled trace.
+    Nm and dwells at each vertex until |omega_m| < settle_omega for 0.05 s
+    (at most 60 s); the fit and loop area use the continuously sampled trace.
     """
     if mode not in (Mode.SEA, Mode.PEA):
         raise ValueError("stiffness protocol characterizes an engaged mode")
@@ -576,8 +575,8 @@ def run_static_stiffness(
     dt = p.dt
     stride = _stride_for(dt, STIFFNESS_RECORD_HZ)
     rec = TraceRecorder(dt * stride)  # the rig calls it on kept steps only
-    window_steps = max(1, round(settle_window_s / dt))
-    timeout_steps = round(settle_timeout_s / dt)
+    window_steps = max(1, round(0.05 / dt))
+    timeout_steps = round(60.0 / dt)
 
     J, b, w_eps, K_t = p.J_m, p.b_m, p.omega_eps, p.K_t
     record = rec.record_raw
@@ -654,26 +653,22 @@ def run_dynamic_switching(
     preset: Preset,
     duration: float = 30.0,
     switch_period: float = 5.0,
-    kp: float = TRACK_KP,
     center: float = HANG_CENTER_RAD,
-    amplitude_deg: float = 20.0,
-    freq_hz: float = 1.0,
 ) -> tuple[Trace, TrackingReport]:
-    """Sinusoidal tracking with a topology switch requested every period.
+    """Sinusoidal tracking (±20° at 1 Hz) with a switch requested every period.
 
     The motion is centered on the hanging position so the transmitted torque
     crosses below the disengagement gate once per stroke; rejected requests
     are retried every following step until accepted.
     """
-    _check_positive("duration", duration)
-    _check_positive("switch_period", switch_period)
     dt = preset.params.dt
-    drv = _Driver(preset, kp, initial_state(Mode.SEA, center))
-    n_steps = round(duration / dt)
+    n_steps = _whole_steps("duration", duration, dt)
+    _check_positive("switch_period", switch_period)
+    drv = _Driver(preset, TRACK_KP, initial_state(Mode.SEA, center))
     n_switches = int(duration // switch_period)
     request_steps = [round(k * switch_period / dt) for k in range(n_switches)]
-    amp = math.radians(amplitude_deg)
-    two_pi_f = 2.0 * math.pi * freq_hz
+    amp = math.radians(20.0)
+    two_pi_f = 2.0 * math.pi  # 1 Hz
 
     for k in range(n_steps):
         # a request is due once its step comes and the last switch has engaged
@@ -728,20 +723,16 @@ def run_disturbance(
     preset: Preset,
     n_impacts: int | None = None,
     impact_torque: float = IMPACT_TORQUE_NM,
-    impact_duration: float = IMPACT_DURATION_S,
-    kp: float = DISTURB_KP,
-    hold_target: float = 0.0,
-    band_deg: float = SETTLE_BAND_DEG,
     post_window_s: float = 8.0,
     measure: str = "output",
 ) -> tuple[Trace, DisturbanceReport]:
     """Impulse response under position hold at the horizontal.
 
-    A rectangular torque pulse of round(impact_duration / dt) steps strikes
-    the output side; peak deflection and settling into the ±band are
-    measured on the impacted (output-side) angle relative to its pre-impact
-    rest value. In parallel mode the motor and output angles are one
-    coordinate, so the choice of side is moot there.
+    A rectangular torque pulse of round(IMPACT_DURATION_S / dt) steps strikes
+    the output side; peak deflection and settling into the ±0.5° band over
+    post_window_s are measured on the impacted (output-side) angle relative
+    to its pre-impact rest value. In parallel mode the motor and output
+    angles are one coordinate, so the choice of side is moot there.
     """
     if mode not in (Mode.SEA, Mode.PEA):
         raise ValueError("disturbance protocol characterizes an engaged mode")
@@ -753,45 +744,42 @@ def run_disturbance(
         raise ValueError(f"impact_torque must be finite (got {impact_torque})")
     if measure not in ("output", "motor"):
         raise ValueError("measure must be 'output' or 'motor'")
-
-    drv = _Driver(preset, kp, initial_state(mode, hold_target))
-    angle = attrgetter("theta" if mode is Mode.PEA
-                       else "theta_m" if measure == "motor" else "theta_o")
-
-    # settle into the pre-impact hold
-    drv.hold(hold_target, omega_tol=1e-4, window_s=0.25, timeout_s=40.0, min_hold_s=1.0)
-
     dt = preset.params.dt
-    post_steps = round(post_window_s / dt)
+    post_steps = _whole_steps("post_window_s", post_window_s, dt)
     # a whole number of steps, so the impulse does not depend on the start time
-    pulse_steps = round(impact_duration / dt)
-    peaks, settles, crossings, freqs = [], [], [], []
+    pulse_steps = min(round(IMPACT_DURATION_S / dt), post_steps)
 
+    drv = _Driver(preset, DISTURB_KP, initial_state(mode))
+    # settle into the pre-impact hold
+    drv.hold(0.0, omega_tol=1e-4, window_s=0.25, timeout_s=40.0, min_hold_s=1.0)
+    windows = []
     for _ in range(n_impacts):
-        reference = angle(drv.state)
-        seg_t = array("d")
-        seg_y = array("d")
-        for k in range(post_steps):
-            seg_t.append(drv.t)
-            seg_y.append(angle(drv.state))
-            drv.run(hold_target, 1, impact_torque if k < pulse_steps else 0.0)
-
-        seg_t_np = np.asarray(seg_t)
-        err = np.asarray(seg_y) - reference
-        peaks.append(peak_deflection(np.asarray(seg_y), reference))
-        settles.append(settling_time(seg_t_np, np.asarray(seg_y), reference, band_deg))
-        half_band = math.radians(band_deg) / 2.0
-        crossings.append(len(crossing_times(seg_t_np, err, half_band)))
-        freqs.append(dominant_frequency(seg_t_np, err, half_band))
-
+        start = drv.rec.n_recorded
+        drv.run(0.0, pulse_steps, impact_torque)
+        drv.run(0.0, post_steps - pulse_steps)
+        windows.append((start, drv.rec.n_recorded))
         # re-settle before the next strike
-        drv.hold(hold_target, omega_tol=1e-4, window_s=0.25, timeout_s=40.0)
+        drv.hold(0.0, omega_tol=1e-4, window_s=0.25, timeout_s=40.0)
+
+    trace = drv.rec.trace()
+    # a parallel-mode row logs its one angle in both columns
+    angles = trace.theta_m if measure == "motor" else trace.theta_o
+    half_band = math.radians(SETTLE_BAND_DEG) / 2.0
+    peaks, settles, crossings, freqs = [], [], [], []
+    for a, b in windows:
+        seg_t, seg_y = trace.t[a:b], angles[a:b]
+        reference = seg_y[0]  # every step is a row holding the state before it
+        err = seg_y - reference
+        peaks.append(peak_deflection(seg_y, reference))
+        settles.append(settling_time(seg_t, seg_y, reference))
+        crossings.append(len(crossing_times(seg_t, err, half_band)))
+        freqs.append(dominant_frequency(seg_t, err, half_band))
 
     settled = [s for s in settles if s is not None]
     report = DisturbanceReport(
         mode=mode.value,
         impact_torque_nm=impact_torque,
-        impact_duration_s=impact_duration,
+        impact_duration_s=IMPACT_DURATION_S,
         peaks_deg=peaks,
         settling_ms=settles,
         zero_crossings=crossings,
@@ -799,7 +787,7 @@ def run_disturbance(
         mean_peak_deg=float(np.mean(peaks)),
         mean_settling_ms=float(np.mean(settled)) if len(settled) == len(settles) else None,
     )
-    return drv.rec.trace(), report
+    return trace, report
 
 
 # ---------------------------------------------------------------------------
@@ -809,10 +797,8 @@ def run_disturbance(
 def run_switch_cycle(
     preset: Preset,
     n: int = 324,
-    kp: float = HOLD_KP,
     hold: float = HANG_CENTER_RAD,
     retry_window_s: float = 0.25,
-    dwell_s: float = 0.12,
 ) -> tuple[Trace, CycleReport]:
     """n alternating topology switches under gravity with a position hold.
 
@@ -824,14 +810,14 @@ def run_switch_cycle(
     if n < 1:
         raise ValueError("n must be >= 1")
     p = preset.params
-    drv = _Driver(preset, kp, initial_state(Mode.SEA, hold),
+    drv = _Driver(preset, HOLD_KP, initial_state(Mode.SEA, hold),
                   _stride_for(p.dt, CYCLE_RECORD_HZ))
     drv.hold(hold, omega_tol=1e-3, window_s=0.05, timeout_s=20.0, min_hold_s=0.5)
 
     max_ke_loss = 0.0
     retry_steps = max(1, round(retry_window_s / p.dt))
-    dwell_steps = round(dwell_s / p.dt)
-    latency_steps = round(p.t_switch / p.dt)
+    dwell_steps = round(0.12 / p.dt)
+    latency = latency_steps(p.t_switch, p.dt)
     records = drv.records
 
     for i in range(n):
@@ -850,7 +836,7 @@ def run_switch_cycle(
 
         # run out the selector travel (one call unless the latency invariant fails)
         while drv.engaged_from is None:
-            drv.run(hold, latency_steps)
+            drv.run(hold, latency)
         pre_engage, state = drv.engaged_from, drv.state
 
         # --- invariants ---
@@ -859,9 +845,9 @@ def run_switch_cycle(
                 f"cycle {i}: gate unsound, accepted at {decision.transmitted:.4f} Nm"
             )
         steps_taken = drv.k - request_step
-        if steps_taken != latency_steps:
+        if steps_taken != latency:
             raise InvariantViolation(
-                f"cycle {i}: latency {steps_taken} steps != t_switch ({latency_steps} steps)"
+                f"cycle {i}: latency {steps_taken} steps != t_switch ({latency} steps)"
             )
         tau_spring = spring_torque(state, p)
         if tau_spring != 0.0:

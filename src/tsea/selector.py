@@ -104,6 +104,15 @@ def request_switch(
     return SwitchDecision(True, trans, tau_tr)
 
 
+def latency_steps(t_switch: float, dt: float) -> int:
+    """Steps from an accepted request to engagement: advance_selector's
+    countdown from t_switch and its guard, one step at the least."""
+    steps, remaining = 1, t_switch - dt
+    while remaining > 0.5 * dt:
+        steps, remaining = steps + 1, remaining - dt
+    return steps
+
+
 def advance_selector(state: TransitionState, dt: float, p: ActuatorParams) -> PlantState:
     """Consume dt of selector travel; finalize engagement when it runs out.
 

@@ -137,12 +137,12 @@ def test_criterion_5_steady_state_identities():
     preset = load_named_preset("calibrated")
     p = preset.params
 
-    _, s = run_hold(Mode.SEA, preset, 0.0, omega_tol=1e-6)
+    _, s = run_hold(Mode.SEA, preset)
     tau_m = p_position(0.0, s.theta_m, 30.0)
     tau_ext = gravity_torque(s.theta_o, preset.load)
     sea_resid = abs(tau_m - tau_ext)
 
-    _, s = run_hold(Mode.PEA, preset, 0.0, omega_tol=1e-6)
+    _, s = run_hold(Mode.PEA, preset)
     tau_m = p_position(0.0, s.theta, 30.0)
     tau_ext = gravity_torque(s.theta, preset.load)
     pea_resid = abs(tau_m - tau_ext - p.K_s * (s.theta - s.theta_anchor))

@@ -102,6 +102,7 @@ def test_hub_curve_rejects_noise_flags(flags, tmp_path, capsys):
     assert main(["hub-curve", *flags, "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: unrecognized arguments: {' '.join(flags)} (usage: ")
+    assert "usage: tsea hub-curve" in captured.err
     assert captured.err.count("\n") == 1
     assert captured.out == ""
     assert not out.exists()
@@ -125,6 +126,9 @@ def test_simulation_blowup_exits_2(tmp_path, capsys):
     (["track", "--period", "inf"], "switch_period must be positive and finite (got inf)"),
     (["track", "--duration", "-1"], "duration must be positive and finite (got -1.0)"),
     (["track", "--duration", "nan"], "duration must be positive and finite (got nan)"),
+    (["track", "--duration", "1e-5"],
+     "duration must be longer than half a step of 0.000125 s and span finitely many steps "
+     "(got 1e-05)"),
     (["stiffness", "--mode", "sea", "--rate", "0"],
      "ramp_rate must be positive and finite (got 0.0)"),
     (["stiffness", "--mode", "sea", "--cycles", "0", "--rate", "5"],
@@ -136,7 +140,8 @@ def test_simulation_blowup_exits_2(tmp_path, capsys):
      "impact_torque must be finite (got -inf)"),
     (["disturb", "--mode", "pea", "--impacts", "1", "--noise", "--seed", "-1"],
      "seed must be non-negative (got -1)"),
-], ids=["period-zero", "period-inf", "duration-negative", "duration-nan", "rate-zero",
+], ids=["period-zero", "period-inf", "duration-negative", "duration-nan", "duration-substep",
+        "rate-zero",
         "cycles-zero", "range-nan", "range-zero", "impulse-nan", "impulse-inf",
         "seed-negative"])
 def test_bad_numbers_fail_fast(argv, message, tmp_path, capsys):

@@ -33,7 +33,7 @@ from tsea.experiments import (
     settling_time,
 )
 from tsea.plant import Mode, SimulationError, TransitionState
-from tsea.selector import COMPLETED, REJECTED
+from tsea.selector import COMPLETED, REJECTED, latency_steps
 
 
 # --- pure metrics ---------------------------------------------------------
@@ -211,11 +211,15 @@ def test_static_stiffness_rejects_transition_mode(full_range):
     (run_dynamic_switching, {"duration": 0.0}),
     (run_dynamic_switching, {"duration": -1.0}),
     (run_dynamic_switching, {"duration": math.nan}),
+    (run_dynamic_switching, {"duration": 1e-5}),
+    (run_dynamic_switching, {"duration": 1e308}),
     (run_disturbance, {"impact_torque": math.nan}),
     (run_disturbance, {"impact_torque": -math.inf}),
+    (run_disturbance, {"post_window_s": 1e-5}),
 ], ids=["ramp_rate-zero", "ramp_rate-nan", "cycles-zero", "switch_period-zero",
         "switch_period-inf", "duration-zero", "duration-negative", "duration-nan",
-        "impact_torque-nan", "impact_torque-inf"])
+        "duration-substep", "duration-overflow", "impact_torque-nan", "impact_torque-inf",
+        "post_window_s-substep"])
 def test_protocols_reject_bad_arguments(run, kwargs, calibrated):
     args = (calibrated,) if run is run_dynamic_switching else (Mode.SEA, calibrated)
     (name,) = kwargs
@@ -406,6 +410,21 @@ def test_switch_cycle_small(calibrated):
     assert rep.max_latency_error_s == 0.0
     assert rep.max_ke_loss_j >= 0.0
     assert len(rep.records) == 3
+
+
+@pytest.mark.parametrize("t_switch, latency", [
+    (lambda dt: 0.0, 1), (lambda dt: 1.5 * dt, 1), (lambda dt: 3.5 * dt, 3), (lambda dt: 0.03, 240),
+], ids=["0", "1.5dt", "3.5dt", "0.03s"])
+def test_switch_cycle_latency_matches_selector_countdown(t_switch, latency, calibrated):
+    # the selector engages after at least one step, and its half-step guard
+    # does not round half-way latencies the way round(t_switch / dt) does
+    dt = calibrated.params.dt
+    pre = with_params(calibrated, t_switch=t_switch(dt))
+    _, rep = run_switch_cycle(pre, n=2)
+    assert rep.completed == 2
+    assert latency_steps(pre.params.t_switch, dt) == latency
+    for r in rep.records:
+        assert r.engage_time - r.request_time == pytest.approx(latency * dt, abs=1e-12)
 
 
 def test_switch_cycle_gate_forced_closed(calibrated):

@@ -18,6 +18,7 @@ CASES = {
                   "--cycles", "1"],
     "disturb-sea": ["disturb", "--mode", "sea", "--impacts", "1"],
     "disturb-pea": ["disturb", "--mode", "pea", "--impacts", "1"],
+    "disturb-pea-2": ["disturb", "--mode", "pea", "--impacts", "2"],
     "hub-curve": ["hub-curve"],
 }
 
@@ -39,6 +40,9 @@ DIGESTS = {
     ("disturb-pea", "trace.csv"): "a1831cf371405d652307eabb945bbb28ce0a92b6a51661dfde346dffd8c9ae7e",
     ("disturb-pea", "report.json"): "f9c56c853412cef33ba2d0acc46be1245639ab3efd29db45727dcf0731b550f4",
     ("disturb-pea", "plot.svg"): "cbf9d31f09894f707403c07fa983b669a8aeaaf22d203fe28adfdbf23b8a893f",
+    ("disturb-pea-2", "trace.csv"): "63db4f7c753e2fd316cbfa69cbb511e611d10e92fa4e2e846bcd09b603233784",
+    ("disturb-pea-2", "report.json"): "f520067916f6ef4df4ac674a300606eddfe294761cf59a1491b01b794c18e19f",
+    ("disturb-pea-2", "plot.svg"): "06c4b8f82697d899a93daed10c09251d8e258ace20cda24cb0c7e27bf3c203b7",
     ("hub-curve", "trace.csv"): "47b45430bdb0a945abe3c287fb143bb37921f1d9ffb0b74c255735ec9c96b451",
     ("hub-curve", "report.json"): "b8c410d9465c6cfcfcc482dd3229be073e66fc888d810df54ae54e560f807962",
     ("hub-curve", "plot.svg"): "1ceffae9a88592efb6c638b0db2a022a3d8b26e65e27ac7c113534b5a93b0d10",

@@ -38,6 +38,15 @@ def test_traced_cycle_counts_every_layer(tmp_path):
     assert counts["selector.advance_selector.calls"] > 0
 
 
+def test_traced_disturb_logs_every_step(tmp_path):
+    counts = traced_counts(tmp_path, "disturb", "--mode", "pea", "--impacts", "1")
+    steps = sum(v for k, v in counts.items() if k.startswith("plant.step.calls."))
+    assert steps > 0
+    # the disturbance driver logs a row before every step
+    assert (counts["control.p_position.calls"] == steps == counts["experiments.record.calls"]
+            == counts["experiments.rows_kept"])
+
+
 def test_traced_stiffness_runs(tmp_path):
     counts = traced_counts(tmp_path, "stiffness", "--mode", "sea", "--cycles", "1",
                            "--preset", "paper-full-range")

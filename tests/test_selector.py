@@ -6,6 +6,7 @@ from tsea.selector import (
     SelectorError,
     advance_selector,
     engagement_energy_loss,
+    latency_steps,
     request_switch,
     transmitted_torque,
 )
@@ -103,6 +104,16 @@ def test_latency_within_one_dt_for_non_multiple_switch_time():
         state = advance_selector(state, p.dt, p)
         steps += 1
     assert abs(steps * p.dt - p.t_switch) <= p.dt
+
+
+@pytest.mark.parametrize("t_switch", [0.0, 1.5 * P.dt, 3.5 * P.dt, 0.0299, 0.03, 0.1])
+def test_latency_steps_counts_the_countdown(t_switch):
+    state = TransitionState(0.0, 0.0, 0.0, 0.0, Mode.SEA, t_switch)
+    steps = 0
+    while isinstance(state, TransitionState):
+        state = advance_selector(state, P.dt, P)
+        steps += 1
+    assert latency_steps(t_switch, P.dt) == steps
 
 
 def test_pea_engagement_merges_velocities():
