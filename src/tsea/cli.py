@@ -31,6 +31,14 @@ class _Parser(argparse.ArgumentParser):
         usage = " ".join(self.format_usage().split())  # one line however wide
         raise CliError(f"{message} ({usage})")
 
+    def parse_known_args(self, args=None, namespace=None):
+        # subparsers are _Parsers too: each rejects its own leftovers, so a flag
+        # is reported with the usage of the parser it was given to
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return namespace, extra
+
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="tsea", description=__doc__)
@@ -75,8 +83,6 @@ def build_parser() -> _Parser:
                     help="sweep limit [rad]; grid covers ±range")
     sp.add_argument("--steps", type=int, default=201)
     common(sp, noise=False)
-
-    parser.commands = sub.choices  # subcommand name -> its parser
     return parser
 
 
@@ -195,10 +201,7 @@ def _run_hub_curve(args, preset, _noise: io.NoiseModel) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        parser = build_parser()
-        args, extra = parser.parse_known_args(argv)
-        if extra:  # reported with the usage of the chosen subcommand
-            parser.commands[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
+        args = build_parser().parse_args(argv)
         _check_args(args)
         preset = resolve_preset(args.preset)
         # built before any run, so a bad seed fails before it simulates

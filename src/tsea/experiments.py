@@ -177,30 +177,20 @@ def rms(series) -> float:
     return float(np.sqrt(np.mean(arr * arr)))
 
 
-def linear_fit(x, y) -> tuple[float, float, float]:
-    """Ordinary least squares y = slope*x + intercept.
+def linear_fit(x, y) -> float:
+    """Slope of the ordinary least-squares line through (x, y).
 
-    Returns (slope, intercept, slope standard error). Requires at least two
-    distinct x values.
+    Requires at least two paired samples with distinct x values.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.size != y.size or x.size < 2:
         raise ValueError("need at least two paired samples")
-    xm, ym = x.mean(), y.mean()
-    dx = x - xm
+    dx = x - x.mean()
     sxx = float(dx @ dx)
     if sxx <= 0.0:
         raise ValueError("degenerate x spread: all abscissae identical")
-    slope = float(dx @ (y - ym)) / sxx
-    intercept = ym - slope * xm
-    resid = y - (slope * x + intercept)
-    n = x.size
-    if n > 2:
-        stderr = math.sqrt(float(resid @ resid) / (n - 2) / sxx)
-    else:
-        stderr = 0.0
-    return slope, intercept, stderr
+    return float(dx @ (y - y.mean())) / sxx
 
 
 def hysteresis_area(theta, tau) -> float:
@@ -226,15 +216,15 @@ def peak_deflection(angles, reference: float) -> float:
     return math.degrees(float(np.max(np.abs(arr - reference))))
 
 
-def settling_time(t, angles, reference: float, band_deg: float = SETTLE_BAND_DEG) -> float | None:
+def settling_time(t, angles, reference: float) -> float | None:
     """Time [ms] from segment start until the angle permanently stays in
-    reference ± band. None if the segment never settles (sentinel).
+    reference ± SETTLE_BAND_DEG. None if the segment never settles (sentinel).
 
     The segment is assumed to start at the impact instant.
     """
     t = np.asarray(t, dtype=np.float64)
     err = np.abs(np.asarray(angles, dtype=np.float64) - reference)
-    band = math.radians(band_deg)
+    band = math.radians(SETTLE_BAND_DEG)
     outside = np.nonzero(err > band)[0]
     if outside.size == 0:
         return 0.0
@@ -426,9 +416,10 @@ class _Driver:
     """The actuator loop every moving protocol runs: the motor-side P
     controller, the selector gate, the trace recorder and the plant.
 
-    Protocols script their phases as calls to run() and hold(); the driver
-    owns the state, the step count, the time, the recorder and the switch
-    bookkeeping (completed records, refused gate tests) in between.
+    Protocols script their phases as calls to run() and hold(), a switch
+    request included; the driver owns the state, the step count, the time,
+    the recorder and the switch bookkeeping (completed records, refused gate
+    tests) in between.
     """
 
     def __init__(self, preset: Preset, kp: float, state: PlantState, stride: int = 1):
@@ -449,14 +440,14 @@ class _Driver:
     def run(self, target: float, n: int = 1, extra: float = 0.0,
             switch: bool = False) -> SwitchDecision | None:
         """Up to n control periods at one target, each in this order: the P
-        law on the motor angle; on the first period only, when switch is set,
-        the switch gate to the other engaged mode (an accepted request enters
-        the transition before the row is logged); the trace row on every
-        stride-th step; one RK4 step with extra output torque; selector
+        law on the motor angle; when switch is set, the switch gate to the
+        other engaged mode, retried every period until it accepts (which
+        enters the transition before the row is logged); the trace row on
+        every stride-th step; one RK4 step with extra output torque; selector
         travel after a step that started in transition. The run stops after
         the step on which an engagement appends its COMPLETED record.
 
-        Returns the gate's decision, or None when no switch was requested.
+        Returns the gate's last decision, or None when no switch was requested.
         """
         p = self.p
         load = self.load
@@ -474,14 +465,14 @@ class _Driver:
             # wrappers and spies patch
             while k < end:
                 tau_cmd = p_position(target, state[0], kp)  # field 0: the motor angle
-                if switch:  # the gate tests the first step only
-                    switch = False
+                if switch:  # the gate tests every step until it accepts
                     src = mode_of(state)
                     dst = _other_mode(src)
                     tau_ext = gravity_torque(
                         state.theta if type(state) is PeaState else state.theta_o, load)
                     decision = request_switch(dst, state, clamp_torque(tau_cmd, p), tau_ext, p)
                     if decision.accepted:
+                        switch = False
                         state = decision.transition
                         self._request = (t, src, dst, decision.transmitted)
                     else:
@@ -580,60 +571,49 @@ def run_static_stiffness(
 
     J, b, w_eps, K_t = p.J_m, p.b_m, p.omega_eps, p.K_t
     record = rec.record_raw
+    n_ramp = max(1, round(1.0 / ramp_rate / dt))  # every leg moves the torque by 1 Nm
+    # (tau_from, tau_to, ramp steps): the leading dwell at 0 Nm, then four legs a cycle
+    legs = [(0.0, 0.0, 0)] + [(0.0, 1.0, n_ramp), (1.0, 0.0, n_ramp),
+                              (0.0, -1.0, n_ramp), (-1.0, 0.0, n_ramp)] * cycles
 
     theta = 0.0
     omega = 0.0
     step_i = 0
-
-    def rig_step(tau: float) -> None:
-        # the locked output makes the motor one body on a grounded spring
-        nonlocal theta, omega, step_i
-        if step_i % stride == 0:
-            record(step_i * dt, code, theta, omega, 0.0, 0.0, tau, tau,
-                   K_rig * theta, tau / K_t)
-        try:
-            theta, omega = body_step(theta, omega, dt, tau, 0.0, 0.0, 0.0,
-                                     K_rig, b, tau_c, w_eps, J)
-        except ValueError:  # math.cos of an infinite stage angle
-            theta = omega = math.nan
-        if not (math.isfinite(theta) and math.isfinite(omega)):
-            raise SimulationError(f"stiffness rig blew up at t={step_i * dt:.6f} s")
-        step_i += 1
-
-    def ramp_to(tau_from: float, tau_to: float) -> None:
-        n = max(1, round(abs(tau_to - tau_from) / ramp_rate / dt))
-        for k in range(n):
-            rig_step(tau_from + (tau_to - tau_from) * (k + 1) / n)
-
-    def dwell(tau: float) -> None:
+    cycle_starts = []  # row index at legs 1, 5, 9, ...; then the row count at the end
+    for leg, (tau_from, tau_to, n) in enumerate(legs):
+        if leg % 4 == 1:
+            cycle_starts.append(rec.n_recorded)
         quiet = 0
-        for _ in range(timeout_steps):
-            rig_step(tau)
-            quiet = quiet + 1 if abs(omega) < settle_omega else 0
-            if quiet >= window_steps:
-                return
-        raise SimulationError(
-            f"rig did not settle below |omega| < {settle_omega} rad/s at tau={tau} Nm"
-        )
-
-    cycle_bounds = []
-    tau_now = 0.0
-    dwell(0.0)
-    for _ in range(cycles):
-        start = rec.n_recorded
-        for vertex in (1.0, 0.0, -1.0, 0.0):
-            ramp_to(tau_now, vertex)
-            tau_now = vertex
-            dwell(tau_now)
-        cycle_bounds.append((start, rec.n_recorded))
+        for j in range(1, n + timeout_steps + 1):
+            tau = tau_from + (tau_to - tau_from) * j / n if j <= n else tau_to
+            # the locked output makes the motor one body on a grounded spring
+            if step_i % stride == 0:
+                record(step_i * dt, code, theta, omega, 0.0, 0.0, tau, tau,
+                       K_rig * theta, tau / K_t)
+            try:
+                theta, omega = body_step(theta, omega, dt, tau, 0.0, 0.0, 0.0,
+                                         K_rig, b, tau_c, w_eps, J)
+            except ValueError:  # math.cos of an infinite stage angle
+                theta = omega = math.nan
+            if not (math.isfinite(theta) and math.isfinite(omega)):
+                raise SimulationError(f"stiffness rig blew up at t={step_i * dt:.6f} s")
+            step_i += 1
+            if j > n:
+                quiet = quiet + 1 if abs(omega) < settle_omega else 0
+                if quiet >= window_steps:
+                    break
+        else:
+            raise SimulationError(
+                f"rig did not settle below |omega| < {settle_omega} rad/s at tau={tau_to} Nm"
+            )
+    cycle_starts.append(rec.n_recorded)
 
     trace = rec.trace()
     slopes, areas = [], []
-    for a, bnd in cycle_bounds:
+    for a, bnd in zip(cycle_starts, cycle_starts[1:]):
         th = trace.theta_m[a:bnd]
         ta = trace.tau_applied[a:bnd]
-        slope, _, _ = linear_fit(th, ta)
-        slopes.append(slope)
+        slopes.append(linear_fit(th, ta))
         areas.append(hysteresis_area(th, ta))
     k_fit = float(np.mean(slopes))
     k_sd = float(np.std(slopes))
@@ -822,19 +802,16 @@ def run_switch_cycle(
 
     for i in range(n):
         first_t = drv.t
-        for _ in range(retry_steps):
-            request_step = drv.k
-            decision = drv.run(hold, switch=True)
-            if decision.accepted:
-                break
-        else:
+        # one gated run: retries every step of the window, then the travel
+        decision = drv.run(hold, retry_steps, switch=True)
+        if not decision.accepted:
             current = mode_of(drv.state)
             records.append(SwitchRecord(
                 first_t, None, current, _other_mode(current), decision.transmitted, REJECTED,
             ))
             continue
 
-        # run out the selector travel (one call unless the latency invariant fails)
+        # run out a travel the window cut short (one call unless the latency invariant fails)
         while drv.engaged_from is None:
             drv.run(hold, latency)
         pre_engage, state = drv.engaged_from, drv.state
@@ -844,7 +821,7 @@ def run_switch_cycle(
             raise InvariantViolation(
                 f"cycle {i}: gate unsound, accepted at {decision.transmitted:.4f} Nm"
             )
-        steps_taken = drv.k - request_step
+        steps_taken = round((records[-1].engage_time - records[-1].request_time) / p.dt)
         if steps_taken != latency:
             raise InvariantViolation(
                 f"cycle {i}: latency {steps_taken} steps != t_switch ({latency} steps)"

@@ -108,6 +108,8 @@ def write_report_json(report_dict: dict, path: str | Path) -> None:
 
 _BAND_FILL = {"SEA": "#9ecae1", "PEA": "#fc9272", "TRANS": "#cccccc"}
 _LINE_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b")
+PLOT_WIDTH = 900    # [px]
+PANEL_HEIGHT = 180  # [px] per series
 
 
 def emit_svg_plot(
@@ -116,8 +118,6 @@ def emit_svg_plot(
     path: str | Path,
     bands: list[tuple[float, float, str]] | None = None,
     title: str = "",
-    width: int = 900,
-    height_per_panel: int = 180,
 ) -> None:
     """Standalone SVG with one panel per series and optional mode shading.
 
@@ -131,8 +131,8 @@ def emit_svg_plot(
     names = list(series)
     margin_l, margin_r, margin_t, margin_b = 65, 15, 28, 30
     panel_gap = 14
-    height = margin_t + len(names) * (height_per_panel + panel_gap) + margin_b
-    plot_w = width - margin_l - margin_r
+    height = margin_t + len(names) * (PANEL_HEIGHT + panel_gap) + margin_b
+    plot_w = PLOT_WIDTH - margin_l - margin_r
     t0, t1 = float(t[0]), float(t[-1])
     tspan = (t1 - t0) or 1.0
 
@@ -140,20 +140,20 @@ def emit_svg_plot(
         return margin_l + (tv - t0) / tspan * plot_w
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="11">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{PLOT_WIDTH}" height="{height}" '
+        f'viewBox="0 0 {PLOT_WIDTH} {height}" font-family="sans-serif" font-size="11">',
+        f'<rect width="{PLOT_WIDTH}" height="{height}" fill="white"/>',
     ]
     if title:
-        out.append(f'<text x="{width / 2:.1f}" y="16" text-anchor="middle" '
+        out.append(f'<text x="{PLOT_WIDTH / 2:.1f}" y="16" text-anchor="middle" '
                    f'font-size="13">{title}</text>')
 
     for pi, name in enumerate(names):
         y = np.asarray(series[name], dtype=np.float64)
         if y.size != t.size:
             raise ValueError(f"series {name!r} length {y.size} != time axis {t.size}")
-        top = margin_t + pi * (height_per_panel + panel_gap)
-        bot = top + height_per_panel
+        top = margin_t + pi * (PANEL_HEIGHT + panel_gap)
+        bot = top + PANEL_HEIGHT
         lo, hi = float(np.min(y)), float(np.max(y))
         if hi == lo:
             lo, hi = lo - 1.0, hi + 1.0
@@ -161,7 +161,7 @@ def emit_svg_plot(
         lo, hi = lo - pad, hi + pad
 
         def y_of(v: float) -> float:
-            return bot - (v - lo) / (hi - lo) * height_per_panel
+            return bot - (v - lo) / (hi - lo) * PANEL_HEIGHT
 
         if bands:
             for b0, b1, mode_name in bands:
@@ -170,10 +170,10 @@ def emit_svg_plot(
                     continue
                 fill = _BAND_FILL.get(mode_name, "#eeeeee")
                 out.append(f'<rect x="{x0:.2f}" y="{top:.2f}" width="{x1 - x0:.2f}" '
-                           f'height="{height_per_panel}" fill="{fill}" opacity="0.35"/>')
+                           f'height="{PANEL_HEIGHT}" fill="{fill}" opacity="0.35"/>')
 
         out.append(f'<rect x="{margin_l}" y="{top}" width="{plot_w}" '
-                   f'height="{height_per_panel}" fill="none" stroke="#444"/>')
+                   f'height="{PANEL_HEIGHT}" fill="none" stroke="#444"/>')
         for frac in (0.0, 0.5, 1.0):
             val = lo + frac * (hi - lo)
             yy = y_of(val)
@@ -193,7 +193,7 @@ def emit_svg_plot(
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         tv = t0 + frac * tspan
         out.append(f'<text x="{x_of(tv):.1f}" y="{axis_y}" text-anchor="middle">{tv:.3g}</text>')
-    out.append(f'<text x="{width / 2:.1f}" y="{height - 6}" text-anchor="middle">t [s]</text>')
+    out.append(f'<text x="{PLOT_WIDTH / 2:.1f}" y="{height - 6}" text-anchor="middle">t [s]</text>')
     out.append("</svg>")
     Path(path).write_text("\n".join(out))
 

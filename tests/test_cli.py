@@ -108,6 +108,18 @@ def test_hub_curve_rejects_noise_flags(flags, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_flag_before_subcommand_gets_top_level_usage(tmp_path, capsys):
+    # cycle does take --noise, so its usage line must not be the one quoted
+    out = tmp_path / "out"
+    assert main(["--noise", "cycle", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: unrecognized arguments: --noise (usage: tsea [-h] ")
+    assert "tsea cycle" not in captured.err
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_simulation_blowup_exits_2(tmp_path, capsys):
     # an absurd impulse drives a mid-step RK4 stage angle to infinity, where
     # math.cos raises; the run must fail with one line naming mode, step and

@@ -33,36 +33,33 @@ from tsea.experiments import (
     settling_time,
 )
 from tsea.plant import Mode, SimulationError, TransitionState
-from tsea.selector import COMPLETED, REJECTED, latency_steps
+from tsea.selector import COMPLETED, REJECTED, SwitchDecision, latency_steps
 
 
 # --- pure metrics ---------------------------------------------------------
 
 def test_linear_fit_exact_line():
     x = np.linspace(-0.2, 0.2, 50)
-    slope, intercept, stderr = linear_fit(x, 5.57 * x)
+    slope = linear_fit(x, 5.57 * x)
     assert slope == pytest.approx(5.57, abs=1e-12)
-    assert intercept == pytest.approx(0.0, abs=1e-12)
-    assert stderr == pytest.approx(0.0, abs=1e-9)
 
 
 def test_linear_fit_constant():
     x = np.linspace(0.0, 1.0, 20)
-    slope, intercept, _ = linear_fit(x, np.full_like(x, 2.5))
+    slope = linear_fit(x, np.full_like(x, 2.5))
     assert slope == pytest.approx(0.0, abs=1e-14)
-    assert intercept == pytest.approx(2.5)
 
 
 def test_linear_fit_symmetric_perturbation_keeps_slope():
     rng = np.random.default_rng(3)
     x = np.concatenate([np.linspace(-1, 1, 21)] * 2)
     y = 3.3 * x + 0.7
-    slope0, _, _ = linear_fit(x, y)
+    slope0 = linear_fit(x, y)
     y2 = y.copy()
     # equal bumps at abscissae mirrored about the mean leave the slope alone
     y2[np.argmin(np.abs(x - 0.5))] += 0.31
     y2[np.argmin(np.abs(x + 0.5))] += 0.31
-    slope1, _, _ = linear_fit(x, y2)
+    slope1 = linear_fit(x, y2)
     assert slope1 == pytest.approx(slope0, abs=1e-12)
 
 
@@ -195,6 +192,34 @@ def test_records_only_kept_rows(method, hz, run, calibrated, monkeypatch):
     assert len(calls) == len(trace) > 1
     assert trace.dt == p.dt * stride
     assert np.allclose(np.diff(trace.t), trace.dt, rtol=1e-9, atol=0.0)
+
+
+def test_static_stiffness_dwell_timeout(calibrated):
+    # omega never drops below zero, so the leading dwell at 0 Nm runs its
+    # 60 s out
+    with pytest.raises(SimulationError) as err:
+        run_static_stiffness(Mode.SEA, calibrated, cycles=1, settle_omega=0.0)
+    assert str(err.value) == "rig did not settle below |omega| < 0.0 rad/s at tau=0.0 Nm"
+
+
+@pytest.mark.parametrize("fail", ["nan", "raise"])
+def test_static_stiffness_blowup_names_time(fail, calibrated, monkeypatch):
+    # a non-finite step, or a ValueError from math.cos of an infinite stage
+    # angle, on the 1001st step (t = 1000 dt) stops the rig
+    step = tsea.experiments.body_step
+    index = itertools.count()
+
+    def spy(*args):
+        if next(index) < 1000:
+            return step(*args)
+        if fail == "raise":
+            raise ValueError("math domain error")
+        return math.nan, math.nan
+
+    monkeypatch.setattr(tsea.experiments, "body_step", spy)
+    with pytest.raises(SimulationError) as err:
+        run_static_stiffness(Mode.SEA, calibrated, cycles=1)
+    assert str(err.value) == "stiffness rig blew up at t=0.125000 s"
 
 
 def test_static_stiffness_rejects_transition_mode(full_range):
@@ -339,9 +364,10 @@ def _driver_bits(drv: _Driver) -> tuple:
 
 
 @pytest.mark.parametrize("stride", [1, 8])
-def test_run_matches_single_steps(calibrated, stride):
+def test_run_matches_single_steps(calibrated, stride, monkeypatch):
     # run(target, n) must leave exactly what n calls of run(target, 1) leave,
-    # and a run through the selector travel stops after the engagement step
+    # a run through the selector travel stops after the engagement step, and
+    # a gated run retries the gate every step until it accepts
     dt = calibrated.params.dt
     latency = round(calibrated.params.t_switch / dt)
 
@@ -373,6 +399,34 @@ def test_run_matches_single_steps(calibrated, stride):
     for _ in range(501):
         single.run(HANG_CENTER_RAD)
     assert _driver_bits(phase) == _driver_bits(single)
+
+    # a gated phase whose gate refuses its first 3 tests, cut short mid-travel
+    gate = tsea.experiments.request_switch
+    tests = []
+
+    def refuse_first_3(*args):
+        decision = gate(*args)
+        tests.append(decision)
+        return SwitchDecision(False, None, decision.transmitted) if len(tests) <= 3 else decision
+
+    monkeypatch.setattr(tsea.experiments, "request_switch", refuse_first_3)
+    n = 3 + latency // 2
+    assert phase.run(HANG_CENTER_RAD, n, switch=True).accepted
+    tests.clear()
+    pending = True
+    for _ in range(n):
+        decision = single.run(HANG_CENTER_RAD, switch=pending)
+        pending = pending and not decision.accepted
+    assert not pending
+    assert phase.retried == single.retried == 3
+    assert type(phase.state) is TransitionState
+    assert _driver_bits(phase) == _driver_bits(single)
+    while phase.engaged_from is None:
+        phase.run(HANG_CENTER_RAD, latency)
+    while single.engaged_from is None:
+        single.run(HANG_CENTER_RAD)
+    assert _driver_bits(phase) == _driver_bits(single)
+
     with pytest.raises(SimulationError) as phase_err:
         phase.run(HANG_CENTER_RAD, 50, 1e308)
     with pytest.raises(SimulationError) as single_err:
