@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import math
 from array import array
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -111,15 +113,14 @@ class TraceRecorder:
                tau_applied: float, p: ActuatorParams) -> None:
         cls = type(state)
         if cls is SeaState:
-            code = 0
-            qm, wm, qo, wo, _ = state
+            qm, wm, qo, wo, off = state
+            code, tau_s = 0, p.K_s * (qm - qo - off)  # plant.spring_torque's
         elif cls is PeaState:
-            code = 1
-            qm, wm, _ = state
-            qo, wo = qm, wm
+            qm, wm, anchor = state
+            code, qo, wo, tau_s = 1, qm, wm, p.K_s * (qm - anchor)
         else:
-            code = 2
             qm, wm, qo, wo, _, _ = state
+            code, tau_s = 2, 0.0
         t_, qm_, wm_, qo_, wo_, cmd_, app_, spring_, iq_, mode_ = self._appends
         t_(t)
         qm_(qm)
@@ -128,7 +129,7 @@ class TraceRecorder:
         wo_(wo)
         cmd_(tau_cmd)
         app_(tau_applied)
-        spring_(spring_torque(state, p))
+        spring_(tau_s)
         iq_(tau_applied / p.K_t)
         mode_(code)
 
@@ -437,15 +438,16 @@ class _Driver:
         # request time, from and to modes and torque of the switch in flight
         self._request: tuple[float, Mode, Mode, float] | None = None
 
-    def run(self, target: float, n: int = 1, extra: float = 0.0,
+    def run(self, targets: Iterable[float], extra: float = 0.0,
             switch: bool = False) -> SwitchDecision | None:
-        """Up to n control periods at one target, each in this order: the P
-        law on the motor angle; when switch is set, the switch gate to the
-        other engaged mode, retried every period until it accepts (which
-        enters the transition before the row is logged); the trace row on
-        every stride-th step; one RK4 step with extra output torque; selector
-        travel after a step that started in transition. The run stops after
-        the step on which an engagement appends its COMPLETED record.
+        """One control period per item of targets (repeat(target, n) for a
+        constant phase), each in this order: the P law on the motor angle;
+        when switch is set, the switch gate to the other engaged mode, retried
+        every period until it accepts (which enters the transition before the
+        row is logged); the trace row on every stride-th step; one RK4 step
+        with extra output torque; selector travel after a step that started in
+        transition. The run stops after the step on which an engagement
+        appends its COMPLETED record; an iterator keeps the targets not taken.
 
         Returns the gate's last decision, or None when no switch was requested.
         """
@@ -459,11 +461,10 @@ class _Driver:
         k = self.k
         t = self.t
         decision = engaged = None
-        end = k + n
         try:
             # the callables are looked up on every call, by the names that
             # wrappers and spies patch
-            while k < end:
+            for target in targets:
                 tau_cmd = p_position(target, state[0], kp)  # field 0: the motor angle
                 if switch:  # the gate tests every step until it accepts
                     src = mode_of(state)
@@ -511,7 +512,7 @@ class _Driver:
         min_steps = round(min_hold_s / dt)
         quiet = 0
         for k in range(round(timeout_s / dt)):
-            self.run(target)
+            self.run((target,))
             s = self.state
             if type(s) is PeaState:
                 still = abs(s.omega) < omega_tol
@@ -645,17 +646,17 @@ def run_dynamic_switching(
     n_steps = _whole_steps("duration", duration, dt)
     _check_positive("switch_period", switch_period)
     drv = _Driver(preset, TRACK_KP, initial_state(Mode.SEA, center))
-    n_switches = int(duration // switch_period)
-    request_steps = [round(k * switch_period / dt) for k in range(n_switches)]
     amp = math.radians(20.0)
     two_pi_f = 2.0 * math.pi  # 1 Hz
+    # the target at step k, with t = k*dt formed as the driver's clock forms it
+    targets = (center + amp * math.sin(two_pi_f * (k * dt)) for k in range(n_steps))
 
-    for k in range(n_steps):
-        # a request is due once its step comes and the last switch has engaged
-        done = len(drv.records)
-        switch = (done < n_switches and k >= request_steps[done]
-                  and type(drv.state) is not TransitionState)
-        drv.run(center + amp * math.sin(two_pi_f * drv.t), switch=switch)
+    for i in range(int(duration // switch_period)):
+        # request i is due at its step once the last switch has engaged; the
+        # gated run retries until the gate accepts and stops at the engagement
+        drv.run(islice(targets, max(0, round(i * switch_period / dt) - drv.k)))
+        drv.run(targets, switch=True)
+    drv.run(targets)
 
     trace = drv.rec.trace()
     err_all = center + amp * np.sin(two_pi_f * trace.t) - trace.theta_m
@@ -735,8 +736,8 @@ def run_disturbance(
     windows = []
     for _ in range(n_impacts):
         start = drv.rec.n_recorded
-        drv.run(0.0, pulse_steps, impact_torque)
-        drv.run(0.0, post_steps - pulse_steps)
+        drv.run(repeat(0.0, pulse_steps), impact_torque)
+        drv.run(repeat(0.0, post_steps - pulse_steps))
         windows.append((start, drv.rec.n_recorded))
         # re-settle before the next strike
         drv.hold(0.0, omega_tol=1e-4, window_s=0.25, timeout_s=40.0)
@@ -803,7 +804,7 @@ def run_switch_cycle(
     for i in range(n):
         first_t = drv.t
         # one gated run: retries every step of the window, then the travel
-        decision = drv.run(hold, retry_steps, switch=True)
+        decision = drv.run(repeat(hold, retry_steps), switch=True)
         if not decision.accepted:
             current = mode_of(drv.state)
             records.append(SwitchRecord(
@@ -813,7 +814,7 @@ def run_switch_cycle(
 
         # run out a travel the window cut short (one call unless the latency invariant fails)
         while drv.engaged_from is None:
-            drv.run(hold, latency)
+            drv.run(repeat(hold, latency))
         pre_engage, state = drv.engaged_from, drv.state
 
         # --- invariants ---
@@ -842,7 +843,7 @@ def run_switch_cycle(
             if records[-1].from_mode is not records[-2].to_mode:
                 raise InvariantViolation(f"cycle {i}: switch records do not alternate")
 
-        drv.run(hold, dwell_steps)
+        drv.run(repeat(hold, dwell_steps))
 
     completed = sum(1 for r in records if r.outcome == COMPLETED)
     report = CycleReport(

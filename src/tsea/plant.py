@@ -14,10 +14,11 @@ The hub spring is the linear law K_s*beta in both engaged modes; the geometric
 model in spring_hub characterizes the hub and does not enter the dynamics.
 
 step() unpacks the state into floats and runs one RK4 kernel per body shape,
-each with its four stages written out: pair_step for the motor/output pair
-(series_accel engaged in SEA, freewheel_accel in transition) and body_step for
-one rigid body (body_accel), which the parallel body and the locked-output
-stiffness rig share. Each body's forces are written once, in its derivative.
+each with its four stages and its forces written out inline: series_step for
+the spring-coupled pair (SEA), freewheel_step for the pair while the selector
+travels, and body_step for one rigid body, which the parallel body and the
+locked-output stiffness rig share. body_accel is body_step's force on its own,
+for the switch gate.
 
 The states are immutable NamedTuples. step(), the selector and the trace
 recorder unpack them by position, so their field order is part of the contract.
@@ -74,6 +75,10 @@ class TransitionState(NamedTuple):
 
 PlantState = SeaState | PeaState | TransitionState
 
+# _build(SeaState, (qm, wm, qo, wo, off)) is SeaState(qm, wm, qo, wo, off) without
+# the NamedTuple's __new__, a Python function that costs about 0.45 µs per state
+_build = tuple.__new__
+
 
 def mode_of(state: PlantState) -> Mode:
     if type(state) is SeaState:
@@ -113,7 +118,8 @@ def body_accel(q: float, w: float, tau: float, tau_ext: float, mgr: float,
     The body at angle q, velocity w carries motor torque tau, the spring
     K*(q - anchor), the output load mgr*cos(q) + tau_ext, viscous damping b
     and Coulomb friction tc. The parallel body (pea_body) and the locked-output
-    stiffness rig (anchor = mgr = tau_ext = 0) are both this body.
+    stiffness rig (anchor = mgr = tau_ext = 0) are both this body; body_step
+    writes this force inline in each of its stages.
     """
     return (
         tau - K * (q - anchor) - (mgr * cos(q) + tau_ext)
@@ -131,16 +137,17 @@ def body_step(q: float, w: float, dt: float, tau: float, tau_ext: float,
               w_eps: float, J: float) -> tuple[float, float]:
     """One classical RK4 step of body_accel's body; tau and tau_ext are held.
 
-    Raises ValueError (from math.cos) if a stage angle is infinite.
+    The stages and the force are written out in body_accel's order of
+    operations. Raises ValueError (from math.cos) if a stage angle is infinite.
     """
     half = 0.5 * dt
-    a1 = body_accel(q, w, tau, tau_ext, mgr, anchor, K, b, tc, w_eps, J)
-    w2 = w + half * a1
-    a2 = body_accel(q + half * w, w2, tau, tau_ext, mgr, anchor, K, b, tc, w_eps, J)
-    w3 = w + half * a2
-    a3 = body_accel(q + half * w2, w3, tau, tau_ext, mgr, anchor, K, b, tc, w_eps, J)
-    w4 = w + dt * a3
-    a4 = body_accel(q + dt * w3, w4, tau, tau_ext, mgr, anchor, K, b, tc, w_eps, J)
+    a1 = (tau - K * (q - anchor) - (mgr * cos(q) + tau_ext) - b * w - tc * tanh(w / w_eps)) / J
+    q2, w2 = q + half * w, w + half * a1
+    a2 = (tau - K * (q2 - anchor) - (mgr * cos(q2) + tau_ext) - b * w2 - tc * tanh(w2 / w_eps)) / J
+    q3, w3 = q + half * w2, w + half * a2
+    a3 = (tau - K * (q3 - anchor) - (mgr * cos(q3) + tau_ext) - b * w3 - tc * tanh(w3 / w_eps)) / J
+    q4, w4 = q + dt * w3, w + dt * a3
+    a4 = (tau - K * (q4 - anchor) - (mgr * cos(q4) + tau_ext) - b * w4 - tc * tanh(w4 / w_eps)) / J
     sixth = dt / 6.0
     return (
         q + sixth * (w + 2.0 * (w2 + w3) + w4),
@@ -148,58 +155,59 @@ def body_step(q: float, w: float, dt: float, tau: float, tau_ext: float,
     )
 
 
-def series_accel(qm: float, wm: float, qo: float, wo: float, tau: float,
-                 tau_ext: float, mgr: float, off: float, K: float, tc_m: float,
-                 b_m: float, J_m: float, b_o: float, tc_o: float, J_o: float,
-                 w_eps: float) -> tuple[float, float]:
-    """Motor and output accelerations of the pair coupled by the hub spring.
-
-    The spring carries K*(qm - qo - off); the motor-side Coulomb magnitude is
-    tc_m, the output bearing's tc_o. The output load is mgr*cos(qo) + tau_ext.
-    """
-    tau_s = K * (qm - qo - off)
-    return (
-        (tau - tau_s - b_m * wm - tc_m * tanh(wm / w_eps)) / J_m,
-        (tau_s - (mgr * cos(qo) + tau_ext) - b_o * wo - tc_o * tanh(wo / w_eps)) / J_o,
-    )
-
-
-def freewheel_accel(qm: float, wm: float, qo: float, wo: float, tau: float,
-                    tau_ext: float, mgr: float, off: float, K: float, tc_m: float,
-                    b_m: float, J_m: float, b_o: float, tc_o: float, J_o: float,
-                    w_eps: float) -> tuple[float, float]:
-    """series_accel's pair while the selector travels: no spring and no
-    motor-side Coulomb term, so off, K and tc_m are ignored."""
-    return (
-        (tau - b_m * wm) / J_m,
-        (-(mgr * cos(qo) + tau_ext) - b_o * wo - tc_o * tanh(wo / w_eps)) / J_o,
-    )
-
-
-def pair_step(accel, qm: float, wm: float, qo: float, wo: float, dt: float,
-              tau: float, tau_ext: float, mgr: float, off: float, K: float,
-              tc_m: float, b_m: float, J_m: float, b_o: float, tc_o: float,
-              J_o: float, w_eps: float) -> tuple[float, float, float, float]:
-    """One classical RK4 step of the motor/output pair under accel
-    (series_accel or freewheel_accel); tau and tau_ext are held.
-
+def series_step(qm: float, wm: float, qo: float, wo: float, dt: float,
+                tau: float, tau_ext: float, mgr: float, off: float, K: float,
+                tc_m: float, b_m: float, J_m: float, b_o: float, tc_o: float,
+                J_o: float, w_eps: float) -> tuple[float, float, float, float]:
+    """One classical RK4 step of the motor/output pair on the hub spring
+    K*(qm - qo - off), under motor-side Coulomb tc_m, output-side tc_o and the
+    output load mgr*cos(qo) + tau_ext; tau and tau_ext are held.
     Raises ValueError (from math.cos) if a stage angle is infinite.
     """
     half = 0.5 * dt
-    am1, ao1 = accel(qm, wm, qo, wo, tau, tau_ext, mgr, off, K, tc_m,
-                     b_m, J_m, b_o, tc_o, J_o, w_eps)
-    wm2 = wm + half * am1
-    wo2 = wo + half * ao1
-    am2, ao2 = accel(qm + half * wm, wm2, qo + half * wo, wo2, tau, tau_ext, mgr,
-                     off, K, tc_m, b_m, J_m, b_o, tc_o, J_o, w_eps)
-    wm3 = wm + half * am2
-    wo3 = wo + half * ao2
-    am3, ao3 = accel(qm + half * wm2, wm3, qo + half * wo2, wo3, tau, tau_ext, mgr,
-                     off, K, tc_m, b_m, J_m, b_o, tc_o, J_o, w_eps)
-    wm4 = wm + dt * am3
-    wo4 = wo + dt * ao3
-    am4, ao4 = accel(qm + dt * wm3, wm4, qo + dt * wo3, wo4, tau, tau_ext, mgr,
-                     off, K, tc_m, b_m, J_m, b_o, tc_o, J_o, w_eps)
+    tau_s = K * (qm - qo - off)
+    am1 = (tau - tau_s - b_m * wm - tc_m * tanh(wm / w_eps)) / J_m
+    ao1 = (tau_s - (mgr * cos(qo) + tau_ext) - b_o * wo - tc_o * tanh(wo / w_eps)) / J_o
+    qo2, wm2, wo2 = qo + half * wo, wm + half * am1, wo + half * ao1
+    tau_s = K * (qm + half * wm - qo2 - off)
+    am2 = (tau - tau_s - b_m * wm2 - tc_m * tanh(wm2 / w_eps)) / J_m
+    ao2 = (tau_s - (mgr * cos(qo2) + tau_ext) - b_o * wo2 - tc_o * tanh(wo2 / w_eps)) / J_o
+    qo3, wm3, wo3 = qo + half * wo2, wm + half * am2, wo + half * ao2
+    tau_s = K * (qm + half * wm2 - qo3 - off)
+    am3 = (tau - tau_s - b_m * wm3 - tc_m * tanh(wm3 / w_eps)) / J_m
+    ao3 = (tau_s - (mgr * cos(qo3) + tau_ext) - b_o * wo3 - tc_o * tanh(wo3 / w_eps)) / J_o
+    qo4, wm4, wo4 = qo + dt * wo3, wm + dt * am3, wo + dt * ao3
+    tau_s = K * (qm + dt * wm3 - qo4 - off)
+    am4 = (tau - tau_s - b_m * wm4 - tc_m * tanh(wm4 / w_eps)) / J_m
+    ao4 = (tau_s - (mgr * cos(qo4) + tau_ext) - b_o * wo4 - tc_o * tanh(wo4 / w_eps)) / J_o
+    sixth = dt / 6.0
+    return (
+        qm + sixth * (wm + 2.0 * (wm2 + wm3) + wm4),
+        wm + sixth * (am1 + 2.0 * (am2 + am3) + am4),
+        qo + sixth * (wo + 2.0 * (wo2 + wo3) + wo4),
+        wo + sixth * (ao1 + 2.0 * (ao2 + ao3) + ao4),
+    )
+
+
+def freewheel_step(qm: float, wm: float, qo: float, wo: float, dt: float,
+                   tau: float, tau_ext: float, mgr: float, b_m: float, J_m: float,
+                   b_o: float, tc_o: float, J_o: float,
+                   w_eps: float) -> tuple[float, float, float, float]:
+    """series_step's pair while the selector travels: no spring and no motor-side
+    Coulomb term. Raises ValueError (from math.cos) if a stage angle is infinite.
+    """
+    half = 0.5 * dt
+    am1 = (tau - b_m * wm) / J_m
+    ao1 = (-(mgr * cos(qo) + tau_ext) - b_o * wo - tc_o * tanh(wo / w_eps)) / J_o
+    qo2, wm2, wo2 = qo + half * wo, wm + half * am1, wo + half * ao1
+    am2 = (tau - b_m * wm2) / J_m
+    ao2 = (-(mgr * cos(qo2) + tau_ext) - b_o * wo2 - tc_o * tanh(wo2 / w_eps)) / J_o
+    qo3, wm3, wo3 = qo + half * wo2, wm + half * am2, wo + half * ao2
+    am3 = (tau - b_m * wm3) / J_m
+    ao3 = (-(mgr * cos(qo3) + tau_ext) - b_o * wo3 - tc_o * tanh(wo3 / w_eps)) / J_o
+    qo4, wm4, wo4 = qo + dt * wo3, wm + dt * am3, wo + dt * ao3
+    am4 = (tau - b_m * wm4) / J_m
+    ao4 = (-(mgr * cos(qo4) + tau_ext) - b_o * wo4 - tc_o * tanh(wo4 / w_eps)) / J_o
     sixth = dt / 6.0
     return (
         qm + sixth * (wm + 2.0 * (wm2 + wm3) + wm4),
@@ -223,37 +231,37 @@ def step(
     is re-evaluated inside every RK4 stage. Raises SimulationError if the new
     state, or a stage angle the gravity term needs, is not finite.
     """
-    tau = clamp_torque(tau_m, p)
+    tau_max = p.tau_max  # clamp_torque, inline
+    tau = tau_max if tau_m > tau_max else -tau_max if tau_m < -tau_max else tau_m
     mgr = load.mass * load.g * load.radius
     cls = type(state)
 
     if cls is PeaState:
         q, w, anchor = state
-        K, b, tc, w_eps, J = pea_body(p)
-        try:
-            q, w = body_step(q, w, p.dt, tau, tau_out_extra,
-                             mgr, anchor, K, b, tc, w_eps, J)
+        try:  # pea_body(p)'s constants, inline
+            q, w = body_step(q, w, p.dt, tau, tau_out_extra, mgr, anchor, p.K_s, p.b_m + p.b_o,
+                             p.tau_c_pea + p.tau_c_out, p.omega_eps, p.J_m + p.J_o)
         except ValueError:  # math.cos of an infinite stage angle
             q = w = math.nan
         if isfinite(q) and isfinite(w):
-            return PeaState(q, w, anchor)
+            return _build(PeaState, (q, w, anchor))
         raise SimulationError("non-finite PEA state")
 
-    if cls is SeaState:
-        qm, wm, qo, wo, off = state
-        accel, tc_m = series_accel, p.tau_c_sea
-    else:
-        qm, wm, qo, wo, target, rem = state
-        accel, off, tc_m = freewheel_accel, 0.0, 0.0
     try:
-        qm, wm, qo, wo = pair_step(
-            accel, qm, wm, qo, wo,
-            p.dt, tau, tau_out_extra, mgr, off, p.K_s, tc_m,
-            p.b_m, p.J_m, p.b_o, p.tau_c_out, p.J_o, p.omega_eps)
+        if cls is SeaState:
+            qm, wm, qo, wo, off = state
+            qm, wm, qo, wo = series_step(
+                qm, wm, qo, wo, p.dt, tau, tau_out_extra, mgr, off, p.K_s,
+                p.tau_c_sea, p.b_m, p.J_m, p.b_o, p.tau_c_out, p.J_o, p.omega_eps)
+        else:
+            qm, wm, qo, wo, target, rem = state
+            qm, wm, qo, wo = freewheel_step(
+                qm, wm, qo, wo, p.dt, tau, tau_out_extra, mgr,
+                p.b_m, p.J_m, p.b_o, p.tau_c_out, p.J_o, p.omega_eps)
     except ValueError:  # math.cos of an infinite stage angle
         qm = wm = qo = wo = math.nan
     if not (isfinite(qm) and isfinite(wm) and isfinite(qo) and isfinite(wo)):
         raise SimulationError(f"non-finite {mode_of(state).value} state")
     if cls is SeaState:
-        return SeaState(qm, wm, qo, wo, off)
-    return TransitionState(qm, wm, qo, wo, target, rem)
+        return _build(SeaState, (qm, wm, qo, wo, off))
+    return _build(TransitionState, (qm, wm, qo, wo, target, rem))

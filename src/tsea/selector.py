@@ -124,7 +124,8 @@ def advance_selector(state: TransitionState, dt: float, p: ActuatorParams) -> Pl
     qm, wm, qo, wo, target, remaining = state
     remaining -= dt
     if remaining > 0.5 * dt:  # half-step guard against float drift in the countdown
-        return TransitionState(qm, wm, qo, wo, target, remaining)
+        # TransitionState(...) without the NamedTuple's Python __new__ (see plant._build)
+        return tuple.__new__(TransitionState, (qm, wm, qo, wo, target, remaining))
     if target is Mode.PEA:
         omega = (p.J_m * wm + p.J_o * wo) / (p.J_m + p.J_o)
         return PeaState(qo, omega, qo)

@@ -7,7 +7,8 @@ mode-band scan are the original row-by-row loops that the columnar versions
 in tsea.io must match exactly; the trace reader parses what the writer wrote
 back into a Trace for the bit-exact round trip. The closure-based RK4 steps
 are the original integrators that the float kernels in tsea.plant must match
-bit for bit.
+bit for bit, and the tracking loop is the original one-step-per-call driver
+loop that run_dynamic_switching's phases must match.
 """
 
 from __future__ import annotations
@@ -18,10 +19,11 @@ from pathlib import Path
 
 import numpy as np
 
-from tsea.experiments import MODE_NAMES, Trace
+from tsea.experiments import MODE_NAMES, TRACK_KP, Trace, _Driver, initial_state
 from tsea.io import CSV_HEADER
 from tsea.params import ActuatorParams, HubGeometry, LoadModel
 from tsea.plant import (
+    Mode,
     PeaState,
     PlantState,
     SeaState,
@@ -236,3 +238,25 @@ def reference_rig_step(theta: float, omega: float, tau: float, K_rig: float,
         return w, (tau - K_rig * q - b * w - tau_c * tanh(w / w_eps)) / J
 
     return rk4_body(f, theta, omega, p.dt)
+
+
+def reference_track_driver(preset, duration: float, switch_period: float,
+                           center: float) -> _Driver:
+    """The original run_dynamic_switching loop: one single-step driver run per
+    control period, gated on every step a request is due and the selector is
+    not travelling. Returns the driver it ran."""
+    dt = preset.params.dt
+    n_steps = round(duration / dt)
+    drv = _Driver(preset, TRACK_KP, initial_state(Mode.SEA, center))
+    n_switches = int(duration // switch_period)
+    request_steps = [round(k * switch_period / dt) for k in range(n_switches)]
+    amp = math.radians(20.0)
+    two_pi_f = 2.0 * math.pi  # 1 Hz
+
+    for k in range(n_steps):
+        # a request is due once its step comes and the last switch has engaged
+        done = len(drv.records)
+        switch = (done < n_switches and k >= request_steps[done]
+                  and type(drv.state) is not TransitionState)
+        drv.run((center + amp * math.sin(two_pi_f * drv.t),), switch=switch)
+    return drv

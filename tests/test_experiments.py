@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import tsea.experiments
 import tsea.plant
 
 from conftest import with_params, without_friction
-from oracles import exponential_band_crossing
+from oracles import exponential_band_crossing, reference_track_driver
 from tsea.experiments import (
     CYCLE_RECORD_HZ,
     HANG_CENTER_RAD,
@@ -302,6 +303,24 @@ def test_dynamic_switching_retries_until_gate_opens(calibrated, monkeypatch):
         assert abs(r.torque_at_request) < calibrated.params.tau_disengage
 
 
+@pytest.mark.parametrize("duration, period, center, completed, retried", [
+    (0.5, 0.01, HANG_CENTER_RAD, 7, 2320),  # requests fall due mid-travel
+    (3.0, 0.7, 0.0, 4, 2825),               # refused requests, retried every step
+    (2.0, 1.0, HANG_CENTER_RAD, 2, 0),      # the golden track case
+], ids=["due-mid-travel", "refused", "golden"])
+def test_phased_tracking_matches_per_step_loop(calibrated, duration, period, center,
+                                               completed, retried):
+    trace, rep = run_dynamic_switching(calibrated, duration, period, center)
+    drv = reference_track_driver(calibrated, duration, period, center)
+    ref = drv.rec.trace()
+    for name in ("t", "mode", "theta_m", "omega_m", "theta_o", "omega_o",
+                 "tau_cmd", "tau_applied", "tau_spring", "i_q"):
+        assert getattr(trace, name).tobytes() == getattr(ref, name).tobytes(), name
+    assert rep.switch_records == drv.records
+    assert [r.outcome for r in rep.switch_records] == [COMPLETED] * completed
+    assert rep.retried_attempts == drv.retried == retried
+
+
 def test_disturbance_zero_impulse(calibrated):
     trace, rep = run_disturbance(Mode.SEA, calibrated, n_impacts=1, impact_torque=0.0,
                                  post_window_s=2.0)
@@ -343,7 +362,7 @@ def test_impact_pulse_is_a_whole_number_of_steps(calibrated, monkeypatch):
 def test_driver_clock_stays_exact(calibrated):
     drv = _Driver(calibrated, HOLD_KP, initial_state(Mode.PEA))
     for _ in range(1000):
-        drv.run(0.0)
+        drv.run(repeat(0.0, 1))
     assert drv.k == 1000
     assert drv.t == 1000 * calibrated.params.dt  # product bookkeeping, no accumulation drift
 
@@ -365,7 +384,7 @@ def _driver_bits(drv: _Driver) -> tuple:
 
 @pytest.mark.parametrize("stride", [1, 8])
 def test_run_matches_single_steps(calibrated, stride, monkeypatch):
-    # run(target, n) must leave exactly what n calls of run(target, 1) leave,
+    # run(repeat(target, n)) must leave exactly what n calls of run(repeat(target, 1)) leave,
     # a run through the selector travel stops after the engagement step, and
     # a gated run retries the gate every step until it accepts
     dt = calibrated.params.dt
@@ -373,21 +392,21 @@ def test_run_matches_single_steps(calibrated, stride, monkeypatch):
 
     def driver():
         drv = _Driver(calibrated, HOLD_KP, initial_state(Mode.SEA, HANG_CENTER_RAD), stride)
-        drv.run(HANG_CENTER_RAD + 0.02, 3)  # off the row grid of stride 8
+        drv.run(repeat(HANG_CENTER_RAD + 0.02, 3))  # off the row grid of stride 8
         return drv
 
     phase, single = driver(), driver()
-    phase.run(HANG_CENTER_RAD, 997, 0.2)
+    phase.run(repeat(HANG_CENTER_RAD, 997), 0.2)
     for _ in range(997):
-        single.run(HANG_CENTER_RAD, 1, 0.2)
+        single.run(repeat(HANG_CENTER_RAD, 1), 0.2)
     assert _driver_bits(phase) == _driver_bits(single)
 
     for drv in (phase, single):
-        assert drv.run(HANG_CENTER_RAD, switch=True).accepted
+        assert drv.run(repeat(HANG_CENTER_RAD, 1), switch=True).accepted
     request_k = phase.k - 1
-    phase.run(HANG_CENTER_RAD, 10 * latency)
+    phase.run(repeat(HANG_CENTER_RAD, 10 * latency))
     while single.engaged_from is None:
-        single.run(HANG_CENTER_RAD)
+        single.run(repeat(HANG_CENTER_RAD, 1))
     assert phase.k == single.k == request_k + latency
     assert type(phase.engaged_from) is TransitionState
     assert phase.records[-1].outcome == COMPLETED
@@ -395,9 +414,9 @@ def test_run_matches_single_steps(calibrated, stride, monkeypatch):
     assert _driver_bits(phase) == _driver_bits(single)
 
     # in the engaged mode, then into a blow-up that must name the same step
-    phase.run(HANG_CENTER_RAD, 501)
+    phase.run(repeat(HANG_CENTER_RAD, 501))
     for _ in range(501):
-        single.run(HANG_CENTER_RAD)
+        single.run(repeat(HANG_CENTER_RAD, 1))
     assert _driver_bits(phase) == _driver_bits(single)
 
     # a gated phase whose gate refuses its first 3 tests, cut short mid-travel
@@ -411,27 +430,27 @@ def test_run_matches_single_steps(calibrated, stride, monkeypatch):
 
     monkeypatch.setattr(tsea.experiments, "request_switch", refuse_first_3)
     n = 3 + latency // 2
-    assert phase.run(HANG_CENTER_RAD, n, switch=True).accepted
+    assert phase.run(repeat(HANG_CENTER_RAD, n), switch=True).accepted
     tests.clear()
     pending = True
     for _ in range(n):
-        decision = single.run(HANG_CENTER_RAD, switch=pending)
+        decision = single.run(repeat(HANG_CENTER_RAD, 1), switch=pending)
         pending = pending and not decision.accepted
     assert not pending
     assert phase.retried == single.retried == 3
     assert type(phase.state) is TransitionState
     assert _driver_bits(phase) == _driver_bits(single)
     while phase.engaged_from is None:
-        phase.run(HANG_CENTER_RAD, latency)
+        phase.run(repeat(HANG_CENTER_RAD, latency))
     while single.engaged_from is None:
-        single.run(HANG_CENTER_RAD)
+        single.run(repeat(HANG_CENTER_RAD, 1))
     assert _driver_bits(phase) == _driver_bits(single)
 
     with pytest.raises(SimulationError) as phase_err:
-        phase.run(HANG_CENTER_RAD, 50, 1e308)
+        phase.run(repeat(HANG_CENTER_RAD, 50), 1e308)
     with pytest.raises(SimulationError) as single_err:
         for _ in range(50):
-            single.run(HANG_CENTER_RAD, 1, 1e308)
+            single.run(repeat(HANG_CENTER_RAD, 1), 1e308)
     assert str(phase_err.value) == str(single_err.value)
     assert str(phase_err.value).endswith(f"after step {phase.k} (t={phase.t:.6f} s)")
     assert _driver_bits(phase) == _driver_bits(single)

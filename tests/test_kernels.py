@@ -102,7 +102,7 @@ def outcome(fn, *args):
         s = fn(*args)
     except SimulationError as exc:
         return ("SimulationError", str(exc))
-    return (type(s).__name__, *(bits(getattr(s, f)) for f in s.__slots__))
+    return (type(s).__name__, *(bits(getattr(s, f)) for f in s._fields))
 
 
 def assert_same_step(state, tau_m, p, ld, extra):

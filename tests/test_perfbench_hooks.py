@@ -47,6 +47,14 @@ def test_traced_disturb_logs_every_step(tmp_path):
             == counts["experiments.rows_kept"])
 
 
+def test_traced_track_counts_every_step(tmp_path):
+    counts = traced_counts(tmp_path, "track", "--duration", "1", "--period", "0.5")
+    steps = sum(v for k, v in counts.items() if k.startswith("plant.step.calls."))
+    # the tracking phases log a row before every step, gated or not
+    assert (counts["control.p_position.calls"] == steps == counts["experiments.record.calls"]
+            == counts["experiments.rows_kept"] > 0)
+
+
 def test_traced_stiffness_runs(tmp_path):
     counts = traced_counts(tmp_path, "stiffness", "--mode", "sea", "--cycles", "1",
                            "--preset", "paper-full-range")
