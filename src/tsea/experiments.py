@@ -651,11 +651,14 @@ def run_dynamic_switching(
     # the target at step k, with t = k*dt formed as the driver's clock forms it
     targets = (center + amp * math.sin(two_pi_f * (k * dt)) for k in range(n_steps))
 
-    for i in range(int(duration // switch_period)):
+    n_requests = duration // switch_period  # inf when the quotient overflows
+    i = 0
+    while i < n_requests and drv.k < n_steps:
         # request i is due at its step once the last switch has engaged; the
         # gated run retries until the gate accepts and stops at the engagement
         drv.run(islice(targets, max(0, round(i * switch_period / dt) - drv.k)))
         drv.run(targets, switch=True)
+        i += 1
     drv.run(targets)
 
     trace = drv.rec.trace()

@@ -65,6 +65,15 @@ def test_track_deterministic_outputs(tmp_path):
     assert (a / "plot.svg").read_bytes() == (b / "plot.svg").read_bytes()
 
 
+def test_track_period_below_smallest_normal_finishes(tmp_path, capsys):
+    # duration // 5e-324 overflows to inf requests; the run must still end
+    # once the driver has taken every step, not raise on int(inf)
+    assert main(["track", "--duration", "1", "--period", "5e-324",
+                 "--out", str(tmp_path)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert (tmp_path / "trace.csv").exists()
+
+
 def test_noise_flag_and_seed(tmp_path):
     a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
     for out, seed in ((a, "1"), (b, "1"), (c, "2")):

@@ -307,7 +307,8 @@ def test_dynamic_switching_retries_until_gate_opens(calibrated, monkeypatch):
     (0.5, 0.01, HANG_CENTER_RAD, 7, 2320),  # requests fall due mid-travel
     (3.0, 0.7, 0.0, 4, 2825),               # refused requests, retried every step
     (2.0, 1.0, HANG_CENTER_RAD, 2, 0),      # the golden track case
-], ids=["due-mid-travel", "refused", "golden"])
+    (0.1, 1e-5, HANG_CENTER_RAD, 1, 560),   # a period shorter than a step
+], ids=["due-mid-travel", "refused", "golden", "period-below-dt"])
 def test_phased_tracking_matches_per_step_loop(calibrated, duration, period, center,
                                                completed, retried):
     trace, rep = run_dynamic_switching(calibrated, duration, period, center)
@@ -319,6 +320,22 @@ def test_phased_tracking_matches_per_step_loop(calibrated, duration, period, cen
     assert rep.switch_records == drv.records
     assert [r.outcome for r in rep.switch_records] == [COMPLETED] * completed
     assert rep.retried_attempts == drv.retried == retried
+
+
+def test_tracking_stops_requesting_after_last_step(calibrated, monkeypatch):
+    # 0.01 s in 1e-7 s periods is 100,000 requests for 80 steps; once the
+    # driver has taken every step no request is left to run
+    calls = itertools.count()
+    run = _Driver.run
+
+    def spy(self, *args, **kwargs):
+        next(calls)
+        return run(self, *args, **kwargs)
+
+    monkeypatch.setattr(_Driver, "run", spy)
+    trace, _ = run_dynamic_switching(calibrated, duration=0.01, switch_period=1e-7)
+    assert len(trace) == 80
+    assert next(calls) <= 5  # the parent loop made 200,001 calls
 
 
 def test_disturbance_zero_impulse(calibrated):

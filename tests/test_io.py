@@ -63,7 +63,8 @@ def test_writer_matches_reference(n, tmp_path):
 def test_writer_formats_each_bit_pattern(tmp_path):
     # one block in which 0.0 sits next to -0.0, two NaN bit patterns, a value
     # repeated across rows and columns, and a constant column: the writer
-    # formats each distinct bit pattern once and must still match per field
+    # formats each distinct bit pattern it hands to repr once and must still
+    # match per field
     neg_nan = np.copysign(math.nan, -1.0)
     base = np.array([0.0, -0.0, math.nan, neg_nan, 0.1, 0.1, -2.5, 1e-05])
     assert len(set(base.view(np.int64).tolist())) == 7
@@ -76,6 +77,28 @@ def test_writer_formats_each_bit_pattern(tmp_path):
     lines = (tmp_path / "new.csv").read_text().splitlines()
     assert lines[1] == "0.0,SEA,-0.0,nan,nan,0.1,0.1,-2.5,0.1,0.0"
     assert lines[2] == "-0.0,PEA,nan,nan,0.1,0.1,-2.5,1e-05,0.1,-0.0"
+
+
+def test_writer_matches_reference_at_format_boundaries(tmp_path):
+    # repr switches to exponent notation outside 1e-4 <= |x| < 1e16, where
+    # the writer hands fields from its fast formatter to repr: both sides of
+    # each bound, zeros, subnormals, NaN, inf, powers of two, the floats
+    # next to 2**53, random bit patterns and log-uniform magnitudes
+    edges = [np.nextafter(1e-4, 0.0), 1e-4, np.nextafter(1e-4, math.inf),
+             np.nextafter(1e16, 0.0), 1e16]
+    special = [0.0, 5e-324, 2.2250738585072009e-308, 1e-310, math.nan, math.inf,
+               *(2.0 ** e for e in range(-20, 61)), 2.0 ** 53 - 1, 2.0 ** 53 + 2]
+    rng = np.random.default_rng(20240614)
+    bits = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max, 20_000,
+                        dtype=np.int64, endpoint=True).view(np.float64)
+    log_uniform = 10.0 ** rng.uniform(-6.0, 18.0, 20_000)
+    values = np.concatenate([edges, special, bits, log_uniform])
+    values = np.concatenate([values, -values])
+    n = -(-values.size // len(FLOAT_COLUMNS))
+    values = np.resize(values, n * len(FLOAT_COLUMNS))
+    cols = dict(zip(FLOAT_COLUMNS, values.reshape(len(FLOAT_COLUMNS), n)))
+    mode = (np.arange(n) % len(MODE_NAMES)).astype(np.int8)
+    _assert_same_as_reference(Trace(dt=1.25e-4, mode=mode, **cols), tmp_path)
 
 
 def test_writer_matches_reference_edge_values(tmp_path):
