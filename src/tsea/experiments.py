@@ -5,7 +5,8 @@ locked, dynamic switching during sinusoidal tracking, impulse disturbance
 rejection under position hold, and a switching endurance run. Each protocol
 returns (Trace, report); all metric functions are pure. The three protocols
 that move the actuator script their phases on one driver loop (_Driver);
-the stiffness rig steps its locked motor on the plant's single-body kernel.
+the stiffness rig steps its locked motor, one body on a grounded spring with
+no load, with an RK4 step written inline in its own loop.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from array import array
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import islice, repeat
+from math import isfinite, tanh
 
 import numpy as np
 
@@ -28,7 +30,6 @@ from .plant import (
     SeaState,
     SimulationError,
     TransitionState,
-    body_step,
     clamp_torque,
     gravity_torque,
     mode_of,
@@ -565,14 +566,19 @@ def run_static_stiffness(
     tau_c = p.tau_c_sea if mode is Mode.SEA else p.tau_c_pea
     code = MODE_CODE[mode]
     dt = p.dt
+    leg_steps = 1.0 / ramp_rate / dt  # every leg moves the torque by 1 Nm
+    if not leg_steps < math.inf:
+        raise ValueError(f"ramp_rate must be large enough to ramp 1 Nm in finitely many "
+                         f"steps of {dt} s (got {ramp_rate})")
+    n_ramp = max(1, round(leg_steps))
     stride = _stride_for(dt, STIFFNESS_RECORD_HZ)
     rec = TraceRecorder(dt * stride)  # the rig calls it on kept steps only
     window_steps = max(1, round(0.05 / dt))
     timeout_steps = round(60.0 / dt)
 
     J, b, w_eps, K_t = p.J_m, p.b_m, p.omega_eps, p.K_t
+    half, sixth = 0.5 * dt, dt / 6.0
     record = rec.record_raw
-    n_ramp = max(1, round(1.0 / ramp_rate / dt))  # every leg moves the torque by 1 Nm
     # (tau_from, tau_to, ramp steps): the leading dwell at 0 Nm, then four legs a cycle
     legs = [(0.0, 0.0, 0)] + [(0.0, 1.0, n_ramp), (1.0, 0.0, n_ramp),
                               (0.0, -1.0, n_ramp), (-1.0, 0.0, n_ramp)] * cycles
@@ -587,16 +593,21 @@ def run_static_stiffness(
         quiet = 0
         for j in range(1, n + timeout_steps + 1):
             tau = tau_from + (tau_to - tau_from) * j / n if j <= n else tau_to
-            # the locked output makes the motor one body on a grounded spring
             if step_i % stride == 0:
                 record(step_i * dt, code, theta, omega, 0.0, 0.0, tau, tau,
                        K_rig * theta, tau / K_t)
-            try:
-                theta, omega = body_step(theta, omega, dt, tau, 0.0, 0.0, 0.0,
-                                         K_rig, b, tau_c, w_eps, J)
-            except ValueError:  # math.cos of an infinite stage angle
-                theta = omega = math.nan
-            if not (math.isfinite(theta) and math.isfinite(omega)):
+            # one RK4 step of the locked motor, one body on the grounded spring
+            # K_rig: no output load (so no cos to fail) and no call per step
+            a1 = (tau - K_rig * theta - b * omega - tau_c * tanh(omega / w_eps)) / J
+            w2 = omega + half * a1
+            a2 = (tau - K_rig * (theta + half * omega) - b * w2 - tau_c * tanh(w2 / w_eps)) / J
+            w3 = omega + half * a2
+            a3 = (tau - K_rig * (theta + half * w2) - b * w3 - tau_c * tanh(w3 / w_eps)) / J
+            w4 = omega + dt * a3
+            a4 = (tau - K_rig * (theta + dt * w3) - b * w4 - tau_c * tanh(w4 / w_eps)) / J
+            theta += sixth * (omega + 2.0 * (w2 + w3) + w4)
+            omega += sixth * (a1 + 2.0 * (a2 + a3) + a4)
+            if not (isfinite(theta) and isfinite(omega)):
                 raise SimulationError(f"stiffness rig blew up at t={step_i * dt:.6f} s")
             step_i += 1
             if j > n:

@@ -16,9 +16,9 @@ model in spring_hub characterizes the hub and does not enter the dynamics.
 step() unpacks the state into floats and runs one RK4 kernel per body shape,
 each with its four stages and its forces written out inline: series_step for
 the spring-coupled pair (SEA), freewheel_step for the pair while the selector
-travels, and body_step for one rigid body, which the parallel body and the
-locked-output stiffness rig share. body_accel is body_step's force on its own,
-for the switch gate.
+travels, and body_step for the parallel body. body_accel is body_step's force
+on its own, for the switch gate. The locked-output stiffness rig (experiments)
+writes its own load-free step of the same body inline.
 
 The states are immutable NamedTuples. step(), the selector and the trace
 recorder unpack them by position, so their field order is part of the contract.
@@ -117,8 +117,9 @@ def body_accel(q: float, w: float, tau: float, tau_ext: float, mgr: float,
 
     The body at angle q, velocity w carries motor torque tau, the spring
     K*(q - anchor), the output load mgr*cos(q) + tau_ext, viscous damping b
-    and Coulomb friction tc. The parallel body (pea_body) and the locked-output
-    stiffness rig (anchor = mgr = tau_ext = 0) are both this body; body_step
+    and Coulomb friction tc. The parallel body (pea_body) is this body, and so
+    is the locked-output stiffness rig with anchor = mgr = tau_ext = 0, whose
+    load-free step experiments.run_static_stiffness writes inline; body_step
     writes this force inline in each of its stages.
     """
     return (

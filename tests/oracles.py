@@ -6,9 +6,10 @@ tension resolution and summed moments. The reference trace writer and
 mode-band scan are the original row-by-row loops that the columnar versions
 in tsea.io must match exactly; the trace reader parses what the writer wrote
 back into a Trace for the bit-exact round trip. The closure-based RK4 steps
-are the original integrators that the float kernels in tsea.plant must match
-bit for bit, and the tracking loop is the original one-step-per-call driver
-loop that run_dynamic_switching's phases must match.
+are the original integrators that the float kernels in tsea.plant and the
+stiffness rig's inline step must match bit for bit, and the tracking loop is
+the original one-step-per-call driver loop that run_dynamic_switching's phases
+must match.
 """
 
 from __future__ import annotations
@@ -19,7 +20,14 @@ from pathlib import Path
 
 import numpy as np
 
-from tsea.experiments import MODE_NAMES, TRACK_KP, Trace, _Driver, initial_state
+from tsea.experiments import (
+    MODE_NAMES,
+    STIFFNESS_RECORD_HZ,
+    TRACK_KP,
+    Trace,
+    _Driver,
+    initial_state,
+)
 from tsea.io import CSV_HEADER
 from tsea.params import ActuatorParams, HubGeometry, LoadModel
 from tsea.plant import (
@@ -238,6 +246,50 @@ def reference_rig_step(theta: float, omega: float, tau: float, K_rig: float,
         return w, (tau - K_rig * q - b * w - tau_c * tanh(w / w_eps)) / J
 
     return rk4_body(f, theta, omega, p.dt)
+
+
+def reference_rig_rows(mode: Mode, preset, ramp_rate: float, cycles: int,
+                       settle_omega: float = 1e-4) -> list[tuple[float, float]]:
+    """(theta, omega) on every kept row of the original stiffness rig.
+
+    The torque ramps between the cycle vertices 0, +1, 0, -1, 0 Nm and dwells
+    at each (and at 0 Nm before the first cycle) until |omega| < settle_omega
+    for 0.05 s; every step is one reference_rig_step, and every stride-th
+    step's state before the step is kept."""
+    p = preset.params
+    K_rig = p.K_s if mode is Mode.SEA else p.K_s + p.K_struct
+    tau_c = p.tau_c_sea if mode is Mode.SEA else p.tau_c_pea
+    dt = p.dt
+    stride = max(1, round(1.0 / (dt * STIFFNESS_RECORD_HZ)))
+    window = max(1, round(0.05 / dt))
+    n_ramp = max(1, round(1.0 / ramp_rate / dt))
+    rows: list[tuple[float, float]] = []
+    theta = omega = 0.0
+    k = 0
+
+    def advance(tau: float) -> None:
+        nonlocal theta, omega, k
+        if k % stride == 0:
+            rows.append((theta, omega))
+        theta, omega = reference_rig_step(theta, omega, tau, K_rig, tau_c, p)
+        k += 1
+
+    def dwell(tau: float) -> None:
+        quiet = 0
+        for _ in range(round(60.0 / dt)):
+            advance(tau)
+            quiet = quiet + 1 if abs(omega) < settle_omega else 0
+            if quiet >= window:
+                return
+        raise AssertionError(f"reference rig did not settle at tau={tau} Nm")
+
+    dwell(0.0)
+    for _ in range(cycles):
+        for a, b in ((0.0, 1.0), (1.0, 0.0), (0.0, -1.0), (-1.0, 0.0)):
+            for j in range(1, n_ramp + 1):
+                advance(a + (b - a) * j / n_ramp)
+            dwell(b)
+    return rows
 
 
 def reference_track_driver(preset, duration: float, switch_period: float,

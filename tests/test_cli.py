@@ -152,6 +152,9 @@ def test_simulation_blowup_exits_2(tmp_path, capsys):
      "(got 1e-05)"),
     (["stiffness", "--mode", "sea", "--rate", "0"],
      "ramp_rate must be positive and finite (got 0.0)"),
+    (["stiffness", "--mode", "sea", "--rate", "5e-324"],
+     "ramp_rate must be large enough to ramp 1 Nm in finitely many steps of 0.000125 s "
+     "(got 5e-324)"),
     (["stiffness", "--mode", "sea", "--cycles", "0", "--rate", "5"],
      "cycles must be >= 1 (got 0)"),
     (["hub-curve", "--range", "nan"], "--range must be finite (got nan)"),
@@ -162,7 +165,7 @@ def test_simulation_blowup_exits_2(tmp_path, capsys):
     (["disturb", "--mode", "pea", "--impacts", "1", "--noise", "--seed", "-1"],
      "seed must be non-negative (got -1)"),
 ], ids=["period-zero", "period-inf", "duration-negative", "duration-nan", "duration-substep",
-        "rate-zero",
+        "rate-zero", "rate-overflow",
         "cycles-zero", "range-nan", "range-zero", "impulse-nan", "impulse-inf",
         "seed-negative"])
 def test_bad_numbers_fail_fast(argv, message, tmp_path, capsys):

@@ -203,24 +203,26 @@ def test_static_stiffness_dwell_timeout(calibrated):
     assert str(err.value) == "rig did not settle below |omega| < 0.0 rad/s at tau=0.0 Nm"
 
 
-@pytest.mark.parametrize("fail", ["nan", "raise"])
+@pytest.mark.parametrize("fail", [math.nan, math.inf])
 def test_static_stiffness_blowup_names_time(fail, calibrated, monkeypatch):
-    # a non-finite step, or a ValueError from math.cos of an infinite stage
-    # angle, on the 1001st step (t = 1000 dt) stops the rig
-    step = tsea.experiments.body_step
+    # a non-finite friction term in the first RK4 stage of the 1001st step
+    # (t = 1000 dt; four tanh calls a step) stops the rig
+    tanh = tsea.experiments.tanh
     index = itertools.count()
 
-    def spy(*args):
-        if next(index) < 1000:
-            return step(*args)
-        if fail == "raise":
-            raise ValueError("math domain error")
-        return math.nan, math.nan
+    def spy(x):
+        return tanh(x) if next(index) < 4000 else fail
 
-    monkeypatch.setattr(tsea.experiments, "body_step", spy)
+    monkeypatch.setattr(tsea.experiments, "tanh", spy)
     with pytest.raises(SimulationError) as err:
         run_static_stiffness(Mode.SEA, calibrated, cycles=1)
     assert str(err.value) == "stiffness rig blew up at t=0.125000 s"
+
+
+def test_static_stiffness_one_step_ramps(full_range):
+    # a rate too fast for one step still ramps each 1 Nm leg in one step
+    trace, _ = run_static_stiffness(Mode.SEA, full_range, ramp_rate=1e300, cycles=1)
+    assert set(trace.tau_applied.tolist()) == {0.0, 1.0, -1.0}
 
 
 def test_static_stiffness_rejects_transition_mode(full_range):
@@ -231,6 +233,7 @@ def test_static_stiffness_rejects_transition_mode(full_range):
 @pytest.mark.parametrize("run, kwargs", [
     (run_static_stiffness, {"ramp_rate": 0.0}),
     (run_static_stiffness, {"ramp_rate": math.nan}),
+    (run_static_stiffness, {"ramp_rate": 5e-324}),
     (run_static_stiffness, {"cycles": 0}),
     (run_dynamic_switching, {"switch_period": 0.0}),
     (run_dynamic_switching, {"switch_period": math.inf}),
@@ -242,10 +245,10 @@ def test_static_stiffness_rejects_transition_mode(full_range):
     (run_disturbance, {"impact_torque": math.nan}),
     (run_disturbance, {"impact_torque": -math.inf}),
     (run_disturbance, {"post_window_s": 1e-5}),
-], ids=["ramp_rate-zero", "ramp_rate-nan", "cycles-zero", "switch_period-zero",
-        "switch_period-inf", "duration-zero", "duration-negative", "duration-nan",
-        "duration-substep", "duration-overflow", "impact_torque-nan", "impact_torque-inf",
-        "post_window_s-substep"])
+], ids=["ramp_rate-zero", "ramp_rate-nan", "ramp_rate-overflow", "cycles-zero",
+        "switch_period-zero", "switch_period-inf", "duration-zero", "duration-negative",
+        "duration-nan", "duration-substep", "duration-overflow", "impact_torque-nan",
+        "impact_torque-inf", "post_window_s-substep"])
 def test_protocols_reject_bad_arguments(run, kwargs, calibrated):
     args = (calibrated,) if run is run_dynamic_switching else (Mode.SEA, calibrated)
     (name,) = kwargs

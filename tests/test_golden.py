@@ -16,15 +16,17 @@ CASES = {
     "cycle": ["cycle", "--n", "5"],
     "stiffness": ["stiffness", "--mode", "sea", "--preset", "paper-full-range",
                   "--cycles", "1"],
+    "stiffness-pea": ["stiffness", "--mode", "pea", "--preset", "paper-full-range",
+                      "--cycles", "1"],
     "disturb-sea": ["disturb", "--mode", "sea", "--impacts", "1"],
     "disturb-pea": ["disturb", "--mode", "pea", "--impacts", "1"],
     "disturb-pea-2": ["disturb", "--mode", "pea", "--impacts", "2"],
     "hub-curve": ["hub-curve"],
 }
 
-# stiffness's report.json is not pinned: its least-squares stiffness fit
+# the stiffness report.json files are not pinned: their least-squares stiffness fit
 # depends on the BLAS thread count (K_fit differs in the last digits between
-# one and two threads), so its bytes vary with the machine's CPU count.
+# one and two threads), so their bytes vary with the machine's CPU count.
 DIGESTS = {
     ("track", "trace.csv"): "e10b61c17bfe9629d46c0426cd5b2dd89d0c132ea4994b2ba4c5816dd3d3ad89",
     ("track", "report.json"): "e9566e535633682897479930d48722fd1c66148b0e3e838ad78336a360104a3d",
@@ -34,6 +36,8 @@ DIGESTS = {
     ("cycle", "plot.svg"): "e635200319f86750421cb3238750ef1c9d11c6a46dae1559cb547e9b9aeece0c",
     ("stiffness", "trace.csv"): "58b1c765f04f7b534c7dad30e8ba210416d4badbdddd9fa7828fbcf48978b43b",
     ("stiffness", "plot.svg"): "5ba606c6bbcfb9b4188553c2dd8f7517f60a5be3be418331012a3df85b0e77a8",
+    ("stiffness-pea", "trace.csv"): "2fbafc98988c4dfb9ee341892faf6936d9585e5a1f2b367c8d0cbcdb4c5c2940",
+    ("stiffness-pea", "plot.svg"): "c82bf3e8207ab52ef8c2ed5a2dee715c64a305b341ee6d0e04f68701a2cbc10d",
     ("disturb-sea", "trace.csv"): "6de35d8c1cd84fbb3306c5d3d2faa68450e4071764a3f061b2d3de838b988dda",
     ("disturb-sea", "report.json"): "d36ab636d328677ad0d465e822aa37096d9066608511552c27406f5aa4fbe7db",
     ("disturb-sea", "plot.svg"): "98ef5e8661dd092b901bf48394b12541089dac12123808ecda73e4c23c134128",

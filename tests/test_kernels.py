@@ -1,10 +1,11 @@
 """The float RK4 kernels replay the original closure-based integrators bit for bit.
 
-plant.step, the switch gate and the stiffness rig run module-level float
-kernels whose stages are written out in the original arithmetic order. These
-tests run them against the closure-based references in oracles on seeded
-random inputs and compare float.hex, so a zero whose sign moved (-0.0 against
-0.0) fails as loudly as a changed digit.
+plant.step and the switch gate run module-level float kernels, and the
+stiffness rig its own step inline, with the stages written out in the
+original arithmetic order. These tests run them against the closure-based
+references in oracles on seeded random inputs (the rig on its own protocol)
+and compare float.hex, so a zero whose sign moved (-0.0 against 0.0) fails as
+loudly as a changed digit.
 """
 
 import math
@@ -13,7 +14,8 @@ import sys
 
 import pytest
 
-from oracles import pea_rhs, reference_rig_step, reference_step
+from oracles import pea_rhs, reference_rig_rows, reference_rig_step, reference_step
+from tsea.experiments import run_static_stiffness
 from tsea.params import ActuatorParams, LoadModel
 from tsea.plant import (
     Mode,
@@ -149,7 +151,8 @@ def test_pea_gate_matches_reference():
 
 
 def test_rig_matches_reference():
-    # the locked-output rig is body_step's body with anchor = mgr = tau_ext = 0
+    # body_step's zero-load case (anchor = mgr = tau_ext = 0) is the locked-output
+    # rig's body; the rig itself steps inline (test_stiffness_rig_replays_reference)
     sample = Sampler("kernels-rig")
     special = [(BIG, 1e308), (-BIG, -1e308), (math.inf, 0.0), (math.nan, 0.0)]
     for i in range(N_RANDOM + len(special)):
@@ -169,3 +172,12 @@ def test_rig_matches_reference():
             assert not all(math.isfinite(v) for v in ref), (theta, omega, tau, p)
             continue
         assert [bits(v) for v in new] == [bits(v) for v in ref], (theta, omega, tau, p)
+
+
+@pytest.mark.parametrize("mode", [Mode.SEA, Mode.PEA])
+def test_stiffness_rig_replays_reference(mode, full_range):
+    # the rig's inline step over the protocol's own torque schedule
+    trace, _ = run_static_stiffness(mode, full_range, ramp_rate=5.0, cycles=1)
+    rows = reference_rig_rows(mode, full_range, ramp_rate=5.0, cycles=1)
+    got = [(bits(q), bits(w)) for q, w in zip(trace.theta_m.tolist(), trace.omega_m.tolist())]
+    assert got == [(bits(q), bits(w)) for q, w in rows]
