@@ -7,14 +7,28 @@ returns (Trace, report); all metric functions are pure. The three protocols
 that move the actuator script their phases on one driver loop (_Driver);
 the stiffness rig steps its locked motor, one body on a grounded spring with
 no load, with an RK4 step written inline in its own loop.
+
+The endurance and disturbance runs repeat one scripted unit (a switch
+cycle; an impact and its re-settle) and settle into a cycle of units: on
+the shipped presets cycle 14 starts in cycle 12's state and PEA impact 2 in
+impact 1's. A unit's steps depend only on the state it starts in and, for
+the rows it logs, on k % stride; t only stamps rows and records. So
+_Driver.replay keys each unit's start by the state's type, its floats' exact
+bits and k % stride, and once a key comes back it copies the units that
+repeat instead of simulating them: their rows, switch records and refused
+gate tests, every time re-formed as whole steps times dt. Every trace,
+report and plot stays byte-identical to a run that simulates every unit.
+Before it simulates, every protocol bounds its step count, replayed steps
+included, by MAX_RUN_STEPS.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from array import array
-from collections.abc import Iterable
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass, field, replace
 from itertools import islice, repeat
 from math import isfinite, tanh
 
@@ -61,6 +75,9 @@ HANG_CENTER_RAD = -math.pi / 2.0  # arm hanging straight down: zero gravity torq
 # trace row rates of the two long runs; the others log every step
 CYCLE_RECORD_HZ = 1000.0
 STIFFNESS_RECORD_HZ = 2000.0
+# most steps a protocol may take, counted before it starts, whether it simulates
+# them or replays them: 6250 s at 8 kHz, 7.4x the stiffness rig's default bound
+MAX_RUN_STEPS = 50_000_000
 
 
 class InvariantViolation(RuntimeError):
@@ -400,6 +417,13 @@ def _whole_steps(name: str, value: float, dt: float) -> int:
     return round(value / dt)
 
 
+def _check_run_length(what: str, steps: int) -> None:
+    """Reject a run whose step count, or a bound on it, is over MAX_RUN_STEPS."""
+    if steps > MAX_RUN_STEPS:
+        raise ValueError(f"{what} could take more than {MAX_RUN_STEPS} steps, "
+                         f"the most a run may take")
+
+
 def _other_mode(mode: Mode) -> Mode:
     """The engaged mode a switch from mode heads for."""
     return Mode.PEA if mode is Mode.SEA else Mode.SEA
@@ -526,6 +550,64 @@ class _Driver:
             f"hold did not settle below |omega| < {omega_tol} rad/s within {timeout_s} s"
         )
 
+    def replay(self, n: int) -> Iterator[int | None]:
+        """Drive n units of a protocol that scripts the same unit n times, and
+        replay the units a simulation would repeat instead of simulating them.
+
+        Yields once per unit, in order. None asks the caller to simulate the
+        unit now with run() and hold(). Each unit starts in an engaged mode,
+        keyed by its state's type, the exact bits of its floats (-0.0 is not
+        0.0) and k % stride, which fixes the steps that log rows; a unit's
+        script reads nothing else (not t, which only stamps rows and records),
+        so a unit that starts under the key of unit j would take unit j's steps
+        again, bit for bit. When unit i starts under unit j's key, units
+        j..i-1 repeat in turn until n are done: each further unit is copied
+        from the unit it repeats, and that unit's index is yielded after the
+        copy, so the caller can check its records and find its rows. A copy
+        appends the source unit's rows through record_raw, its switch records
+        and its refused gate tests, re-forms every time as its whole step
+        count times dt (as run() forms t), and leaves the state, k and t that
+        simulating the unit would leave.
+        """
+        seen: dict[tuple, int] = {}
+        marks = []  # (k, rows, records, refusals, state) at each unit's start
+        for i in range(n):
+            state = self.state
+            marks.append((self.k, self.rec.n_recorded, len(self.records), self.retried, state))
+            key = (type(state), self.k % self.stride, struct.pack(f"{len(state)}d", *state))
+            j = seen.setdefault(key, i)
+            if j < i:
+                break
+            yield None
+        else:
+            return  # no unit repeated another
+
+        dt, stride, records = self.p.dt, self.stride, self.records
+        record = self.rec.record_raw
+        cols = (self.rec._mode, *islice(self.rec._cols.values(), 1, None))  # all but t
+        for unit in range(i, n):
+            src = j + (unit - j) % (i - j)
+            k0, r0, n0, retried0, _ = marks[src]
+            k1, r1, n1, retried1, state = marks[src + 1]
+            k, shift = self.k, self.k - k0  # shift is a multiple of stride
+            # the source logged a row on each of its steps k0 <= s < k1 with
+            # s % stride == 0; the copy logs them on the same steps + shift
+            for s, code, qm, wm, qo, wo, cmd, app, spring, iq in zip(
+                    range(k + -k % stride, k + k1 - k0, stride), *(c[r0:r1] for c in cols)):
+                record(s * dt, code, qm, wm, qo, wo, cmd, app, spring, iq)
+            # a record's times are whole steps times dt, so round() returns the
+            # step (exactly, for any step count under MAX_RUN_STEPS)
+            for r in records[n0:n1]:
+                records.append(replace(
+                    r, request_time=(round(r.request_time / dt) + shift) * dt,
+                    engage_time=(None if r.engage_time is None
+                                 else (round(r.engage_time / dt) + shift) * dt)))
+            self.retried += retried1 - retried0
+            self.k += k1 - k0
+            self.t = self.k * dt
+            self.state = state
+            yield src
+
 
 def run_hold(mode: Mode, preset: Preset) -> tuple[Trace, PlantState]:
     """Hold the horizontal under gravity until the plant is numerically at
@@ -571,10 +653,13 @@ def run_static_stiffness(
         raise ValueError(f"ramp_rate must be large enough to ramp 1 Nm in finitely many "
                          f"steps of {dt} s (got {ramp_rate})")
     n_ramp = max(1, round(leg_steps))
+    timeout_steps = round(60.0 / dt)  # of every dwell
+    # the leading dwell, then four legs a cycle: each a ramp and a dwell
+    _check_run_length(f"{cycles} cycles at ramp_rate {ramp_rate}",
+                      timeout_steps + 4 * cycles * (n_ramp + timeout_steps))
     stride = _stride_for(dt, STIFFNESS_RECORD_HZ)
     rec = TraceRecorder(dt * stride)  # the rig calls it on kept steps only
     window_steps = max(1, round(0.05 / dt))
-    timeout_steps = round(60.0 / dt)
 
     J, b, w_eps, K_t = p.J_m, p.b_m, p.omega_eps, p.K_t
     half, sixth = 0.5 * dt, dt / 6.0
@@ -655,6 +740,7 @@ def run_dynamic_switching(
     """
     dt = preset.params.dt
     n_steps = _whole_steps("duration", duration, dt)
+    _check_run_length(f"duration {duration}", n_steps)
     _check_positive("switch_period", switch_period)
     drv = _Driver(preset, TRACK_KP, initial_state(Mode.SEA, center))
     amp = math.radians(20.0)
@@ -744,19 +830,37 @@ def run_disturbance(
     # a whole number of steps, so the impulse does not depend on the start time
     pulse_steps = min(round(IMPACT_DURATION_S / dt), post_steps)
 
+    timeout_s = 40.0  # of every hold
+    hold_steps = round(timeout_s / dt)
+    _check_run_length(f"{n_impacts} impacts", hold_steps + n_impacts * (post_steps + hold_steps))
+
     drv = _Driver(preset, DISTURB_KP, initial_state(mode))
     # settle into the pre-impact hold
-    drv.hold(0.0, omega_tol=1e-4, window_s=0.25, timeout_s=40.0, min_hold_s=1.0)
-    windows = []
-    for _ in range(n_impacts):
-        start = drv.rec.n_recorded
-        drv.run(repeat(0.0, pulse_steps), impact_torque)
-        drv.run(repeat(0.0, post_steps - pulse_steps))
-        windows.append((start, drv.rec.n_recorded))
-        # re-settle before the next strike
-        drv.hold(0.0, omega_tol=1e-4, window_s=0.25, timeout_s=40.0)
+    drv.hold(0.0, omega_tol=1e-4, window_s=0.25, timeout_s=timeout_s, min_hold_s=1.0)
+    units = []  # per impact: its window's rows [start, stop), then the rows after its re-settle
+    for src in drv.replay(n_impacts):
+        if src is None:
+            start = drv.rec.n_recorded
+            drv.run(repeat(0.0, pulse_steps), impact_torque)
+            drv.run(repeat(0.0, post_steps - pulse_steps))
+            stop = drv.rec.n_recorded
+            # re-settle before the next strike
+            drv.hold(0.0, omega_tol=1e-4, window_s=0.25, timeout_s=timeout_s)
+            units.append((start, stop, drv.rec.n_recorded))
+        else:  # impact src's rows were just copied
+            start, stop, end = units[src]
+            shift = drv.rec.n_recorded - end
+            units.append((start + shift, stop + shift, end + shift))
 
     trace = drv.rec.trace()
+    windows = [(start, stop) for start, stop, _ in units]
+    return trace, _disturbance_report(mode, trace, windows, impact_torque, measure)
+
+
+def _disturbance_report(mode: Mode, trace: Trace, windows: list[tuple[int, int]],
+                       impact_torque: float, measure: str) -> DisturbanceReport:
+    """Per-impact metrics of run_disturbance's trace, each impact's post-strike
+    window given as its [start, stop) rows."""
     # a parallel-mode row logs its one angle in both columns
     angles = trace.theta_m if measure == "motor" else trace.theta_o
     half_band = math.radians(SETTLE_BAND_DEG) / 2.0
@@ -771,7 +875,7 @@ def run_disturbance(
         freqs.append(dominant_frequency(seg_t, err, half_band))
 
     settled = [s for s in settles if s is not None]
-    report = DisturbanceReport(
+    return DisturbanceReport(
         mode=mode.value,
         impact_torque_nm=impact_torque,
         impact_duration_s=IMPACT_DURATION_S,
@@ -782,7 +886,6 @@ def run_disturbance(
         mean_peak_deg=float(np.mean(peaks)),
         mean_settling_ms=float(np.mean(settled)) if len(settled) == len(settles) else None,
     )
-    return trace, report
 
 
 # ---------------------------------------------------------------------------
@@ -805,38 +908,55 @@ def run_switch_cycle(
     if n < 1:
         raise ValueError("n must be >= 1")
     p = preset.params
-    drv = _Driver(preset, HOLD_KP, initial_state(Mode.SEA, hold),
-                  _stride_for(p.dt, CYCLE_RECORD_HZ))
-    drv.hold(hold, omega_tol=1e-3, window_s=0.05, timeout_s=20.0, min_hold_s=0.5)
-
-    max_ke_loss = 0.0
     retry_steps = max(1, round(retry_window_s / p.dt))
     dwell_steps = round(0.12 / p.dt)
     latency = latency_steps(p.t_switch, p.dt)
+    timeout_s = 20.0  # of the opening hold
+    # a request is refused after retry_steps, or accepted by then and engaged
+    # latency steps after its acceptance
+    _check_run_length(f"{n} switches",
+                      round(timeout_s / p.dt) + n * (retry_steps + latency + dwell_steps))
+
+    drv = _Driver(preset, HOLD_KP, initial_state(Mode.SEA, hold),
+                  _stride_for(p.dt, CYCLE_RECORD_HZ))
+    drv.hold(hold, omega_tol=1e-3, window_s=0.05, timeout_s=timeout_s, min_hold_s=0.5)
+
+    max_ke_loss = 0.0
     records = drv.records
-
-    for i in range(n):
-        first_t = drv.t
-        # one gated run: retries every step of the window, then the travel
-        decision = drv.run(repeat(hold, retry_steps), switch=True)
-        if not decision.accepted:
-            current = mode_of(drv.state)
-            records.append(SwitchRecord(
-                first_t, None, current, _other_mode(current), decision.transmitted, REJECTED,
-            ))
+    # per cycle: the transition state its engagement consumed and the engaged
+    # state, or None for a refused request
+    engagements = []
+    for i, src in enumerate(drv.replay(n)):
+        if src is None:
+            first_t = drv.t
+            # one gated run: retries every step of the window, then the travel
+            decision = drv.run(repeat(hold, retry_steps), switch=True)
+            if decision.accepted:
+                # run out a travel the window cut short (one call unless the
+                # latency invariant fails)
+                while drv.engaged_from is None:
+                    drv.run(repeat(hold, latency))
+                engagements.append((drv.engaged_from, drv.state))
+            else:
+                current = mode_of(drv.state)
+                records.append(SwitchRecord(
+                    first_t, None, current, _other_mode(current), decision.transmitted,
+                    REJECTED,
+                ))
+                engagements.append(None)
+        else:  # cycle src was just copied, records included: check them again
+            engagements.append(engagements[src])
+        if engagements[i] is None:
             continue
-
-        # run out a travel the window cut short (one call unless the latency invariant fails)
-        while drv.engaged_from is None:
-            drv.run(repeat(hold, latency))
-        pre_engage, state = drv.engaged_from, drv.state
+        pre_engage, state = engagements[i]
 
         # --- invariants ---
-        if abs(decision.transmitted) >= p.tau_disengage:
+        record = records[-1]
+        if abs(record.torque_at_request) >= p.tau_disengage:
             raise InvariantViolation(
-                f"cycle {i}: gate unsound, accepted at {decision.transmitted:.4f} Nm"
+                f"cycle {i}: gate unsound, accepted at {record.torque_at_request:.4f} Nm"
             )
-        steps_taken = round((records[-1].engage_time - records[-1].request_time) / p.dt)
+        steps_taken = round((record.engage_time - record.request_time) / p.dt)
         if steps_taken != latency:
             raise InvariantViolation(
                 f"cycle {i}: latency {steps_taken} steps != t_switch ({latency} steps)"
@@ -854,10 +974,11 @@ def run_switch_cycle(
                 )
             max_ke_loss = max(max_ke_loss, engagement_energy_loss(pre_engage, p))
         if len(records) >= 2 and records[-2].outcome == COMPLETED:
-            if records[-1].from_mode is not records[-2].to_mode:
+            if record.from_mode is not records[-2].to_mode:
                 raise InvariantViolation(f"cycle {i}: switch records do not alternate")
 
-        drv.run(repeat(hold, dwell_steps))
+        if src is None:
+            drv.run(repeat(hold, dwell_steps))
 
     completed = sum(1 for r in records if r.outcome == COMPLETED)
     report = CycleReport(

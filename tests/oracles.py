@@ -9,23 +9,34 @@ back into a Trace for the bit-exact round trip. The closure-based RK4 steps
 are the original integrators that the float kernels in tsea.plant and the
 stiffness rig's inline step must match bit for bit, and the tracking loop is
 the original one-step-per-call driver loop that run_dynamic_switching's phases
-must match.
+must match. The switch-cycle and disturbance loops simulate every unit, where
+the protocols replay the units that repeat an earlier one.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from tsea.experiments import (
+    CYCLE_RECORD_HZ,
+    DISTURB_KP,
+    HOLD_KP,
+    IMPACT_DURATION_S,
     MODE_NAMES,
     STIFFNESS_RECORD_HZ,
     TRACK_KP,
+    CycleReport,
+    DisturbanceReport,
     Trace,
+    _disturbance_report,
     _Driver,
+    _other_mode,
+    _stride_for,
     initial_state,
 )
 from tsea.io import CSV_HEADER
@@ -39,6 +50,13 @@ from tsea.plant import (
     TransitionState,
     clamp_torque,
     mode_of,
+)
+from tsea.selector import (
+    COMPLETED,
+    REJECTED,
+    SwitchRecord,
+    engagement_energy_loss,
+    latency_steps,
 )
 
 
@@ -312,3 +330,56 @@ def reference_track_driver(preset, duration: float, switch_period: float,
                   and type(drv.state) is not TransitionState)
         drv.run((center + amp * math.sin(two_pi_f * drv.t),), switch=switch)
     return drv
+
+
+def reference_switch_cycle(preset, n: int, hold: float, retry_window_s: float = 0.25
+                           ) -> tuple[Trace, CycleReport, _Driver]:
+    """The switch-cycle loop that simulates every one of its n cycles, without
+    the invariant checks. Returns its trace, its report and the driver it ran."""
+    p = preset.params
+    drv = _Driver(preset, HOLD_KP, initial_state(Mode.SEA, hold),
+                  _stride_for(p.dt, CYCLE_RECORD_HZ))
+    drv.hold(hold, omega_tol=1e-3, window_s=0.05, timeout_s=20.0, min_hold_s=0.5)
+    max_ke_loss = 0.0
+    retry_steps = max(1, round(retry_window_s / p.dt))
+    latency = latency_steps(p.t_switch, p.dt)
+    records = drv.records
+    for _ in range(n):
+        first_t = drv.t
+        decision = drv.run(repeat(hold, retry_steps), switch=True)
+        if not decision.accepted:
+            current = mode_of(drv.state)
+            records.append(SwitchRecord(
+                first_t, None, current, _other_mode(current), decision.transmitted, REJECTED,
+            ))
+            continue
+        while drv.engaged_from is None:
+            drv.run(repeat(hold, latency))
+        if type(drv.state) is PeaState:
+            max_ke_loss = max(max_ke_loss, engagement_energy_loss(drv.engaged_from, p))
+        drv.run(repeat(hold, round(0.12 / p.dt)))
+    completed = sum(1 for r in records if r.outcome == COMPLETED)
+    report = CycleReport(completed, len(records) - completed, drv.retried, max_ke_loss,
+                         records)
+    return drv.rec.trace(), report, drv
+
+
+def reference_disturbance(mode: Mode, preset, n_impacts: int, impact_torque: float
+                          ) -> tuple[Trace, DisturbanceReport, _Driver]:
+    """The disturbance loop that simulates every one of its n_impacts impacts
+    and re-settles, over 8 s post-impact windows measured on the output angle.
+    Returns its trace, its report and the driver it ran."""
+    dt = preset.params.dt
+    post_steps = round(8.0 / dt)
+    pulse_steps = min(round(IMPACT_DURATION_S / dt), post_steps)
+    drv = _Driver(preset, DISTURB_KP, initial_state(mode))
+    drv.hold(0.0, omega_tol=1e-4, window_s=0.25, timeout_s=40.0, min_hold_s=1.0)
+    windows = []
+    for _ in range(n_impacts):
+        start = drv.rec.n_recorded
+        drv.run(repeat(0.0, pulse_steps), impact_torque)
+        drv.run(repeat(0.0, post_steps - pulse_steps))
+        windows.append((start, drv.rec.n_recorded))
+        drv.hold(0.0, omega_tol=1e-4, window_s=0.25, timeout_s=40.0)
+    trace = drv.rec.trace()
+    return trace, _disturbance_report(mode, trace, windows, impact_torque, "output"), drv

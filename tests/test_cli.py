@@ -164,10 +164,24 @@ def test_simulation_blowup_exits_2(tmp_path, capsys):
      "impact_torque must be finite (got -inf)"),
     (["disturb", "--mode", "pea", "--impacts", "1", "--noise", "--seed", "-1"],
      "seed must be non-negative (got -1)"),
+    # runs over the step ceiling, replayed steps counted like simulated ones
+    (["track", "--duration", "1e9"],
+     "duration 1000000000.0 could take more than 50000000 steps, the most a run may take"),
+    (["stiffness", "--mode", "sea", "--rate", "1e-300"],
+     "3 cycles at ramp_rate 1e-300 could take more than 50000000 steps, "
+     "the most a run may take"),
+    (["stiffness", "--mode", "pea", "--cycles", "100"],
+     "100 cycles at ramp_rate 0.2 could take more than 50000000 steps, "
+     "the most a run may take"),
+    (["cycle", "--n", "1000000000000"],
+     "1000000000000 switches could take more than 50000000 steps, the most a run may take"),
+    (["disturb", "--mode", "sea", "--impacts", "1000"],
+     "1000 impacts could take more than 50000000 steps, the most a run may take"),
 ], ids=["period-zero", "period-inf", "duration-negative", "duration-nan", "duration-substep",
         "rate-zero", "rate-overflow",
         "cycles-zero", "range-nan", "range-zero", "impulse-nan", "impulse-inf",
-        "seed-negative"])
+        "seed-negative", "duration-ceiling", "rate-ceiling", "cycles-ceiling", "n-ceiling",
+        "impacts-ceiling"])
 def test_bad_numbers_fail_fast(argv, message, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 1

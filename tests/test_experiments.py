@@ -10,13 +10,22 @@ import tsea.experiments
 import tsea.plant
 
 from conftest import with_params, without_friction
-from oracles import exponential_band_crossing, reference_track_driver
+from oracles import (
+    exponential_band_crossing,
+    reference_disturbance,
+    reference_switch_cycle,
+    reference_track_driver,
+)
 from tsea.experiments import (
     CYCLE_RECORD_HZ,
     HANG_CENTER_RAD,
     HOLD_KP,
+    IMPACT_TORQUE_NM,
+    MAX_RUN_STEPS,
+    InvariantViolation,
     STIFFNESS_RECORD_HZ,
     TraceRecorder,
+    _check_run_length,
     _Driver,
     _stride_for,
     crossing_times,
@@ -33,7 +42,7 @@ from tsea.experiments import (
     run_switch_cycle,
     settling_time,
 )
-from tsea.plant import Mode, SimulationError, TransitionState
+from tsea.plant import Mode, PeaState, SimulationError, TransitionState
 from tsea.selector import COMPLETED, REJECTED, SwitchDecision, latency_steps
 
 
@@ -540,6 +549,127 @@ def test_switch_cycle_counts_every_refusal(calibrated, monkeypatch):
     _, rep = run_switch_cycle(pre, n=3, hold=HANG_CENTER_RAD + 0.25, retry_window_s=0.02)
     assert rep.retried_attempts == 3 * 160
     assert sum(1 for d in decisions if not d.accepted) == rep.retried_attempts
+
+
+def _counted_run(monkeypatch, run, *args, **kwargs):
+    """run(*args, **kwargs) with its plant steps counted. Returns its trace, its
+    report, the driver it ran and the number of plant.step calls."""
+    drivers, steps = [], itertools.count()
+    step = tsea.plant.step
+
+    class Kept(_Driver):
+        def __init__(self, *a, **kw):
+            super().__init__(*a, **kw)
+            drivers.append(self)
+
+    def counted(*a):
+        next(steps)
+        return step(*a)
+
+    monkeypatch.setattr(tsea.experiments, "_Driver", Kept)
+    monkeypatch.setattr(tsea.plant, "step", counted)
+    trace, report = run(*args, **kwargs)
+    (drv,) = drivers
+    return trace, report, drv, next(steps)
+
+
+def _assert_same_run(trace, report, drv, ref_trace, ref_report, ref_drv):
+    """Trace columns (floats as int64 bits), records, report and the driver's
+    final clock and state, as a full simulation leaves them."""
+    for name in ("t", "theta_m", "omega_m", "theta_o", "omega_o", "tau_cmd",
+                 "tau_applied", "tau_spring", "i_q"):
+        assert np.array_equal(getattr(trace, name).view(np.int64),
+                              getattr(ref_trace, name).view(np.int64)), name
+    assert np.array_equal(trace.mode, ref_trace.mode)
+    assert _driver_bits(drv) == _driver_bits(ref_drv)
+    # repr keeps every float's bits, -0.0 apart from 0.0
+    assert [repr(r) for r in drv.records] == [repr(r) for r in ref_drv.records]
+    assert repr(report.as_dict()) == repr(ref_report.as_dict())
+
+
+def _refusing(preset):
+    return with_params(preset, tau_disengage=1e-26)
+
+
+@pytest.mark.parametrize("preset, n, replayed", [
+    ("calibrated", 1, False), ("calibrated", 13, False), ("calibrated", 14, False),
+    ("calibrated", 15, True), ("calibrated", 16, True), ("calibrated", 41, True),
+    ("full_range", 16, True), ("refusing", 41, True),
+])
+def test_switch_cycle_replay_matches_full_simulation(preset, n, replayed, request,
+                                                     monkeypatch):
+    # on these presets cycle 14 starts where cycle 12 did, bit for bit; with
+    # the refusing gate cycle 29 starts where cycle 5 did, and cycles 5..28
+    # hold refused requests, gate retries and REJECTED records
+    pre = (_refusing(request.getfixturevalue("calibrated")) if preset == "refusing"
+           else request.getfixturevalue(preset))
+    ref = reference_switch_cycle(pre, n, HANG_CENTER_RAD)
+    trace, report, drv, steps = _counted_run(monkeypatch, run_switch_cycle, pre, n=n)
+    _assert_same_run(trace, report, drv, *ref)
+    # the rows imply at least this many steps, which a full simulation takes
+    implied = (len(trace) - 1) * drv.stride + 1
+    assert (steps < implied) is replayed
+    if preset == "refusing":
+        outcomes = [r.outcome for r in report.records]
+        assert REJECTED in outcomes[29:] and report.retried_attempts > 0
+
+
+def test_replayed_cycles_are_checked(calibrated, monkeypatch):
+    # cycle 20 is a copy of cycle 12; its invariants are checked all the same
+    checked = itertools.count()
+    spring = tsea.experiments.spring_torque
+
+    def loaded_at_cycle_20(state, p):
+        return 1.0 if next(checked) == 20 else spring(state, p)
+
+    monkeypatch.setattr(tsea.experiments, "spring_torque", loaded_at_cycle_20)
+    with pytest.raises(InvariantViolation,
+                       match=r"^cycle 20: spring not unloaded after engagement \(tau=1.0 Nm\)$"):
+        run_switch_cycle(calibrated, n=30)
+
+
+@pytest.mark.parametrize("mode, n_impacts", [(Mode.PEA, 3), (Mode.SEA, 5)])
+def test_disturbance_replay_matches_full_simulation(mode, n_impacts, calibrated,
+                                                    monkeypatch):
+    # PEA impact 2 starts where impact 1 did, SEA impact 4 where impact 3 did
+    ref = reference_disturbance(mode, calibrated, n_impacts, IMPACT_TORQUE_NM)
+    trace, report, drv, steps = _counted_run(monkeypatch, run_disturbance, mode, calibrated,
+                                             n_impacts=n_impacts)
+    _assert_same_run(trace, report, drv, *ref)
+    assert steps < len(trace)  # every step logs a row
+
+
+def test_replay_keys_state_bits_and_row_phase(calibrated):
+    drv = _Driver(calibrated, HOLD_KP, PeaState(0.0, 0.0, 0.0), stride=8)
+    units = drv.replay(5)
+    assert next(units) is None
+    drv.state = PeaState(-0.0, 0.0, 0.0)  # equal to unit 0's as floats, not as bits
+    assert next(units) is None
+    drv.state, drv.k = PeaState(0.0, 0.0, 0.0), 9  # unit 0's state, another row phase
+    assert next(units) is None
+    drv.k = 16  # unit 0's state and row phase: units 0..2 repeat from here on
+    assert list(units) == [0, 1]
+    assert repr(drv.state) == repr(PeaState(0.0, 0.0, 0.0)) and drv.k == 16 + 9
+    assert drv.t == drv.k * calibrated.params.dt
+
+
+def test_run_length_ceiling():
+    _check_run_length("a run", MAX_RUN_STEPS)
+    with pytest.raises(ValueError, match=f"^a run could take more than {MAX_RUN_STEPS} steps"):
+        _check_run_length("a run", MAX_RUN_STEPS + 1)
+
+
+@pytest.mark.parametrize("run, kwargs", [
+    (run_static_stiffness, {"cycles": 100}),
+    (run_dynamic_switching, {"duration": 6251.0}),
+    (run_disturbance, {"post_window_s": 1e4}),
+    (run_switch_cycle, {"n": 20_000}),
+], ids=["stiffness-cycles", "track-duration", "disturb-window", "cycle-n"])
+def test_protocols_reject_runs_over_the_ceiling(run, kwargs, calibrated):
+    args = (Mode.SEA, calibrated) if run in (run_static_stiffness, run_disturbance) \
+        else (calibrated,)
+    with pytest.raises(ValueError, match=f"more than {MAX_RUN_STEPS} steps"):
+        run(*args, **kwargs)
 
 
 def test_metrics_are_pure(calibrated):

@@ -14,6 +14,7 @@ from tsea.cli import main
 CASES = {
     "track": ["track", "--duration", "2", "--period", "1", "--noise", "--seed", "1"],
     "cycle": ["cycle", "--n", "5"],
+    "cycle-40": ["cycle", "--n", "40"],  # cycles 14..39 replayed, not simulated
     "stiffness": ["stiffness", "--mode", "sea", "--preset", "paper-full-range",
                   "--cycles", "1"],
     "stiffness-pea": ["stiffness", "--mode", "pea", "--preset", "paper-full-range",
@@ -21,6 +22,7 @@ CASES = {
     "disturb-sea": ["disturb", "--mode", "sea", "--impacts", "1"],
     "disturb-pea": ["disturb", "--mode", "pea", "--impacts", "1"],
     "disturb-pea-2": ["disturb", "--mode", "pea", "--impacts", "2"],
+    "disturb-pea-3": ["disturb", "--mode", "pea", "--impacts", "3"],  # impact 2 replayed
     "hub-curve": ["hub-curve"],
 }
 
@@ -47,6 +49,12 @@ DIGESTS = {
     ("disturb-pea-2", "trace.csv"): "63db4f7c753e2fd316cbfa69cbb511e611d10e92fa4e2e846bcd09b603233784",
     ("disturb-pea-2", "report.json"): "f520067916f6ef4df4ac674a300606eddfe294761cf59a1491b01b794c18e19f",
     ("disturb-pea-2", "plot.svg"): "06c4b8f82697d899a93daed10c09251d8e258ace20cda24cb0c7e27bf3c203b7",
+    ("cycle-40", "trace.csv"): "88735722d0e66aa1dcf6b9d8e43677c370a5d74c000ccb674e14aa1681fddf0d",
+    ("cycle-40", "report.json"): "79e4fdf92954771d82fa228b7298533c670d36846580762b09ce343ab67e2f6c",
+    ("cycle-40", "plot.svg"): "d928a1af4a5c26051a3cddf0d453aaa73b67eb30b3faadc9ea5a2b74e40b131c",
+    ("disturb-pea-3", "trace.csv"): "5b4d75b2dc119ee91f756c813520adcca473e4f66a4b908f49927b3076896a09",
+    ("disturb-pea-3", "report.json"): "9525d5832422458a15971cae0c65aaff4a891b6b9b58812604aff9c25aa11f06",
+    ("disturb-pea-3", "plot.svg"): "8966426ecaae21e06f39321ed95a64326e62f514f9c541afac3dd4c33dfa5112",
     ("hub-curve", "trace.csv"): "47b45430bdb0a945abe3c287fb143bb37921f1d9ffb0b74c255735ec9c96b451",
     ("hub-curve", "report.json"): "b8c410d9465c6cfcfcc482dd3229be073e66fc888d810df54ae54e560f807962",
     ("hub-curve", "plot.svg"): "1ceffae9a88592efb6c638b0db2a022a3d8b26e65e27ac7c113534b5a93b0d10",
