@@ -36,7 +36,7 @@ import numpy as np
 
 from . import plant
 from .control import p_position
-from .params import ActuatorParams, Preset
+from .params import MAX_RUN_STEPS, ActuatorParams, Preset
 from .plant import (
     Mode,
     PeaState,
@@ -75,9 +75,6 @@ HANG_CENTER_RAD = -math.pi / 2.0  # arm hanging straight down: zero gravity torq
 # trace row rates of the two long runs; the others log every step
 CYCLE_RECORD_HZ = 1000.0
 STIFFNESS_RECORD_HZ = 2000.0
-# most steps a protocol may take, counted before it starts, whether it simulates
-# them or replays them: 6250 s at 8 kHz, 7.4x the stiffness rig's default bound
-MAX_RUN_STEPS = 50_000_000
 
 
 class InvariantViolation(RuntimeError):
@@ -137,7 +134,7 @@ class TraceRecorder:
             qm, wm, anchor = state
             code, qo, wo, tau_s = 1, qm, wm, p.K_s * (qm - anchor)
         else:
-            qm, wm, qo, wo, _, _ = state
+            qm, wm, qo, wo, _ = state
             code, tau_s = 2, 0.0
         t_, qm_, wm_, qo_, wo_, cmd_, app_, spring_, iq_, mode_ = self._appends
         t_(t)
@@ -444,8 +441,8 @@ class _Driver:
 
     Protocols script their phases as calls to run() and hold(), a switch
     request included; the driver owns the state, the step count, the time,
-    the recorder and the switch bookkeeping (completed records, refused gate
-    tests) in between.
+    the recorder and the switch bookkeeping (the selector travel in steps,
+    completed records, refused gate tests) in between.
     """
 
     def __init__(self, preset: Preset, kp: float, state: PlantState, stride: int = 1):
@@ -456,6 +453,8 @@ class _Driver:
         self.state = state
         self.k = 0     # steps taken
         self.t = 0.0   # k*dt, a product so that it cannot drift
+        self.latency = latency_steps(self.p.t_switch, self.p.dt)  # steps of selector travel
+        self._engage_k = 0  # k after the step the last accepted switch engages on
         # the transition state the last run's engagement consumed, else None
         self.engaged_from: TransitionState | None = None
         self.records: list[SwitchRecord] = []  # one per engagement, in order
@@ -470,9 +469,10 @@ class _Driver:
         when switch is set, the switch gate to the other engaged mode, retried
         every period until it accepts (which enters the transition before the
         row is logged); the trace row on every stride-th step; one RK4 step
-        with extra output torque; selector travel after a step that started in
-        transition. The run stops after the step on which an engagement
-        appends its COMPLETED record; an iterator keeps the targets not taken.
+        with extra output torque. The driver counts the selector travel in
+        whole steps: latency steps after the gate accepts, the selector
+        engages, the engagement appends its COMPLETED record and the run
+        stops; an iterator keeps the targets not taken.
 
         Returns the gate's last decision, or None when no switch was requested.
         """
@@ -485,6 +485,7 @@ class _Driver:
         state = self.state
         k = self.k
         t = self.t
+        engage_k = self._engage_k
         decision = engaged = None
         try:
             # the callables are looked up on every call, by the names that
@@ -500,25 +501,21 @@ class _Driver:
                     if decision.accepted:
                         switch = False
                         state = decision.transition
+                        self._engage_k = engage_k = k + self.latency
                         self._request = (t, src, dst, decision.transmitted)
                     else:
                         self.retried += 1
                 if k % stride == 0:
                     rec.record(t, state, tau_cmd, clamp_torque(tau_cmd, p), p)
-                was_trans = type(state) is TransitionState
                 state = plant.step(state, tau_cmd, p, load, extra)
                 k += 1
                 t = k * dt
-                if was_trans:
-                    advanced = advance_selector(state, dt, p)
-                    if type(advanced) is not TransitionState:
-                        engaged = state
-                        request_t, src, dst, torque = self._request
-                        self.records.append(SwitchRecord(request_t, t, src, dst,
-                                                         torque, COMPLETED))
-                        state = advanced
-                        break
-                    state = advanced
+                if k == engage_k:
+                    engaged = state
+                    state = advance_selector(state, p)
+                    request_t, src, dst, torque = self._request
+                    self.records.append(SwitchRecord(request_t, t, src, dst, torque, COMPLETED))
+                    break
         except SimulationError as exc:
             self.state, self.k, self.t = state, k, t
             raise SimulationError(f"{exc} after step {k} (t={t:.6f} s)") from exc
@@ -910,15 +907,14 @@ def run_switch_cycle(
     p = preset.params
     retry_steps = max(1, round(retry_window_s / p.dt))
     dwell_steps = round(0.12 / p.dt)
-    latency = latency_steps(p.t_switch, p.dt)
     timeout_s = 20.0  # of the opening hold
+    drv = _Driver(preset, HOLD_KP, initial_state(Mode.SEA, hold),
+                  _stride_for(p.dt, CYCLE_RECORD_HZ))
+    latency = drv.latency
     # a request is refused after retry_steps, or accepted by then and engaged
     # latency steps after its acceptance
     _check_run_length(f"{n} switches",
                       round(timeout_s / p.dt) + n * (retry_steps + latency + dwell_steps))
-
-    drv = _Driver(preset, HOLD_KP, initial_state(Mode.SEA, hold),
-                  _stride_for(p.dt, CYCLE_RECORD_HZ))
     drv.hold(hold, omega_tol=1e-3, window_s=0.05, timeout_s=timeout_s, min_hold_s=0.5)
 
     max_ke_loss = 0.0
@@ -932,9 +928,7 @@ def run_switch_cycle(
             # one gated run: retries every step of the window, then the travel
             decision = drv.run(repeat(hold, retry_steps), switch=True)
             if decision.accepted:
-                # run out a travel the window cut short (one call unless the
-                # latency invariant fails)
-                while drv.engaged_from is None:
+                if drv.engaged_from is None:  # run out a travel the window cut short
                     drv.run(repeat(hold, latency))
                 engagements.append((drv.engaged_from, drv.state))
             else:

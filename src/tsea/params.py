@@ -23,6 +23,10 @@ NAMED_PRESETS = ("paper-linear-window", "paper-full-range", "calibrated")
 RK4_REAL_AXIS_LIMIT = 2.785
 # ... and for an undamped oscillation at omega only while omega*dt < this.
 RK4_IMAG_AXIS_LIMIT = 2.0 * math.sqrt(2.0)
+# Most steps a protocol may take, counted before it starts, whether it simulates
+# them or replays them: 6250 s at 8 kHz, 7.4x the stiffness rig's default bound.
+# validate() holds the selector travel to it too.
+MAX_RUN_STEPS = 50_000_000
 # The JSON types a field of each annotated type accepts (bool is not a number).
 _JSON_TYPES = {"float": ((int, float), "a number"), "int": (int, "an integer"),
                "bool": (bool, "true or false")}
@@ -162,6 +166,9 @@ def validate(preset: Preset) -> list[str]:
             if ratio >= RK4_IMAG_AXIS_LIMIT:
                 errors.append(f"dt*omega = {ratio:.4g} for the {rig} "
                               f"must be < {RK4_IMAG_AXIS_LIMIT:.4g} (RK4 stability bound)")
+        if p.t_switch / p.dt > MAX_RUN_STEPS:  # selector.latency_steps counts them one by one
+            errors.append(f"t_switch = {p.t_switch} s spans more than {MAX_RUN_STEPS} steps "
+                          f"of dt = {p.dt} s, the most a run may take")
 
     return errors
 

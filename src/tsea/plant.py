@@ -8,7 +8,8 @@ Three engagement states share one integrator entry point:
 * parallel (PEA): motor and output rigidly coupled into one body at angle
   theta; the hub spring reacts against the housing from the anchor captured
   at engagement.
-* transition: freewheel while the selector travels; no coupling torque.
+* transition: freewheel while the selector travels, a whole number of steps
+  that the protocol driver counts; no coupling torque.
 
 The hub spring is the linear law K_s*beta in both engaged modes; the geometric
 model in spring_hub characterizes the hub and does not enter the dynamics.
@@ -69,8 +70,7 @@ class TransitionState(NamedTuple):
     omega_m: float
     theta_o: float
     omega_o: float
-    target_mode: Mode
-    t_remaining: float   # selector travel time left [s]
+    target_mode: Mode    # the engaged mode the selector travels to
 
 
 PlantState = SeaState | PeaState | TransitionState
@@ -255,7 +255,7 @@ def step(
                 qm, wm, qo, wo, p.dt, tau, tau_out_extra, mgr, off, p.K_s,
                 p.tau_c_sea, p.b_m, p.J_m, p.b_o, p.tau_c_out, p.J_o, p.omega_eps)
         else:
-            qm, wm, qo, wo, target, rem = state
+            qm, wm, qo, wo, target = state
             qm, wm, qo, wo = freewheel_step(
                 qm, wm, qo, wo, p.dt, tau, tau_out_extra, mgr,
                 p.b_m, p.J_m, p.b_o, p.tau_c_out, p.J_o, p.omega_eps)
@@ -265,4 +265,4 @@ def step(
         raise SimulationError(f"non-finite {mode_of(state).value} state")
     if cls is SeaState:
         return _build(SeaState, (qm, wm, qo, wo, off))
-    return _build(TransitionState, (qm, wm, qo, wo, target, rem))
+    return _build(TransitionState, (qm, wm, qo, wo, target))

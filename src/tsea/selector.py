@@ -2,8 +2,9 @@
 
 Disengagement is gated on the torque currently transmitted through the
 engaged path (the selector cannot pull loaded dog teeth apart); engagement
-happens a fixed latency later at an arbitrary relative angle, capturing the
-spring as unloaded and reconciling velocities.
+happens latency_steps(t_switch, dt) steps later, which the protocol driver
+counts, at an arbitrary relative angle, capturing the spring as unloaded and
+reconciling velocities.
 """
 
 from __future__ import annotations
@@ -93,39 +94,31 @@ def request_switch(
         return SwitchDecision(False, None, tau_tr)
 
     if type(state) is SeaState:
-        trans = TransitionState(
-            state.theta_m, state.omega_m, state.theta_o, state.omega_o,
-            target, p.t_switch,
-        )
+        trans = TransitionState(state.theta_m, state.omega_m, state.theta_o, state.omega_o, target)
     else:
-        trans = TransitionState(
-            state.theta, state.omega, state.theta, state.omega, target, p.t_switch,
-        )
+        trans = TransitionState(state.theta, state.omega, state.theta, state.omega, target)
     return SwitchDecision(True, trans, tau_tr)
 
 
 def latency_steps(t_switch: float, dt: float) -> int:
-    """Steps from an accepted request to engagement: advance_selector's
-    countdown from t_switch and its guard, one step at the least."""
+    """Steps from an accepted request to engagement, one at the least:
+    t_switch counted down by dt until no more than half a step is left.
+    params.validate bounds t_switch / dt, so the count ends."""
     steps, remaining = 1, t_switch - dt
     while remaining > 0.5 * dt:
         steps, remaining = steps + 1, remaining - dt
     return steps
 
 
-def advance_selector(state: TransitionState, dt: float, p: ActuatorParams) -> PlantState:
-    """Consume dt of selector travel; finalize engagement when it runs out.
+def advance_selector(state: TransitionState, p: ActuatorParams) -> PlantState:
+    """Engage the selector at the end of its travel.
 
     Engagement captures the spring unloaded at the current configuration:
     parallel mode anchors at the output angle and merges velocities by
     angular-momentum conservation; series mode keeps both coordinates and
     zeroes the spring at the current relative angle.
     """
-    qm, wm, qo, wo, target, remaining = state
-    remaining -= dt
-    if remaining > 0.5 * dt:  # half-step guard against float drift in the countdown
-        # TransitionState(...) without the NamedTuple's Python __new__ (see plant._build)
-        return tuple.__new__(TransitionState, (qm, wm, qo, wo, target, remaining))
+    qm, wm, qo, wo, target = state
     if target is Mode.PEA:
         omega = (p.J_m * wm + p.J_o * wo) / (p.J_m + p.J_o)
         return PeaState(qo, omega, qo)

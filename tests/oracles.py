@@ -9,8 +9,10 @@ back into a Trace for the bit-exact round trip. The closure-based RK4 steps
 are the original integrators that the float kernels in tsea.plant and the
 stiffness rig's inline step must match bit for bit, and the tracking loop is
 the original one-step-per-call driver loop that run_dynamic_switching's phases
-must match. The switch-cycle and disturbance loops simulate every unit, where
-the protocols replay the units that repeat an earlier one.
+must match. The selector countdown is the original float count of the travel
+that selector.latency_steps must match. The switch-cycle and disturbance
+loops simulate every unit, where the protocols replay the units that repeat
+an earlier one.
 """
 
 from __future__ import annotations
@@ -250,7 +252,20 @@ def reference_step(state: PlantState, tau_m: float, p: ActuatorParams,
         raise SimulationError(f"non-finite {mode_of(state).value} state")
     if cls is SeaState:
         return SeaState(qm, wm, qo, wo, off)
-    return TransitionState(qm, wm, qo, wo, state.target_mode, state.t_remaining)
+    return TransitionState(qm, wm, qo, wo, state.target_mode)
+
+
+def selector_countdown(t_switch: float, dt: float) -> int:
+    """Steps of selector travel as the original selector counted them: the
+    time left started at t_switch and went down by dt after every transition
+    step, and the selector engaged once no more than half a step was left
+    (a half-step guard against float drift in the countdown)."""
+    steps, remaining = 0, t_switch
+    while True:
+        steps += 1
+        remaining -= dt
+        if not remaining > 0.5 * dt:
+            return steps
 
 
 def reference_rig_step(theta: float, omega: float, tau: float, K_rig: float,

@@ -195,7 +195,9 @@ def test_bad_numbers_fail_fast(argv, message, tmp_path, capsys):
     ("omega_eps", 1e-4, "(b + tau_c/omega_eps)*dt/J = 272.6 for the motor in SEA must be < 2.785"),
     ("dt", 5e-3, "(b + tau_c/omega_eps)*dt/J = 56.5 for the motor in SEA must be < 2.785"),
     ("K_s", "5.57", "K_s must be a number (got '5.57')"),
-], ids=["omega_eps-tiny", "dt-large", "K_s-string"])
+    ("t_switch", 1e300, "t_switch = 1e+300 s spans more than 50000000 steps of dt = 0.000125 s, "
+                        "the most a run may take"),
+], ids=["omega_eps-tiny", "dt-large", "K_s-string", "t_switch-ceiling"])
 def test_bad_preset_fails_at_load(field, value, message, tmp_path, capsys):
     from tsea.params import load_named_preset, preset_to_dict
 

@@ -529,6 +529,33 @@ def test_switch_cycle_latency_matches_selector_countdown(t_switch, latency, cali
         assert r.engage_time - r.request_time == pytest.approx(latency * dt, abs=1e-12)
 
 
+@pytest.mark.parametrize("t_switch", [lambda dt: 0.03, lambda dt: 0.0299, lambda dt: 1.5 * dt],
+                         ids=["0.03s", "0.0299s", "1.5dt"])
+@pytest.mark.parametrize("protocol", ["track", "cycle"])
+def test_selector_engages_once_per_switch(protocol, t_switch, calibrated, monkeypatch):
+    # the driver counts the travel in whole steps and calls the selector only
+    # to engage: once per completed switch, latency_steps after the request
+    dt = calibrated.params.dt
+    pre = with_params(calibrated, t_switch=t_switch(dt))
+    engaged = []
+    engage = tsea.experiments.advance_selector
+
+    def spy(*args):
+        engaged.append(args[0])
+        return engage(*args)
+
+    monkeypatch.setattr(tsea.experiments, "advance_selector", spy)
+    if protocol == "track":
+        records = run_dynamic_switching(pre, duration=3.0, switch_period=1.0)[1].switch_records
+    else:
+        records = run_switch_cycle(pre, n=4)[1].records  # too few cycles to replay one
+    completed = [r for r in records if r.outcome == COMPLETED]
+    assert len(engaged) == len(completed) >= 3
+    latency = latency_steps(pre.params.t_switch, dt)
+    for r in completed:
+        assert r.engage_time == (round(r.request_time / dt) + latency) * dt
+
+
 def test_switch_cycle_gate_forced_closed(calibrated):
     # a vanishing disengagement limit with the arm held off the gravity
     # neutral keeps every request loaded: nothing completes

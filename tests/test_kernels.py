@@ -94,8 +94,7 @@ class Sampler:
         qm, wm, qo, wo = self.angle(), self.velocity(), self.angle(), self.velocity()
         if mode is Mode.SEA:
             return SeaState(qm, wm, qo, wo, self.angle())
-        return TransitionState(qm, wm, qo, wo, self.rng.choice((Mode.SEA, Mode.PEA)),
-                               self.rng.uniform(0.0, 0.03))
+        return TransitionState(qm, wm, qo, wo, self.rng.choice((Mode.SEA, Mode.PEA)))
 
 
 def outcome(fn, *args):
@@ -131,8 +130,8 @@ def test_step_matches_reference_on_random_states(mode):
     (SeaState(0.0, 0.0, 0.0, 0.0, 0.0), 1e308, "non-finite SEA state"),
     (PeaState(-BIG, -1e308, 0.0), 0.0, "non-finite PEA state"),
     (PeaState(0.0, 0.0, 0.0), -1e308, "non-finite PEA state"),
-    (TransitionState(0.0, 0.0, BIG, 1e308, Mode.PEA, 0.03), 0.0, "non-finite TRANS state"),
-    (TransitionState(0.0, 0.0, 0.0, 0.0, Mode.SEA, 0.03), 1e308, "non-finite TRANS state"),
+    (TransitionState(0.0, 0.0, BIG, 1e308, Mode.PEA), 0.0, "non-finite TRANS state"),
+    (TransitionState(0.0, 0.0, 0.0, 0.0, Mode.SEA), 1e308, "non-finite TRANS state"),
 ], ids=["sea-angle", "sea-impulse", "pea-angle", "pea-impulse", "trans-angle", "trans-impulse"])
 def test_infinite_stage_angle_raises_the_same_error(state, extra, message):
     # a finite start whose mid-step stage angle overflows, so math.cos raises

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from tsea.params import (
+    MAX_RUN_STEPS,
     ActuatorParams,
     HubGeometry,
     LoadModel,
@@ -64,6 +65,21 @@ def test_rk4_stability_bounds_rejected(field, value, bodies):
     assert len(errors) == len(bodies)
     for error, body in zip(errors, bodies):
         assert f"for the {body} must be < 2.785" in error
+
+
+def test_switch_travel_over_the_run_ceiling_rejected():
+    # selector.latency_steps counts the travel one step at a time, so a travel
+    # longer than any run may take is refused before a driver counts it
+    preset = load_named_preset("calibrated")
+    dt = preset.params.dt
+    for t_switch in (2.0 * MAX_RUN_STEPS * dt, 1e300):
+        bad = dataclasses.replace(
+            preset, params=dataclasses.replace(preset.params, t_switch=t_switch))
+        assert validate(bad) == [f"t_switch = {t_switch} s spans more than {MAX_RUN_STEPS} "
+                                 f"steps of dt = {dt} s, the most a run may take"]
+    ok = dataclasses.replace(
+        preset, params=dataclasses.replace(preset.params, t_switch=0.5 * MAX_RUN_STEPS * dt))
+    assert validate(ok) == []
 
 
 SEA_PAIR = "for the SEA spring pair must be < 2.828 (RK4 stability bound)"

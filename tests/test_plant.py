@@ -98,7 +98,7 @@ def test_pea_gravity_compensation():
 def test_freewheel_decoupled():
     # no spring acts while the selector travels, however far apart the sides are
     p = undamped_params()
-    s = TransitionState(0.3, 0.0, 0.0, 0.0, Mode.PEA, 0.03)
+    s = TransitionState(0.3, 0.0, 0.0, 0.0, Mode.PEA)
     s2 = step(s, 0.0, p, NO_LOAD)
     assert s2 == s
     s2 = step(s, 0.0, p, NO_LOAD, tau_out_extra=2.347)
@@ -115,7 +115,7 @@ def test_output_bearing_rubs_in_transition():
     free = undamped_params()
     rub = dataclasses.replace(free, tau_c_sea=0.1, tau_c_pea=0.1, tau_c_out=0.05)
     for w in (2.0, -2.0):
-        s = TransitionState(0.0, w, 0.0, w, Mode.SEA, 0.03)
+        s = TransitionState(0.0, w, 0.0, w, Mode.SEA)
         a = step(s, 0.0, free, NO_LOAD)
         b = step(s, 0.0, rub, NO_LOAD)
         assert b.omega_m == a.omega_m == w
@@ -197,7 +197,7 @@ def test_step_blowup_raises():
 @pytest.mark.parametrize("state", [
     SeaState(0.1, 0.0, 0.0, 0.0, 0.0),
     PeaState(0.1, 0.0, 0.0),
-    TransitionState(0.1, 0.0, 0.0, 0.0, Mode.SEA, 0.03),
+    TransitionState(0.1, 0.0, 0.0, 0.0, Mode.SEA),
 ], ids=["sea", "pea", "trans"])
 def test_infinite_stage_angle_is_a_simulation_error(state):
     # an impulse of 1e308 Nm drives a mid-step RK4 stage angle to -inf, where
@@ -209,8 +209,7 @@ def test_infinite_stage_angle_is_a_simulation_error(state):
 @pytest.mark.parametrize("cls, fields", [
     (SeaState, ("theta_m", "omega_m", "theta_o", "omega_o", "beta_offset")),
     (PeaState, ("theta", "omega", "theta_anchor")),
-    (TransitionState, ("theta_m", "omega_m", "theta_o", "omega_o", "target_mode",
-                       "t_remaining")),
+    (TransitionState, ("theta_m", "omega_m", "theta_o", "omega_o", "target_mode")),
 ], ids=["sea", "pea", "trans"])
 def test_state_field_order(cls, fields):
     # step() and the trace recorder unpack states by position
@@ -220,7 +219,7 @@ def test_state_field_order(cls, fields):
 @pytest.mark.parametrize("state", [
     SeaState(0.1, 0.0, 0.0, 0.0, 0.0),
     PeaState(0.1, 0.0, 0.0),
-    TransitionState(0.1, 0.0, 0.0, 0.0, Mode.SEA, 0.03),
+    TransitionState(0.1, 0.0, 0.0, 0.0, Mode.SEA),
 ], ids=["sea", "pea", "trans"])
 def test_states_are_immutable(state):
     with pytest.raises(AttributeError):
@@ -241,16 +240,14 @@ def test_state_classes_through_a_switch():
         assert type(trans) is TransitionState
         trans = step(trans, 0.0, p, NO_LOAD)
         assert type(trans) is TransitionState
-        travelling = advance_selector(trans, p.dt, p)
-        assert type(travelling) is TransitionState
-        engaged = advance_selector(travelling._replace(t_remaining=p.dt), p.dt, p)
+        engaged = advance_selector(trans, p)
         assert type(engaged) is {Mode.PEA: PeaState, Mode.SEA: SeaState}[dst]
 
 
 def test_mode_of():
     assert mode_of(SeaState(0, 0, 0, 0, 0)) is Mode.SEA
     assert mode_of(PeaState(0, 0, 0)) is Mode.PEA
-    assert mode_of(TransitionState(0, 0, 0, 0, Mode.SEA, 0.01)) is Mode.TRANS
+    assert mode_of(TransitionState(0, 0, 0, 0, Mode.SEA)) is Mode.TRANS
 
 
 def test_pulse_torque_reaches_output_only_in_sea(calibrated):

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from tsea.params import ActuatorParams, HubGeometry
 from tsea.plant import Mode, PeaState, SeaState, TransitionState
-from tsea.selector import advance_selector, request_switch, transmitted_torque
+from tsea.selector import advance_selector, latency_steps, request_switch, transmitted_torque
 from tsea.spring_hub import hub_torque, linearized_stiffness
 
 
@@ -45,13 +45,7 @@ def test_hub_small_angle_slope_is_linearized_stiffness(geometry):
 @settings(deadline=None)
 @given(st.integers(1, 400), st.floats(1e-5, 1e-2))
 def test_latency_is_exact_for_whole_step_switch_times(n, dt):
-    p = dataclasses.replace(ActuatorParams(), dt=dt, t_switch=n * dt)
-    state = TransitionState(0.1, 0.0, 0.2, 0.0, Mode.PEA, p.t_switch)
-    calls = 0
-    while isinstance(state, TransitionState):
-        state = advance_selector(state, p.dt, p)
-        calls += 1
-    assert calls == n
+    assert latency_steps(n * dt, dt) == n
 
 
 EPS = sys.float_info.epsilon
@@ -64,7 +58,7 @@ inertias = st.floats(1e-5, 1.0)
 @given(angles, speeds, angles, speeds, inertias, inertias)
 def test_pea_engagement_merges_momentum_exactly(qm, wm, qo, wo, J_m, J_o):
     p = dataclasses.replace(ActuatorParams(), J_m=J_m, J_o=J_o)
-    state = advance_selector(TransitionState(qm, wm, qo, wo, Mode.PEA, p.dt), p.dt, p)
+    state = advance_selector(TransitionState(qm, wm, qo, wo, Mode.PEA), p)
     assert type(state) is PeaState
     # the common velocity is the momentum quotient itself, bit for bit, so
     # the momentum after engagement differs from before only by rounding

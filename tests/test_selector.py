@@ -1,5 +1,6 @@
 import pytest
 
+from oracles import selector_countdown
 from tsea.params import ActuatorParams
 from tsea.plant import Mode, PeaState, SeaState, TransitionState, spring_torque
 from tsea.selector import (
@@ -33,7 +34,7 @@ def test_transmitted_pea_static():
 
 
 def test_transmitted_undefined_in_transition():
-    s = TransitionState(0, 0, 0, 0, Mode.PEA, 0.01)
+    s = TransitionState(0, 0, 0, 0, Mode.PEA)
     with pytest.raises(SelectorError):
         transmitted_torque(s, 0.0, 0.0, P)
 
@@ -42,8 +43,7 @@ def test_request_accepted_when_unloaded():
     s = SeaState(0.0, 0.0, 0.0, 0.0, 0.0)
     d = request_switch(Mode.PEA, s, 0.0, 0.0, P)
     assert d.accepted
-    assert d.transition.t_remaining == P.t_switch
-    assert d.transition.target_mode is Mode.PEA
+    assert d.transition == TransitionState(0.0, 0.0, 0.0, 0.0, Mode.PEA)
 
 
 def test_request_rejected_above_gate():
@@ -71,25 +71,13 @@ def test_self_transition_rejected():
 
 
 def test_request_during_transition_rejected():
-    s = TransitionState(0, 0, 0, 0, Mode.PEA, 0.01)
+    s = TransitionState(0, 0, 0, 0, Mode.PEA)
     with pytest.raises(SelectorError, match="in progress"):
         request_switch(Mode.SEA, s, 0.0, 0.0, P)
 
 
-def test_advance_counts_down():
-    s = TransitionState(0.1, 0.0, 0.2, 0.0, Mode.PEA, P.t_switch)
-    out = advance_selector(s, P.dt, P)
-    assert isinstance(out, TransitionState)
-    assert out.t_remaining == pytest.approx(P.t_switch - P.dt)
-
-
 def test_latency_is_exactly_t_switch_in_steps():
-    state = TransitionState(0.1, 0.0, 0.2, 0.0, Mode.PEA, P.t_switch)
-    steps = 0
-    while isinstance(state, TransitionState):
-        state = advance_selector(state, P.dt, P)
-        steps += 1
-    assert steps == round(P.t_switch / P.dt)
+    assert latency_steps(P.t_switch, P.dt) == round(P.t_switch / P.dt)
 
 
 def test_latency_within_one_dt_for_non_multiple_switch_time():
@@ -98,45 +86,37 @@ def test_latency_within_one_dt_for_non_multiple_switch_time():
     import dataclasses
 
     p = dataclasses.replace(P, t_switch=0.0299)  # 239.2 steps
-    state = TransitionState(0.0, 0.0, 0.0, 0.0, Mode.SEA, p.t_switch)
-    steps = 0
-    while isinstance(state, TransitionState):
-        state = advance_selector(state, p.dt, p)
-        steps += 1
+    steps = latency_steps(p.t_switch, p.dt)
     assert abs(steps * p.dt - p.t_switch) <= p.dt
 
 
-@pytest.mark.parametrize("t_switch", [0.0, 1.5 * P.dt, 3.5 * P.dt, 0.0299, 0.03, 0.1])
+@pytest.mark.parametrize("t_switch", [0.0, 0.5 * P.dt, 1.5 * P.dt, 3.5 * P.dt, 0.0299, 0.03,
+                                      0.1])
 def test_latency_steps_counts_the_countdown(t_switch):
-    state = TransitionState(0.0, 0.0, 0.0, 0.0, Mode.SEA, t_switch)
-    steps = 0
-    while isinstance(state, TransitionState):
-        state = advance_selector(state, P.dt, P)
-        steps += 1
-    assert latency_steps(t_switch, P.dt) == steps
+    assert latency_steps(t_switch, P.dt) == selector_countdown(t_switch, P.dt)
 
 
 def test_pea_engagement_merges_velocities():
-    s = TransitionState(0.1, 3.0, 0.2, 3.0, Mode.PEA, P.dt)
-    out = advance_selector(s, P.dt, P)
+    s = TransitionState(0.1, 3.0, 0.2, 3.0, Mode.PEA)
+    out = advance_selector(s, P)
     assert isinstance(out, PeaState)
     assert out.omega == 3.0  # equal velocities merge unchanged
 
-    s = TransitionState(0.1, 1.0, 0.2, 0.0, Mode.PEA, P.dt)
-    out = advance_selector(s, P.dt, P)
+    s = TransitionState(0.1, 1.0, 0.2, 0.0, Mode.PEA)
+    out = advance_selector(s, P)
     assert out.omega == pytest.approx(P.J_m / (P.J_m + P.J_o))
 
 
 def test_pea_engagement_momentum_exact():
-    s = TransitionState(0.1, 0.731, 0.2, -0.214, Mode.PEA, P.dt)
-    out = advance_selector(s, P.dt, P)
+    s = TransitionState(0.1, 0.731, 0.2, -0.214, Mode.PEA)
+    out = advance_selector(s, P)
     assert out.omega == (P.J_m * 0.731 + P.J_o * -0.214) / (P.J_m + P.J_o)
     assert out.theta == out.theta_anchor == 0.2  # anchored unloaded at the output angle
 
 
 def test_sea_engagement_keeps_coordinates():
-    s = TransitionState(0.37, 0.5, 0.11, -0.2, Mode.SEA, P.dt)
-    out = advance_selector(s, P.dt, P)
+    s = TransitionState(0.37, 0.5, 0.11, -0.2, Mode.SEA)
+    out = advance_selector(s, P)
     assert isinstance(out, SeaState)
     assert (out.theta_m, out.omega_m, out.theta_o, out.omega_o) == (0.37, 0.5, 0.11, -0.2)
     assert out.beta_offset == 0.37 - 0.11
@@ -144,9 +124,9 @@ def test_sea_engagement_keeps_coordinates():
 
 
 def test_engagement_energy_loss():
-    s = TransitionState(0.0, 1.0, 0.0, 0.0, Mode.PEA, P.dt)
+    s = TransitionState(0.0, 1.0, 0.0, 0.0, Mode.PEA)
     expected = 0.5 * P.J_m * P.J_o / (P.J_m + P.J_o)
     assert engagement_energy_loss(s, P) == pytest.approx(expected)
-    s_sea = TransitionState(0.0, 1.0, 0.0, 0.0, Mode.SEA, P.dt)
+    s_sea = TransitionState(0.0, 1.0, 0.0, 0.0, Mode.SEA)
     assert engagement_energy_loss(s_sea, P) == 0.0
 
