@@ -6,20 +6,22 @@ rejection under position hold, and a switching endurance run. Each protocol
 returns (Trace, report); all metric functions are pure. The three protocols
 that move the actuator script their phases on one driver loop (_Driver);
 the stiffness rig steps its locked motor, one body on a grounded spring with
-no load, with an RK4 step written inline in its own loop.
+no load, with an RK4 step written inline in its own loop. Both log a row
+every stride steps from step 0, so row r's time is (r*stride)*dt.
 
 The endurance and disturbance runs repeat one scripted unit (a switch
 cycle; an impact and its re-settle) and settle into a cycle of units: on
 the shipped presets cycle 14 starts in cycle 12's state and PEA impact 2 in
 impact 1's. A unit's steps depend only on the state it starts in and, for
-the rows it logs, on k % stride; t only stamps rows and records. So
+the rows it logs, on k % stride; t only stamps switch records. So
 _Driver.replay keys each unit's start by the state's type, its floats' exact
 bits and k % stride, and once a key comes back it copies the units that
-repeat instead of simulating them: their rows, switch records and refused
-gate tests, every time re-formed as whole steps times dt. Every trace,
-report and plot stays byte-identical to a run that simulates every unit.
-Before it simulates, every protocol bounds its step count, replayed steps
-included, by MAX_RUN_STEPS.
+repeat instead of simulating them: their rows in one call (they land on the
+row grid and take their times from their index), their switch records, every
+time re-formed as whole steps times dt, and their refused gate tests. Every
+trace, report and plot stays byte-identical to a run that simulates every
+unit. Before it simulates, every protocol bounds its step count, replayed
+steps included, by MAX_RUN_STEPS.
 """
 
 from __future__ import annotations
@@ -105,16 +107,17 @@ class Trace:
         return len(self.t)
 
 
-_FLOAT_COLS = ("t", "theta_m", "omega_m", "theta_o", "omega_o",
+_FLOAT_COLS = ("theta_m", "omega_m", "theta_o", "omega_o",
                "tau_cmd", "tau_applied", "tau_spring", "i_q")
 
 
 class TraceRecorder:
-    """Append-only column store; dt is the spacing of the rows its caller
-    appends (the caller decides which simulation steps become rows)."""
+    """Append-only column store for a caller that appends a row every stride
+    steps of dt from step 0, so row r's time is (r*stride)*dt."""
 
-    def __init__(self, dt: float):
+    def __init__(self, dt: float, stride: int = 1):
         self.dt = dt
+        self.stride = stride
         self._cols = {name: array("d") for name in _FLOAT_COLS}
         self._mode = array("b")
         # bound appends in _FLOAT_COLS order, then the mode code's
@@ -124,8 +127,8 @@ class TraceRecorder:
     def n_recorded(self) -> int:
         return len(self._mode)
 
-    def record(self, t: float, state: PlantState, tau_cmd: float,
-               tau_applied: float, p: ActuatorParams) -> None:
+    def record(self, state: PlantState, tau_cmd: float, tau_applied: float,
+               p: ActuatorParams) -> None:
         cls = type(state)
         if cls is SeaState:
             qm, wm, qo, wo, off = state
@@ -136,8 +139,7 @@ class TraceRecorder:
         else:
             qm, wm, qo, wo, _ = state
             code, tau_s = 2, 0.0
-        t_, qm_, wm_, qo_, wo_, cmd_, app_, spring_, iq_, mode_ = self._appends
-        t_(t)
+        qm_, wm_, qo_, wo_, cmd_, app_, spring_, iq_, mode_ = self._appends
         qm_(qm)
         wm_(wm)
         qo_(qo)
@@ -148,11 +150,10 @@ class TraceRecorder:
         iq_(tau_applied / p.K_t)
         mode_(code)
 
-    def record_raw(self, t: float, code: int, qm: float, wm: float, qo: float,
-                   wo: float, tau_cmd: float, tau_applied: float,
-                   tau_spring: float, i_q: float) -> None:
-        t_, qm_, wm_, qo_, wo_, cmd_, app_, spring_, iq_, mode_ = self._appends
-        t_(t)
+    def record_raw(self, code: int, qm: float, wm: float, qo: float, wo: float,
+                   tau_cmd: float, tau_applied: float, tau_spring: float,
+                   i_q: float) -> None:
+        qm_, wm_, qo_, wo_, cmd_, app_, spring_, iq_, mode_ = self._appends
         qm_(qm)
         wm_(wm)
         qo_(qo)
@@ -163,9 +164,17 @@ class TraceRecorder:
         iq_(i_q)
         mode_(code)
 
+    def copy_rows(self, start: int, stop: int) -> None:
+        """Append a copy of rows [start, stop)."""
+        for col in (*self._cols.values(), self._mode):
+            col.extend(col[start:stop])
+
     def trace(self) -> Trace:
+        t = np.arange(0, self.n_recorded * self.stride, self.stride, dtype=np.float64)
+        t *= self.dt  # the products k*dt its caller forms, not r*(stride*dt)
         cols = {name: np.asarray(col, dtype=np.float64) for name, col in self._cols.items()}
-        return Trace(dt=self.dt, mode=np.asarray(self._mode, dtype=np.int8), **cols)
+        return Trace(dt=self.dt * self.stride, t=t,
+                     mode=np.asarray(self._mode, dtype=np.int8), **cols)
 
 
 def _stride_for(dt: float, hz: float) -> int:
@@ -440,19 +449,18 @@ class _Driver:
     controller, the selector gate, the trace recorder and the plant.
 
     Protocols script their phases as calls to run() and hold(), a switch
-    request included; the driver owns the state, the step count, the time,
-    the recorder and the switch bookkeeping (the selector travel in steps,
-    completed records, refused gate tests) in between.
+    request included; the driver owns the state, the step count k (the time
+    is k*dt), the recorder and the switch bookkeeping (the selector travel in
+    steps, completed records, refused gate tests) in between.
     """
 
     def __init__(self, preset: Preset, kp: float, state: PlantState, stride: int = 1):
         self.p, self.load = preset.params, preset.load
-        self.rec = TraceRecorder(self.p.dt * stride)
+        self.rec = TraceRecorder(self.p.dt, stride)
         self.stride = stride  # one trace row every stride steps
         self.kp = kp
         self.state = state
-        self.k = 0     # steps taken
-        self.t = 0.0   # k*dt, a product so that it cannot drift
+        self.k = 0  # steps taken
         self.latency = latency_steps(self.p.t_switch, self.p.dt)  # steps of selector travel
         self._engage_k = 0  # k after the step the last accepted switch engages on
         # the transition state the last run's engagement consumed, else None
@@ -461,6 +469,11 @@ class _Driver:
         self.retried = 0  # gate tests that refused a request
         # request time, from and to modes and torque of the switch in flight
         self._request: tuple[float, Mode, Mode, float] | None = None
+
+    @property
+    def t(self) -> float:
+        """k*dt, a product so that it cannot drift."""
+        return self.k * self.p.dt
 
     def run(self, targets: Iterable[float], extra: float = 0.0,
             switch: bool = False) -> SwitchDecision | None:
@@ -484,7 +497,6 @@ class _Driver:
         dt = p.dt
         state = self.state
         k = self.k
-        t = self.t
         engage_k = self._engage_k
         decision = engaged = None
         try:
@@ -502,26 +514,24 @@ class _Driver:
                         switch = False
                         state = decision.transition
                         self._engage_k = engage_k = k + self.latency
-                        self._request = (t, src, dst, decision.transmitted)
+                        self._request = (k * dt, src, dst, decision.transmitted)
                     else:
                         self.retried += 1
                 if k % stride == 0:
-                    rec.record(t, state, tau_cmd, clamp_torque(tau_cmd, p), p)
+                    rec.record(state, tau_cmd, clamp_torque(tau_cmd, p), p)
                 state = plant.step(state, tau_cmd, p, load, extra)
                 k += 1
-                t = k * dt
                 if k == engage_k:
                     engaged = state
                     state = advance_selector(state, p)
                     request_t, src, dst, torque = self._request
-                    self.records.append(SwitchRecord(request_t, t, src, dst, torque, COMPLETED))
+                    self.records.append(SwitchRecord(request_t, k * dt, src, dst, torque, COMPLETED))
                     break
         except SimulationError as exc:
-            self.state, self.k, self.t = state, k, t
-            raise SimulationError(f"{exc} after step {k} (t={t:.6f} s)") from exc
+            self.state, self.k = state, k
+            raise SimulationError(f"{exc} after step {k} (t={k * dt:.6f} s)") from exc
         self.state = state
         self.k = k
-        self.t = t
         self.engaged_from = engaged
         return decision
 
@@ -555,16 +565,16 @@ class _Driver:
         unit now with run() and hold(). Each unit starts in an engaged mode,
         keyed by its state's type, the exact bits of its floats (-0.0 is not
         0.0) and k % stride, which fixes the steps that log rows; a unit's
-        script reads nothing else (not t, which only stamps rows and records),
+        script reads nothing else (not t, which only stamps switch records),
         so a unit that starts under the key of unit j would take unit j's steps
         again, bit for bit. When unit i starts under unit j's key, units
         j..i-1 repeat in turn until n are done: each further unit is copied
         from the unit it repeats, and that unit's index is yielded after the
         copy, so the caller can check its records and find its rows. A copy
-        appends the source unit's rows through record_raw, its switch records
-        and its refused gate tests, re-forms every time as its whole step
-        count times dt (as run() forms t), and leaves the state, k and t that
-        simulating the unit would leave.
+        appends the source unit's rows in one call (shifted by a multiple of
+        stride, they stay on the row grid), its switch records, every time
+        re-formed as its whole step count times dt, and its refused gate
+        tests, and leaves the state and k that simulating the unit would leave.
         """
         seen: dict[tuple, int] = {}
         marks = []  # (k, rows, records, refusals, state) at each unit's start
@@ -579,19 +589,13 @@ class _Driver:
         else:
             return  # no unit repeated another
 
-        dt, stride, records = self.p.dt, self.stride, self.records
-        record = self.rec.record_raw
-        cols = (self.rec._mode, *islice(self.rec._cols.values(), 1, None))  # all but t
+        dt, records = self.p.dt, self.records
         for unit in range(i, n):
             src = j + (unit - j) % (i - j)
             k0, r0, n0, retried0, _ = marks[src]
             k1, r1, n1, retried1, state = marks[src + 1]
-            k, shift = self.k, self.k - k0  # shift is a multiple of stride
-            # the source logged a row on each of its steps k0 <= s < k1 with
-            # s % stride == 0; the copy logs them on the same steps + shift
-            for s, code, qm, wm, qo, wo, cmd, app, spring, iq in zip(
-                    range(k + -k % stride, k + k1 - k0, stride), *(c[r0:r1] for c in cols)):
-                record(s * dt, code, qm, wm, qo, wo, cmd, app, spring, iq)
+            shift = self.k - k0  # a multiple of stride, so the rows stay on the grid
+            self.rec.copy_rows(r0, r1)
             # a record's times are whole steps times dt, so round() returns the
             # step (exactly, for any step count under MAX_RUN_STEPS)
             for r in records[n0:n1]:
@@ -601,7 +605,6 @@ class _Driver:
                                  else (round(r.engage_time / dt) + shift) * dt)))
             self.retried += retried1 - retried0
             self.k += k1 - k0
-            self.t = self.k * dt
             self.state = state
             yield src
 
@@ -655,7 +658,7 @@ def run_static_stiffness(
     _check_run_length(f"{cycles} cycles at ramp_rate {ramp_rate}",
                       timeout_steps + 4 * cycles * (n_ramp + timeout_steps))
     stride = _stride_for(dt, STIFFNESS_RECORD_HZ)
-    rec = TraceRecorder(dt * stride)  # the rig calls it on kept steps only
+    rec = TraceRecorder(dt, stride)  # the rig calls it on kept steps only
     window_steps = max(1, round(0.05 / dt))
 
     J, b, w_eps, K_t = p.J_m, p.b_m, p.omega_eps, p.K_t
@@ -676,8 +679,7 @@ def run_static_stiffness(
         for j in range(1, n + timeout_steps + 1):
             tau = tau_from + (tau_to - tau_from) * j / n if j <= n else tau_to
             if step_i % stride == 0:
-                record(step_i * dt, code, theta, omega, 0.0, 0.0, tau, tau,
-                       K_rig * theta, tau / K_t)
+                record(code, theta, omega, 0.0, 0.0, tau, tau, K_rig * theta, tau / K_t)
             # one RK4 step of the locked motor, one body on the grounded spring
             # K_rig: no output load (so no cos to fail) and no call per step
             a1 = (tau - K_rig * theta - b * omega - tau_c * tanh(omega / w_eps)) / J
@@ -834,23 +836,19 @@ def run_disturbance(
     drv = _Driver(preset, DISTURB_KP, initial_state(mode))
     # settle into the pre-impact hold
     drv.hold(0.0, omega_tol=1e-4, window_s=0.25, timeout_s=timeout_s, min_hold_s=1.0)
-    units = []  # per impact: its window's rows [start, stop), then the rows after its re-settle
+    # every step logs a row, so an impact's window is the post_steps rows from
+    # its first row, and each impact's rows start where the last one's ended
+    starts = [drv.rec.n_recorded]
     for src in drv.replay(n_impacts):
         if src is None:
-            start = drv.rec.n_recorded
             drv.run(repeat(0.0, pulse_steps), impact_torque)
             drv.run(repeat(0.0, post_steps - pulse_steps))
-            stop = drv.rec.n_recorded
             # re-settle before the next strike
             drv.hold(0.0, omega_tol=1e-4, window_s=0.25, timeout_s=timeout_s)
-            units.append((start, stop, drv.rec.n_recorded))
-        else:  # impact src's rows were just copied
-            start, stop, end = units[src]
-            shift = drv.rec.n_recorded - end
-            units.append((start + shift, stop + shift, end + shift))
+        starts.append(drv.rec.n_recorded)  # after a simulated or copied impact
 
     trace = drv.rec.trace()
-    windows = [(start, stop) for start, stop, _ in units]
+    windows = [(start, start + post_steps) for start in starts[:-1]]
     return trace, _disturbance_report(mode, trace, windows, impact_torque, measure)
 
 

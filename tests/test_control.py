@@ -40,7 +40,7 @@ def test_torque_to_current():
     rec = TraceRecorder(1.25e-4)
     p = ActuatorParams(K_t=0.083)
     for tau in (0.083, 0.0, 2.347):
-        rec.record(0.0, PeaState(0.0, 0.0, 0.0), tau, tau, p)
+        rec.record(PeaState(0.0, 0.0, 0.0), tau, tau, p)
     i_q = rec.trace().i_q
     assert i_q[0] == pytest.approx(1.0)
     assert i_q[1] == 0.0

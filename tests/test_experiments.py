@@ -204,6 +204,31 @@ def test_records_only_kept_rows(method, hz, run, calibrated, monkeypatch):
     assert np.allclose(np.diff(trace.t), trace.dt, rtol=1e-9, atol=0.0)
 
 
+@pytest.mark.parametrize("hz, run", [
+    (CYCLE_RECORD_HZ, lambda pre: run_switch_cycle(pre, n=16)),
+    (STIFFNESS_RECORD_HZ, lambda pre: run_static_stiffness(Mode.SEA, pre, cycles=1)),
+], ids=["cycle", "stiffness"])
+def test_time_column_is_the_step_clock(hz, run, calibrated, monkeypatch):
+    # row r is step r*stride, and its time the product (r*stride)*dt that the
+    # loops form; at dt = 1e-4 (strides 10 and 5) r*(stride*dt) differs on
+    # some rows, and the cycle run copies rows of the cycles it replays
+    dt = 1e-4
+    copies = []
+    copy_rows = TraceRecorder.copy_rows
+
+    def spy(self, start, stop):
+        copies.append((start, stop))
+        copy_rows(self, start, stop)
+
+    monkeypatch.setattr(TraceRecorder, "copy_rows", spy)
+    trace, _ = run(with_params(calibrated, dt=dt))
+    stride = _stride_for(dt, hz)
+    expected = np.array([k * dt for k in range(0, len(trace) * stride, stride)])
+    assert trace.t.tobytes() == expected.tobytes()
+    assert not np.array_equal(np.arange(len(trace)) * (stride * dt), expected)
+    assert (len(copies) > 0) == (hz == CYCLE_RECORD_HZ)
+
+
 def test_static_stiffness_dwell_timeout(calibrated):
     # omega never drops below zero, so the leading dwell at 0 Nm runs its
     # 60 s out
@@ -394,6 +419,15 @@ def test_driver_clock_stays_exact(calibrated):
         drv.run(repeat(0.0, 1))
     assert drv.k == 1000
     assert drv.t == 1000 * calibrated.params.dt  # product bookkeeping, no accumulation drift
+
+
+def test_hold_timeout_stops_after_its_steps(calibrated):
+    # no velocity is ever under a tolerance of 0, so the hold runs its 10 ms out
+    drv = _Driver(calibrated, HOLD_KP, initial_state(Mode.PEA))
+    with pytest.raises(SimulationError) as err:
+        drv.hold(0.0, omega_tol=0.0, window_s=0.05, timeout_s=0.01)
+    assert str(err.value) == "hold did not settle below |omega| < 0.0 rad/s within 0.01 s"
+    assert drv.k == round(0.01 / calibrated.params.dt) == drv.rec.n_recorded
 
 
 def _driver_bits(drv: _Driver) -> tuple:

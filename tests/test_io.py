@@ -25,12 +25,11 @@ def _synthetic_trace(n: int, dt: float = 1.25e-4) -> Trace:
     p = ActuatorParams(K_s=5.57, K_t=0.083)
     rng = np.random.default_rng(42)
     for i in range(n):
-        t = i * dt
         if i % 3 == 2:
             state = PeaState(float(rng.normal()), 0.1, 0.0)
         else:
             state = SeaState(float(rng.normal()), -0.2, float(rng.normal()), 0.3, 0.0)
-        rec.record(t, state, 0.5, 0.5, p)
+        rec.record(state, 0.5, 0.5, p)
     return rec.trace()
 
 
