@@ -16,9 +16,8 @@ import numpy as np
 
 from . import experiments, io
 from .experiments import InvariantViolation
-from .params import resolve_preset
+from .params import MAX_RUN_STEPS, resolve_preset
 from .plant import Mode, SimulationError
-from .selector import COMPLETED
 from .spring_hub import effective_length, hub_torque, linearized_stiffness
 
 
@@ -98,8 +97,10 @@ def _check_args(args) -> None:
     check their own arguments and raise ValueError before they simulate."""
     if args.command == "hub-curve":
         _positive("--range", args.sweep_range)
-        if args.steps < 2:
-            raise CliError(f"--steps must be >= 2 (got {args.steps})")
+        if not math.isfinite(2.0 * args.sweep_range):  # the span of the grid
+            raise CliError(f"--range must span a finite interval (got {args.sweep_range})")
+        if not 2 <= args.steps <= MAX_RUN_STEPS:
+            raise CliError(f"--steps must be between 2 and {MAX_RUN_STEPS} (got {args.steps})")
 
 
 def _write_outputs(out_dir: Path, trace, report_dict: dict, svg_series: dict,
@@ -139,8 +140,7 @@ def _run_track(args, preset, noise: io.NoiseModel) -> dict:
          "i_q [A]": trace.i_q},
         bands, noise, "dynamic switching",
     )
-    done = sum(1 for r in report.switch_records if r.outcome == COMPLETED)
-    print(f"track: {done} switches completed, {report.retried_attempts} retried attempts")
+    print(f"track: {d['switches_completed']} switches completed, {report.retried_attempts} retried attempts")
     for name, stats in report.per_mode.items():
         print(f"  {name}: rms error {stats['rms_error_rad']:.4f} rad, "
               f"rms i_q {stats['rms_iq_a']:.2f} A, peak i_q {stats['peak_iq_a']:.2f} A")

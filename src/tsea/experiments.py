@@ -13,15 +13,15 @@ The endurance and disturbance runs repeat one scripted unit (a switch
 cycle; an impact and its re-settle) and settle into a cycle of units: on
 the shipped presets cycle 14 starts in cycle 12's state and PEA impact 2 in
 impact 1's. A unit's steps depend only on the state it starts in and, for
-the rows it logs, on k % stride; t only stamps switch records. So
+the rows it logs, on k % stride; k only stamps switch records. So
 _Driver.replay keys each unit's start by the state's type, its floats' exact
 bits and k % stride, and once a key comes back it copies the units that
 repeat instead of simulating them: their rows in one call (they land on the
-row grid and take their times from their index), their switch records, every
-time re-formed as whole steps times dt, and their refused gate tests. Every
-trace, report and plot stays byte-identical to a run that simulates every
-unit. Before it simulates, every protocol bounds its step count, replayed
-steps included, by MAX_RUN_STEPS.
+row grid and take their times from their index), their switch records, which
+count steps and shift by whole steps (the report forms their times k*dt), and
+their refused gate tests. Every trace, report and plot stays byte-identical
+to a run that simulates every unit. Before it simulates, every protocol
+bounds its step count, replayed steps included, by MAX_RUN_STEPS.
 """
 
 from __future__ import annotations
@@ -362,6 +362,7 @@ class TrackingReport:
     per_mode: dict[str, dict[str, float]]  # pooled rms/peak per engaged mode
     switch_records: list[SwitchRecord]
     retried_attempts: int
+    dt: float  # the preset's step, which turns record steps into seconds
 
     def as_dict(self) -> dict:
         return {
@@ -369,7 +370,7 @@ class TrackingReport:
             "per_mode": self.per_mode,
             "switches_completed": sum(1 for r in self.switch_records if r.outcome == COMPLETED),
             "retried_attempts": self.retried_attempts,
-            "switch_records": [_record_dict(r) for r in self.switch_records],
+            "switch_records": [_record_dict(r, self.dt) for r in self.switch_records],
         }
 
 
@@ -394,10 +395,11 @@ class CycleReport:
         }
 
 
-def _record_dict(r: SwitchRecord) -> dict:
+def _record_dict(r: SwitchRecord, dt: float) -> dict:
+    """A switch record with its steps as times k*dt, as the driver's clock forms them."""
     return {
-        "request_time": r.request_time,
-        "engage_time": r.engage_time,
+        "request_time": r.request_k * dt,
+        "engage_time": None if r.engage_k is None else r.engage_k * dt,
         "from_mode": r.from_mode.value,
         "to_mode": r.to_mode.value,
         "torque_at_request": r.torque_at_request,
@@ -467,8 +469,8 @@ class _Driver:
         self.engaged_from: TransitionState | None = None
         self.records: list[SwitchRecord] = []  # one per engagement, in order
         self.retried = 0  # gate tests that refused a request
-        # request time, from and to modes and torque of the switch in flight
-        self._request: tuple[float, Mode, Mode, float] | None = None
+        # request step, from and to modes and torque of the switch in flight
+        self._request: tuple[int, Mode, Mode, float] | None = None
 
     @property
     def t(self) -> float:
@@ -494,7 +496,6 @@ class _Driver:
         kp = self.kp
         stride = self.stride
         rec = self.rec
-        dt = p.dt
         state = self.state
         k = self.k
         engage_k = self._engage_k
@@ -514,7 +515,7 @@ class _Driver:
                         switch = False
                         state = decision.transition
                         self._engage_k = engage_k = k + self.latency
-                        self._request = (k * dt, src, dst, decision.transmitted)
+                        self._request = (k, src, dst, decision.transmitted)
                     else:
                         self.retried += 1
                 if k % stride == 0:
@@ -524,12 +525,12 @@ class _Driver:
                 if k == engage_k:
                     engaged = state
                     state = advance_selector(state, p)
-                    request_t, src, dst, torque = self._request
-                    self.records.append(SwitchRecord(request_t, k * dt, src, dst, torque, COMPLETED))
+                    request_k, src, dst, torque = self._request
+                    self.records.append(SwitchRecord(request_k, k, src, dst, torque, COMPLETED))
                     break
         except SimulationError as exc:
             self.state, self.k = state, k
-            raise SimulationError(f"{exc} after step {k} (t={k * dt:.6f} s)") from exc
+            raise SimulationError(f"{exc} after step {k} (t={self.t:.6f} s)") from exc
         self.state = state
         self.k = k
         self.engaged_from = engaged
@@ -565,16 +566,16 @@ class _Driver:
         unit now with run() and hold(). Each unit starts in an engaged mode,
         keyed by its state's type, the exact bits of its floats (-0.0 is not
         0.0) and k % stride, which fixes the steps that log rows; a unit's
-        script reads nothing else (not t, which only stamps switch records),
-        so a unit that starts under the key of unit j would take unit j's steps
-        again, bit for bit. When unit i starts under unit j's key, units
+        script reads nothing else (not k itself, which only stamps switch
+        records), so a unit that starts under the key of unit j would take
+        unit j's steps again, bit for bit. When unit i starts under unit j's key, units
         j..i-1 repeat in turn until n are done: each further unit is copied
         from the unit it repeats, and that unit's index is yielded after the
         copy, so the caller can check its records and find its rows. A copy
         appends the source unit's rows in one call (shifted by a multiple of
-        stride, they stay on the row grid), its switch records, every time
-        re-formed as its whole step count times dt, and its refused gate
-        tests, and leaves the state and k that simulating the unit would leave.
+        stride, they stay on the row grid), its switch records with their
+        steps shifted by the same count, and its refused gate tests, and
+        leaves the state and k that simulating the unit would leave.
         """
         seen: dict[tuple, int] = {}
         marks = []  # (k, rows, records, refusals, state) at each unit's start
@@ -589,20 +590,17 @@ class _Driver:
         else:
             return  # no unit repeated another
 
-        dt, records = self.p.dt, self.records
+        records = self.records
         for unit in range(i, n):
             src = j + (unit - j) % (i - j)
             k0, r0, n0, retried0, _ = marks[src]
             k1, r1, n1, retried1, state = marks[src + 1]
             shift = self.k - k0  # a multiple of stride, so the rows stay on the grid
             self.rec.copy_rows(r0, r1)
-            # a record's times are whole steps times dt, so round() returns the
-            # step (exactly, for any step count under MAX_RUN_STEPS)
             for r in records[n0:n1]:
                 records.append(replace(
-                    r, request_time=(round(r.request_time / dt) + shift) * dt,
-                    engage_time=(None if r.engage_time is None
-                                 else (round(r.engage_time / dt) + shift) * dt)))
+                    r, request_k=r.request_k + shift,
+                    engage_k=None if r.engage_k is None else r.engage_k + shift))
             self.retried += retried1 - retried0
             self.k += k1 - k0
             self.state = state
@@ -760,9 +758,6 @@ def run_dynamic_switching(
     trace = drv.rec.trace()
     err_all = center + amp * np.sin(two_pi_f * trace.t) - trace.theta_m
     segments: list[SegmentStats] = []
-    pooled: dict[str, dict[str, list]] = {
-        "SEA": {"err": [], "iq": []}, "PEA": {"err": [], "iq": []}
-    }
     for start, stop in mode_runs(trace.mode):
         name = MODE_NAMES[trace.mode[start]]
         if name == "TRANS":
@@ -777,20 +772,19 @@ def run_dynamic_switching(
             rms_iq=rms(iq),
             peak_iq=float(np.max(np.abs(iq))),
         ))
-        pooled[name]["err"].append(e)
-        pooled[name]["iq"].append(iq)
 
     per_mode = {}
-    for name, cols in pooled.items():
-        if cols["err"]:
-            e = np.concatenate(cols["err"])
-            iq = np.concatenate(cols["iq"])
+    for code, name in enumerate(MODE_NAMES[:2]):  # the engaged modes, rows in trace order
+        rows = trace.mode == code
+        if rows.any():
+            e = err_all[rows]
+            iq = trace.i_q[rows]
             per_mode[name] = {
                 "rms_error_rad": rms(e),
                 "rms_iq_a": rms(iq),
                 "peak_iq_a": float(np.max(np.abs(iq))),
             }
-    report = TrackingReport(segments, per_mode, drv.records, drv.retried)
+    report = TrackingReport(segments, per_mode, drv.records, drv.retried, dt)
     return trace, report
 
 
@@ -922,7 +916,7 @@ def run_switch_cycle(
     engagements = []
     for i, src in enumerate(drv.replay(n)):
         if src is None:
-            first_t = drv.t
+            first_k = drv.k
             # one gated run: retries every step of the window, then the travel
             decision = drv.run(repeat(hold, retry_steps), switch=True)
             if decision.accepted:
@@ -932,7 +926,7 @@ def run_switch_cycle(
             else:
                 current = mode_of(drv.state)
                 records.append(SwitchRecord(
-                    first_t, None, current, _other_mode(current), decision.transmitted,
+                    first_k, None, current, _other_mode(current), decision.transmitted,
                     REJECTED,
                 ))
                 engagements.append(None)
@@ -948,7 +942,7 @@ def run_switch_cycle(
             raise InvariantViolation(
                 f"cycle {i}: gate unsound, accepted at {record.torque_at_request:.4f} Nm"
             )
-        steps_taken = round((record.engage_time - record.request_time) / p.dt)
+        steps_taken = record.engage_k - record.request_k
         if steps_taken != latency:
             raise InvariantViolation(
                 f"cycle {i}: latency {steps_taken} steps != t_switch ({latency} steps)"

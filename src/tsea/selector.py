@@ -35,8 +35,8 @@ class SelectorError(RuntimeError):
 
 @dataclass(frozen=True, slots=True)
 class SwitchRecord:
-    request_time: float          # [s]
-    engage_time: float | None    # [s]; None for rejected requests
+    request_k: int               # steps taken at the gate test (a refusal's first)
+    engage_k: int | None         # steps taken after engagement; None for rejected requests
     from_mode: Mode
     to_mode: Mode
     torque_at_request: float     # transmitted torque when the gate was tested [Nm]

@@ -360,12 +360,12 @@ def reference_switch_cycle(preset, n: int, hold: float, retry_window_s: float = 
     latency = latency_steps(p.t_switch, p.dt)
     records = drv.records
     for _ in range(n):
-        first_t = drv.t
+        first_k = drv.k
         decision = drv.run(repeat(hold, retry_steps), switch=True)
         if not decision.accepted:
             current = mode_of(drv.state)
             records.append(SwitchRecord(
-                first_t, None, current, _other_mode(current), decision.transmitted, REJECTED,
+                first_k, None, current, _other_mode(current), decision.transmitted, REJECTED,
             ))
             continue
         while drv.engaged_from is None:

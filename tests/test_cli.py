@@ -159,6 +159,9 @@ def test_simulation_blowup_exits_2(tmp_path, capsys):
      "cycles must be >= 1 (got 0)"),
     (["hub-curve", "--range", "nan"], "--range must be finite (got nan)"),
     (["hub-curve", "--range", "0"], "--range must be positive (got 0.0)"),
+    (["hub-curve", "--range", "1e308"], "--range must span a finite interval (got 1e+308)"),
+    (["hub-curve", "--steps", "1000000000000000"],
+     "--steps must be between 2 and 50000000 (got 1000000000000000)"),
     (["disturb", "--mode", "sea", "--impulse", "nan"], "impact_torque must be finite (got nan)"),
     (["disturb", "--mode", "pea", "--impulse=-inf"],
      "impact_torque must be finite (got -inf)"),
@@ -179,7 +182,8 @@ def test_simulation_blowup_exits_2(tmp_path, capsys):
      "1000 impacts could take more than 50000000 steps, the most a run may take"),
 ], ids=["period-zero", "period-inf", "duration-negative", "duration-nan", "duration-substep",
         "rate-zero", "rate-overflow",
-        "cycles-zero", "range-nan", "range-zero", "impulse-nan", "impulse-inf",
+        "cycles-zero", "range-nan", "range-zero", "range-span-overflow", "steps-ceiling",
+        "impulse-nan", "impulse-inf",
         "seed-negative", "duration-ceiling", "rate-ceiling", "cycles-ceiling", "n-ceiling",
         "impacts-ceiling"])
 def test_bad_numbers_fail_fast(argv, message, tmp_path, capsys):

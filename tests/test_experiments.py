@@ -306,11 +306,12 @@ def spy_on_gate(monkeypatch) -> list:
 def test_dynamic_switching_short(calibrated):
     trace, rep = run_dynamic_switching(calibrated, duration=6.0, switch_period=2.0)
     assert len(rep.switch_records) == 3  # floor(duration / period)
+    dt = calibrated.params.dt
+    latency = latency_steps(calibrated.params.t_switch, dt)
+    assert latency * dt == pytest.approx(calibrated.params.t_switch, abs=dt)
     for r in rep.switch_records:
         assert r.outcome == COMPLETED
-        assert r.engage_time - r.request_time == pytest.approx(
-            calibrated.params.t_switch, abs=calibrated.params.dt
-        )
+        assert r.engage_k - r.request_k == latency
         assert abs(r.torque_at_request) < calibrated.params.tau_disengage
     # switches alternate modes
     for a, b in zip(rep.switch_records, rep.switch_records[1:]):
@@ -473,7 +474,7 @@ def test_run_matches_single_steps(calibrated, stride, monkeypatch):
     assert phase.k == single.k == request_k + latency
     assert type(phase.engaged_from) is TransitionState
     assert phase.records[-1].outcome == COMPLETED
-    assert phase.records[-1].engage_time == phase.t
+    assert phase.records[-1].engage_k == phase.k
     assert _driver_bits(phase) == _driver_bits(single)
 
     # in the engaged mode, then into a blow-up that must name the same step
@@ -560,7 +561,7 @@ def test_switch_cycle_latency_matches_selector_countdown(t_switch, latency, cali
     assert rep.completed == 2
     assert latency_steps(pre.params.t_switch, dt) == latency
     for r in rep.records:
-        assert r.engage_time - r.request_time == pytest.approx(latency * dt, abs=1e-12)
+        assert r.engage_k - r.request_k == latency
 
 
 @pytest.mark.parametrize("t_switch", [lambda dt: 0.03, lambda dt: 0.0299, lambda dt: 1.5 * dt],
@@ -587,7 +588,7 @@ def test_selector_engages_once_per_switch(protocol, t_switch, calibrated, monkey
     assert len(engaged) == len(completed) >= 3
     latency = latency_steps(pre.params.t_switch, dt)
     for r in completed:
-        assert r.engage_time == (round(r.request_time / dt) + latency) * dt
+        assert r.engage_k == r.request_k + latency
 
 
 def test_switch_cycle_gate_forced_closed(calibrated):
@@ -599,7 +600,7 @@ def test_switch_cycle_gate_forced_closed(calibrated):
     )
     assert rep.completed == 0
     assert rep.rejected == 3
-    assert all(r.outcome == REJECTED and r.engage_time is None for r in rep.records)
+    assert all(r.outcome == REJECTED and r.engage_k is None for r in rep.records)
 
 
 def test_switch_cycle_counts_every_refusal(calibrated, monkeypatch):
@@ -670,6 +671,9 @@ def test_switch_cycle_replay_matches_full_simulation(preset, n, replayed, reques
     # the rows imply at least this many steps, which a full simulation takes
     implied = (len(trace) - 1) * drv.stride + 1
     assert (steps < implied) is replayed
+    # records count steps as ints, copies included, not floats that happen to be whole
+    assert all(type(r.request_k) is int and (r.engage_k is None or type(r.engage_k) is int)
+               for r in drv.records)
     if preset == "refusing":
         outcomes = [r.outcome for r in report.records]
         assert REJECTED in outcomes[29:] and report.retried_attempts > 0

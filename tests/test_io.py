@@ -179,7 +179,8 @@ def test_svg_empty_series_rejected(tmp_path):
 def test_svg_band_shading_matches_switches(tmp_path, calibrated):
     trace, rep = run_dynamic_switching(calibrated, duration=3.0, switch_period=1.0)
     bands = mode_bands(trace)
-    engage_times = [r.engage_time for r in rep.switch_records if r.outcome == COMPLETED]
+    engage_times = [r.engage_k * calibrated.params.dt
+                    for r in rep.switch_records if r.outcome == COMPLETED]
     starts = [b[0] for b in bands]
     for et in engage_times:
         assert min(abs(s - et) for s in starts) < 2 * trace.dt
