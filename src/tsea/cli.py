@@ -16,9 +16,13 @@ import numpy as np
 
 from . import experiments, io
 from .experiments import InvariantViolation
-from .params import MAX_RUN_STEPS, resolve_preset
+from .params import resolve_preset
 from .plant import Mode, SimulationError
 from .spring_hub import effective_length, hub_torque, linearized_stiffness
+
+# hub-curve evaluates and writes its sweep one point at a time: 1,000,000 points
+# take about 10 s and write about 60 MB
+MAX_SWEEP_POINTS = 1_000_000
 
 
 class CliError(Exception):
@@ -99,8 +103,8 @@ def _check_args(args) -> None:
         _positive("--range", args.sweep_range)
         if not math.isfinite(2.0 * args.sweep_range):  # the span of the grid
             raise CliError(f"--range must span a finite interval (got {args.sweep_range})")
-        if not 2 <= args.steps <= MAX_RUN_STEPS:
-            raise CliError(f"--steps must be between 2 and {MAX_RUN_STEPS} (got {args.steps})")
+        if not 2 <= args.steps <= MAX_SWEEP_POINTS:
+            raise CliError(f"--steps must be between 2 and {MAX_SWEEP_POINTS} (got {args.steps})")
 
 
 def _write_outputs(out_dir: Path, trace, report_dict: dict, svg_series: dict,

@@ -19,9 +19,16 @@ bits and k % stride, and once a key comes back it copies the units that
 repeat instead of simulating them: their rows in one call (they land on the
 row grid and take their times from their index), their switch records, which
 count steps and shift by whole steps (the report forms their times k*dt), and
-their refused gate tests. Every trace, report and plot stays byte-identical
-to a run that simulates every unit. Before it simulates, every protocol
-bounds its step count, replayed steps included, by MAX_RUN_STEPS.
+their refused gate tests. The stiffness rig replays its legs (a torque ramp
+and the dwell after it) the same way: a leg's steps, rows, settle count and
+exit depend only on its script, the bits of the rig's angle and velocity and
+the step count modulo the stride, so once a leg starts under an earlier leg's
+key (cycle 2's ramp from 1 Nm to 0 at the default rate) the rig copies the
+rows of the legs that repeat, and fits each cycle on the finished trace.
+_repeat_sources is the one rule both use for which unit a copy repeats.
+Every trace, report and plot stays byte-identical to a run that simulates
+every unit. Before it simulates, every protocol bounds its step count,
+replayed steps included, by MAX_RUN_STEPS.
 """
 
 from __future__ import annotations
@@ -432,6 +439,18 @@ def _check_run_length(what: str, steps: int) -> None:
                          f"the most a run may take")
 
 
+def _repeat_sources(seen: dict, key: tuple, i: int, n: int) -> list[int]:
+    """The units a run of n scripted units repeats once unit i starts.
+
+    seen maps each start key to the first unit that started under it. When
+    unit i starts under unit j's key, unit i takes unit j's steps bit for bit,
+    so units j..i-1 repeat in turn until n are done: returns the unit each of
+    units i..n-1 repeats. Otherwise registers key and returns [].
+    """
+    j = seen.setdefault(key, i)
+    return [j + (c - j) % (i - j) for c in range(i, n)] if j < i else []
+
+
 def _other_mode(mode: Mode) -> Mode:
     """The engaged mode a switch from mode heads for."""
     return Mode.PEA if mode is Mode.SEA else Mode.SEA
@@ -583,16 +602,15 @@ class _Driver:
             state = self.state
             marks.append((self.k, self.rec.n_recorded, len(self.records), self.retried, state))
             key = (type(state), self.k % self.stride, struct.pack(f"{len(state)}d", *state))
-            j = seen.setdefault(key, i)
-            if j < i:
+            sources = _repeat_sources(seen, key, i, n)
+            if sources:
                 break
             yield None
         else:
             return  # no unit repeated another
 
         records = self.records
-        for unit in range(i, n):
-            src = j + (unit - j) % (i - j)
+        for src in sources:
             k0, r0, n0, retried0, _ = marks[src]
             k1, r1, n1, retried1, state = marks[src + 1]
             shift = self.k - k0  # a multiple of stride, so the rows stay on the grid
@@ -635,6 +653,14 @@ def run_static_stiffness(
     torque command ramps linearly between the cycle vertices 0, +1, 0, -1, 0
     Nm and dwells at each vertex until |omega_m| < settle_omega for 0.05 s
     (at most 60 s); the fit and loop area use the continuously sampled trace.
+
+    Each leg (the leading dwell, then a ramp and its dwell) is keyed at its
+    start by its script, the exact bits of theta and omega (-0.0 is not 0.0)
+    and step_i % stride, which fix every step, row and exit of the leg. Once a
+    leg starts under an earlier leg's key, the legs left repeat the legs in
+    between in turn, and each is copied as its source's rows in one call: the
+    copy holds the values the simulation would compute again, so the bytes
+    cannot change.
     """
     if mode not in (Mode.SEA, Mode.PEA):
         raise ValueError("stiffness protocol characterizes an engaged mode")
@@ -669,10 +695,13 @@ def run_static_stiffness(
     theta = 0.0
     omega = 0.0
     step_i = 0
-    cycle_starts = []  # row index at legs 1, 5, 9, ...; then the row count at the end
+    seen: dict[tuple, int] = {}
+    leg_rows = [0]  # row count at the start of every leg, simulated or copied, and at the end
     for leg, (tau_from, tau_to, n) in enumerate(legs):
-        if leg % 4 == 1:
-            cycle_starts.append(rec.n_recorded)
+        key = (tau_from, tau_to, n, step_i % stride, struct.pack("2d", theta, omega))
+        sources = _repeat_sources(seen, key, leg, len(legs))
+        if sources:
+            break
         quiet = 0
         for j in range(1, n + timeout_steps + 1):
             tau = tau_from + (tau_to - tau_from) * j / n if j <= n else tau_to
@@ -700,7 +729,12 @@ def run_static_stiffness(
             raise SimulationError(
                 f"rig did not settle below |omega| < {settle_omega} rad/s at tau={tau_to} Nm"
             )
-    cycle_starts.append(rec.n_recorded)
+        leg_rows.append(rec.n_recorded)
+    # copy the legs left, if a leg repeated; nothing reads the rig's state after them
+    for src in sources:
+        rec.copy_rows(leg_rows[src], leg_rows[src + 1])
+        leg_rows.append(rec.n_recorded)
+    cycle_starts = leg_rows[1::4]  # legs 1, 5, 9, ..., then the row count at the end
 
     trace = rec.trace()
     slopes, areas = [], []

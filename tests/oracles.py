@@ -11,8 +11,8 @@ stiffness rig's inline step must match bit for bit, and the tracking loop is
 the original one-step-per-call driver loop that run_dynamic_switching's phases
 must match. The selector countdown is the original float count of the travel
 that selector.latency_steps must match. The switch-cycle and disturbance
-loops simulate every unit, where the protocols replay the units that repeat
-an earlier one.
+loops and the stiffness rig simulate every unit (every leg, for the rig),
+where the protocols replay the units that repeat an earlier one.
 """
 
 from __future__ import annotations
@@ -34,12 +34,15 @@ from tsea.experiments import (
     TRACK_KP,
     CycleReport,
     DisturbanceReport,
+    StiffnessReport,
     Trace,
     _disturbance_report,
     _Driver,
     _other_mode,
     _stride_for,
+    hysteresis_area,
     initial_state,
+    linear_fit,
 )
 from tsea.io import CSV_HEADER
 from tsea.params import ActuatorParams, HubGeometry, LoadModel
@@ -281,14 +284,20 @@ def reference_rig_step(theta: float, omega: float, tau: float, K_rig: float,
     return rk4_body(f, theta, omega, p.dt)
 
 
+RigRow = tuple[float, float, float]        # (theta, omega, tau)
+LegStart = tuple[int, int, float, float]   # (step, row, theta, omega)
+
+
 def reference_rig_rows(mode: Mode, preset, ramp_rate: float, cycles: int,
-                       settle_omega: float = 1e-4) -> list[tuple[float, float]]:
-    """(theta, omega) on every kept row of the original stiffness rig.
+                       settle_omega: float = 1e-4) -> tuple[list[RigRow], list[LegStart]]:
+    """The kept rows of the original stiffness rig, and where its legs start.
 
     The torque ramps between the cycle vertices 0, +1, 0, -1, 0 Nm and dwells
     at each (and at 0 Nm before the first cycle) until |omega| < settle_omega
     for 0.05 s; every step is one reference_rig_step, and every stride-th
-    step's state before the step is kept."""
+    step's state before the step is kept with the step's torque. A leg is a
+    ramp and its dwell, or the leading dwell; the leg starts hold one entry at
+    the start of each leg and one at the end of the run."""
     p = preset.params
     K_rig = p.K_s if mode is Mode.SEA else p.K_s + p.K_struct
     tau_c = p.tau_c_sea if mode is Mode.SEA else p.tau_c_pea
@@ -296,14 +305,15 @@ def reference_rig_rows(mode: Mode, preset, ramp_rate: float, cycles: int,
     stride = max(1, round(1.0 / (dt * STIFFNESS_RECORD_HZ)))
     window = max(1, round(0.05 / dt))
     n_ramp = max(1, round(1.0 / ramp_rate / dt))
-    rows: list[tuple[float, float]] = []
+    rows: list[RigRow] = []
+    legs: list[LegStart] = []
     theta = omega = 0.0
     k = 0
 
     def advance(tau: float) -> None:
         nonlocal theta, omega, k
         if k % stride == 0:
-            rows.append((theta, omega))
+            rows.append((theta, omega, tau))
         theta, omega = reference_rig_step(theta, omega, tau, K_rig, tau_c, p)
         k += 1
 
@@ -316,13 +326,30 @@ def reference_rig_rows(mode: Mode, preset, ramp_rate: float, cycles: int,
                 return
         raise AssertionError(f"reference rig did not settle at tau={tau} Nm")
 
+    legs.append((k, len(rows), theta, omega))
     dwell(0.0)
     for _ in range(cycles):
         for a, b in ((0.0, 1.0), (1.0, 0.0), (0.0, -1.0), (-1.0, 0.0)):
+            legs.append((k, len(rows), theta, omega))
             for j in range(1, n_ramp + 1):
                 advance(a + (b - a) * j / n_ramp)
             dwell(b)
-    return rows
+    legs.append((k, len(rows), theta, omega))
+    return rows, legs
+
+
+def reference_stiffness_report(mode: Mode, rows: list[RigRow],
+                               legs: list[LegStart]) -> StiffnessReport:
+    """The stiffness report over reference_rig_rows: the OLS slope and loop
+    area of torque over angle on each cycle's rows (legs 1..4, 5..8, ...)."""
+    theta = np.array([row[0] for row in rows])
+    tau = np.array([row[2] for row in rows])
+    starts = [row for _, row, _, _ in legs[1::4]]  # legs 1, 5, 9, ..., then the end
+    slopes = [linear_fit(theta[a:b], tau[a:b]) for a, b in zip(starts, starts[1:])]
+    areas = [hysteresis_area(theta[a:b], tau[a:b]) for a, b in zip(starts, starts[1:])]
+    return StiffnessReport(mode=mode.value, K_fit=float(np.mean(slopes)),
+                           K_stderr=float(np.std(slopes)), loop_area=float(np.mean(areas)),
+                           k_per_cycle=slopes, area_per_cycle=areas)
 
 
 def reference_track_driver(preset, duration: float, switch_period: float,

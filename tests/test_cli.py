@@ -161,7 +161,8 @@ def test_simulation_blowup_exits_2(tmp_path, capsys):
     (["hub-curve", "--range", "0"], "--range must be positive (got 0.0)"),
     (["hub-curve", "--range", "1e308"], "--range must span a finite interval (got 1e+308)"),
     (["hub-curve", "--steps", "1000000000000000"],
-     "--steps must be between 2 and 50000000 (got 1000000000000000)"),
+     "--steps must be between 2 and 1000000 (got 1000000000000000)"),
+    (["hub-curve", "--steps", "1000001"], "--steps must be between 2 and 1000000 (got 1000001)"),
     (["disturb", "--mode", "sea", "--impulse", "nan"], "impact_torque must be finite (got nan)"),
     (["disturb", "--mode", "pea", "--impulse=-inf"],
      "impact_torque must be finite (got -inf)"),
@@ -183,6 +184,7 @@ def test_simulation_blowup_exits_2(tmp_path, capsys):
 ], ids=["period-zero", "period-inf", "duration-negative", "duration-nan", "duration-substep",
         "rate-zero", "rate-overflow",
         "cycles-zero", "range-nan", "range-zero", "range-span-overflow", "steps-ceiling",
+        "steps-over-sweep-ceiling",
         "impulse-nan", "impulse-inf",
         "seed-negative", "duration-ceiling", "rate-ceiling", "cycles-ceiling", "n-ceiling",
         "impacts-ceiling"])

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import re
@@ -13,6 +14,8 @@ from conftest import with_params, without_friction
 from oracles import (
     exponential_band_crossing,
     reference_disturbance,
+    reference_rig_rows,
+    reference_stiffness_report,
     reference_switch_cycle,
     reference_track_driver,
 )
@@ -42,6 +45,7 @@ from tsea.experiments import (
     run_switch_cycle,
     settling_time,
 )
+from tsea.params import load_named_preset
 from tsea.plant import Mode, PeaState, SimulationError, TransitionState
 from tsea.selector import COMPLETED, REJECTED, SwitchDecision, latency_steps
 
@@ -702,6 +706,56 @@ def test_disturbance_replay_matches_full_simulation(mode, n_impacts, calibrated,
                                              n_impacts=n_impacts)
     _assert_same_run(trace, report, drv, *ref)
     assert steps < len(trace)  # every step logs a row
+
+
+@functools.lru_cache(maxsize=1)  # the cycle count varies fastest among the cases
+def _reference_rig(preset: str, mode: Mode, rate: float):
+    """Five reference cycles, whose leg starts cut out the runs of fewer."""
+    return reference_rig_rows(mode, load_named_preset(preset), rate, cycles=5)
+
+
+@pytest.mark.parametrize("cycles", [1, 2, 3, 5])
+@pytest.mark.parametrize("rate", [1.0, 5.0, 1e300])
+@pytest.mark.parametrize("mode", [Mode.SEA, Mode.PEA])
+@pytest.mark.parametrize("preset", ["calibrated", "paper-linear-window"])
+def test_stiffness_replay_matches_full_simulation(preset, mode, rate, cycles, monkeypatch):
+    # a leg of cycle 2 (leg 6, 7 or 8 here) starts where the same leg of cycle 1
+    # did, bit for bit, and the legs from there on repeat; one cycle has no leg
+    # to repeat
+    all_rows, all_legs = _reference_rig(preset, mode, rate)
+    legs = all_legs[:4 * cycles + 2]  # the leading dwell, the cycles' legs, the end
+    rows = all_rows[:legs[-1][1]]
+    pre = load_named_preset(preset)
+    stride = _stride_for(pre.params.dt, STIFFNESS_RECORD_HZ)
+    simulated = legs[-1][0]  # steps up to the first leg that repeats one, else all
+    seen = set()
+    for leg, (k, _, theta, omega) in enumerate(legs[:-1]):
+        key = ("dwell" if leg == 0 else (leg - 1) % 4, k % stride, theta.hex(), omega.hex())
+        if key in seen:
+            simulated = k
+            break
+        seen.add(key)
+
+    tanh, copy_rows = tsea.experiments.tanh, TraceRecorder.copy_rows
+    calls, copies = itertools.count(), []
+
+    def counted(x):
+        next(calls)
+        return tanh(x)
+
+    def spy(self, start, stop):
+        copies.append((start, stop))
+        copy_rows(self, start, stop)
+
+    monkeypatch.setattr(tsea.experiments, "tanh", counted)
+    monkeypatch.setattr(TraceRecorder, "copy_rows", spy)
+    trace, report = run_static_stiffness(mode, pre, ramp_rate=rate, cycles=cycles)
+    for name, col in (("theta_m", 0), ("omega_m", 1)):
+        ref = np.array([row[col] for row in rows])
+        assert np.array_equal(getattr(trace, name).view(np.int64), ref.view(np.int64)), name
+    assert repr(report.as_dict()) == repr(reference_stiffness_report(mode, rows, legs).as_dict())
+    assert next(calls) == 4 * simulated  # four tanh calls a step
+    assert (simulated < legs[-1][0]) == bool(copies) == (cycles > 1)
 
 
 def test_replay_keys_state_bits_and_row_phase(calibrated):

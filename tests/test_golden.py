@@ -19,6 +19,11 @@ CASES = {
                   "--cycles", "1"],
     "stiffness-pea": ["stiffness", "--mode", "pea", "--preset", "paper-full-range",
                       "--cycles", "1"],
+    # legs 6..8 copied, not simulated
+    "stiffness-2": ["stiffness", "--mode", "sea", "--preset", "paper-full-range",
+                    "--cycles", "2", "--rate", "1"],
+    "stiffness-pea-2": ["stiffness", "--mode", "pea", "--preset", "paper-full-range",
+                        "--cycles", "2", "--rate", "1"],
     "disturb-sea": ["disturb", "--mode", "sea", "--impacts", "1"],
     "disturb-pea": ["disturb", "--mode", "pea", "--impacts", "1"],
     "disturb-pea-2": ["disturb", "--mode", "pea", "--impacts", "2"],
@@ -55,6 +60,10 @@ DIGESTS = {
     ("disturb-pea-3", "trace.csv"): "5b4d75b2dc119ee91f756c813520adcca473e4f66a4b908f49927b3076896a09",
     ("disturb-pea-3", "report.json"): "9525d5832422458a15971cae0c65aaff4a891b6b9b58812604aff9c25aa11f06",
     ("disturb-pea-3", "plot.svg"): "8966426ecaae21e06f39321ed95a64326e62f514f9c541afac3dd4c33dfa5112",
+    ("stiffness-2", "trace.csv"): "e0313899a97040abc892623b18316fbd9edefb93ea64452d9d55d0f386092492",
+    ("stiffness-2", "plot.svg"): "692a7214355a3a5475d4e5b001032e2768af9ff367fa1c7d787a4777741d1b9c",
+    ("stiffness-pea-2", "trace.csv"): "1b4e55423a466e46c26883cbb4bae455901350b83cbee9ce8dc696870d94b1af",
+    ("stiffness-pea-2", "plot.svg"): "e098addd7a3dc7c35d9d03d52210e3790da3efcac0cfdd4b9ba821b35671d8c1",
     ("hub-curve", "trace.csv"): "47b45430bdb0a945abe3c287fb143bb37921f1d9ffb0b74c255735ec9c96b451",
     ("hub-curve", "report.json"): "b8c410d9465c6cfcfcc482dd3229be073e66fc888d810df54ae54e560f807962",
     ("hub-curve", "plot.svg"): "1ceffae9a88592efb6c638b0db2a022a3d8b26e65e27ac7c113534b5a93b0d10",
