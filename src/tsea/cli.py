@@ -96,9 +96,24 @@ def _positive(flag: str, value: float) -> None:
         raise CliError(f"{flag} must be positive (got {value})")
 
 
+def _check_out(out: str) -> None:
+    """Reject an --out that cannot be made a directory before any run: the
+    path itself, or else its nearest existing ancestor, must be a directory."""
+    path = Path(out)
+    try:
+        while not (path.exists() or path.is_symlink()):  # a dangling link exists
+            path = path.parent
+    except OSError as exc:  # a name too long
+        raise CliError(f"--out {out!r}: {exc.strerror or exc}") from exc
+    if not path.is_dir():
+        raise CliError(f"--out {out!r}: {str(path)!r} exists and is not a directory")
+
+
 def _check_args(args) -> None:
-    """Reject bad hub-curve numbers before any file is written. The protocols
-    check their own arguments and raise ValueError before they simulate."""
+    """Reject a bad --out and bad hub-curve numbers before any file is
+    written. The protocols check their own arguments and raise ValueError
+    before they simulate."""
+    _check_out(args.out)
     if args.command == "hub-curve":
         _positive("--range", args.sweep_range)
         if not math.isfinite(2.0 * args.sweep_range):  # the span of the grid

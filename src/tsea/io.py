@@ -16,10 +16,12 @@ exactly what csv.writer produced):
 * every line, the header included, ends with "\r\n" (csv.writer's default
   terminator), and the file is pure ASCII.
 
-The writer formats CSV_BLOCK_ROWS rows at a time. One orjson.dumps call per
-block gives the text of every field; orjson prints the same shortest
-round-trip text as repr wherever repr prints positionally (1e-4 <= |x| < 1e16,
-and zeros). The fields outside that range, NaN and inf included, are
+The writer formats CSV_BLOCK_ROWS rows at a time. Two orjson.dumps calls per
+block give the text of every field: one for the t column, one for the other
+eight columns as one list per row. orjson is trusted where it prints the same
+text as repr: for 1e-4 <= |x| < 1e16 and zeros, where repr prints
+positionally, and for |x| < 1e-9, where both print an exponent of two or more
+digits. Every other field (1e-9 <= |x| < 1e-4, |x| >= 1e16, NaN and inf) is
 formatted with repr, once per distinct bit pattern in the block; a field
 repeats the text of its pattern, so the contract above holds unchanged.
 """
@@ -42,7 +44,8 @@ CSV_HEADER = ("t", "mode", "theta_m", "omega_m", "theta_o", "omega_o",
               "tau_cmd", "tau_applied", "tau_spring", "i_q")
 CSV_TERMINATOR = b"\r\n"
 _CSV_HEADER_LINE = ",".join(CSV_HEADER).encode() + CSV_TERMINATOR
-_MODE_BYTES = tuple(name.encode() for name in MODE_NAMES)
+# the mode field with the separators on either side, indexed by mode code
+_MODE_FIELDS = np.array([b"," + name.encode() + b"," for name in MODE_NAMES], dtype=object)
 # rows formatted per write; larger blocks share more repeated repr values
 # (and make fewer orjson calls) but raise peak memory
 CSV_BLOCK_ROWS = 512
@@ -92,32 +95,39 @@ def write_trace_csv(trace: Trace, path: str | Path) -> int:
         for start in range(0, len(trace), CSV_BLOCK_ROWS):
             block = slice(start, start + CSV_BLOCK_ROWS)
             values = np.array([c[block] for c in cols], dtype=np.float64)
-            flat = values.ravel()
-            texts = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].split(b",")
             # repr and orjson print the same shortest round-trip digits, and
-            # the same text where both print them positionally (a trailing
-            # ".0" on integers, "-0.0" for negative zero). repr does so for
-            # exactly 1e-4 <= |x| < 1e16 and zeros, orjson from 1e-5 up
-            # (0.00001 where repr prints 1e-05). Outside repr's range the
-            # exponents differ (1e-06 / 1e-6, 1e+16 / 1e16), and orjson
-            # prints NaN and inf as null: those fields go to repr.
-            mag = np.abs(flat)
-            slow = np.flatnonzero(~(((mag >= 1e-4) & (mag < 1e16)) | (flat == 0.0)))
-            if slow.size:
-                # one repr per distinct bit pattern, then each such field
-                # takes the text of its pattern
-                _, first, inverse = np.unique(flat[slow].view(np.int64), return_index=True,
-                                              return_inverse=True)
-                reprs = [repr(x).encode() for x in flat[slow[first]].tolist()]
-                for i, j in zip(slow.tolist(), inverse.tolist()):
-                    texts[i] = reprs[j]
-            n = values.shape[1]
-            fields = [texts[i:i + n] for i in range(0, len(texts), n)]
-            fields.insert(1, map(_MODE_BYTES.__getitem__, trace.mode[block].tolist()))
-            fh.write(CSV_TERMINATOR.join(map(b",".join, zip(*fields))))
-            # a separate write: appending the terminator would copy the block,
-            # which raised the peak RSS of `tsea track` by about 2 MB
-            fh.write(CSV_TERMINATOR)
+            # the same text where both print them positionally (1e-4 <= |x|
+            # < 1e16 and zeros: "3.0", "-0.0") or both need a two-digit
+            # exponent (|x| < 1e-9: "1e-10", "5e-324"). Elsewhere the texts
+            # differ (1e-05 / 0.00001, 1e-09 / 1e-9, 1e+16 / 1e16, nan /
+            # null): those fields go to repr.
+            mag = np.abs(values)
+            slow = ((mag >= 1e-9) & (mag < 1e-4)) | ~(mag < 1e16)
+            reprs = None
+            if slow.any():
+                # one repr per distinct bit pattern, in the order the fields
+                # appear in the file; each such field is printed as null below
+                patterns, fills = np.unique(values.T[slow.T].view(np.int64), return_inverse=True)
+                reprs = np.array([repr(x).encode() for x in patterns.view(np.float64).tolist()],
+                                 dtype=object)
+                values[slow] = math.nan
+            # the t column on its own, the other eight as one list per row,
+            # so each row is its t text, its mode, the text of its other
+            # fields and the terminator
+            times = orjson.dumps(values[0], option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].split(b",")
+            rows = orjson.dumps(values[1:].T.copy(), option=orjson.OPT_SERIALIZE_NUMPY)
+            parts = [CSV_TERMINATOR] * (4 * len(times))
+            parts[0::4] = times
+            parts[1::4] = _MODE_FIELDS[trace.mode[block]].tolist()
+            parts[2::4] = rows[2:-2].split(b"],[")
+            text = b"".join(parts)
+            if reprs is not None:
+                pieces = text.split(b"null")
+                parts = [b""] * (2 * len(pieces) - 1)
+                parts[0::2] = pieces
+                parts[1::2] = reprs[fills].tolist()
+                text = b"".join(parts)
+            fh.write(text)
     return len(trace)
 
 

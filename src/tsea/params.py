@@ -195,9 +195,15 @@ def preset_to_dict(preset: Preset) -> dict:
 
 
 def preset_from_dict(data: dict) -> Preset:
+    if not isinstance(data, dict):
+        raise ValueError(f"malformed preset config: not a JSON object (got {type(data).__name__})")
     version = data.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported preset schema_version {version!r}")
+    for section in ("params", "hub", "load"):
+        if section in data and not isinstance(data[section], dict):
+            raise ValueError(f"malformed preset config: {section!r} is not a JSON object "
+                             f"(got {type(data[section]).__name__})")
     try:
         return Preset(
             name=data["name"],
@@ -213,9 +219,16 @@ def save_preset(preset: Preset, path: str | Path) -> None:
     Path(path).write_text(json.dumps(preset_to_dict(preset), indent=2) + "\n")
 
 
+def _unreadable(path: str | Path, exc: OSError) -> ValueError:
+    return ValueError(f"cannot read preset file {str(path)!r}: {exc.strerror or exc}")
+
+
 def load_preset(path: str | Path) -> Preset:
-    data = json.loads(Path(path).read_text())
-    return validate_or_raise(preset_from_dict(data))
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:  # a directory, no permission, a name too long
+        raise _unreadable(path, exc) from exc
+    return validate_or_raise(preset_from_dict(json.loads(text)))
 
 
 def load_named_preset(name: str) -> Preset:
@@ -230,6 +243,10 @@ def resolve_preset(name_or_path: str) -> Preset:
     if name_or_path in NAMED_PRESETS:
         return load_named_preset(name_or_path)
     path = Path(name_or_path)
-    if path.exists():
+    try:
+        exists = path.exists()
+    except OSError as exc:
+        raise _unreadable(path, exc) from exc
+    if exists:
         return load_preset(path)
     raise ValueError(f"preset {name_or_path!r} is neither a known name nor an existing file")

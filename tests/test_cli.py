@@ -218,3 +218,57 @@ def test_bad_preset_fails_at_load(field, value, message, tmp_path, capsys):
     assert captured.err.count("\n") == 1
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: [1, 2], "not a JSON object (got list)"),
+    (lambda doc: {**doc, "params": [1, 2]}, "'params' is not a JSON object (got list)"),
+    (lambda doc: {**doc, "hub": 12.7}, "'hub' is not a JSON object (got float)"),
+    (lambda doc: {**doc, "load": "arm"}, "'load' is not a JSON object (got str)"),
+], ids=["top-level-array", "params-array", "hub-number", "load-string"])
+def test_preset_not_an_object_fails_at_load(edit, message, tmp_path, capsys):
+    from tsea.params import load_named_preset, preset_to_dict
+
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(edit(preset_to_dict(load_named_preset("calibrated")))))
+    out = tmp_path / "out"
+    assert main(["cycle", "--preset", str(bad), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: malformed preset config: {message}\n"
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_unreadable_preset_fails_at_load(tmp_path, capsys):
+    folder = tmp_path / "preset.json"
+    folder.mkdir()
+    out = tmp_path / "out"
+    assert main(["cycle", "--preset", str(folder), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot read preset file {str(folder)!r}: Is a directory\n"
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["cycle"], ["hub-curve"]])
+@pytest.mark.parametrize("case", ["file", "under-file", "dangling-link", "name-too-long"])
+def test_bad_out_fails_before_simulating(command, case, tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    if case == "dangling-link":
+        blocker.symlink_to(tmp_path / "missing")
+    else:
+        blocker.write_text("kept\n")
+    out = {"under-file": blocker / "sub" / "out",
+           "name-too-long": tmp_path / ("o" * 5000)}.get(case, blocker)
+    assert main([*command, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    reason = ("File name too long" if case == "name-too-long"
+              else f"{str(blocker)!r} exists and is not a directory")
+    assert captured.err == f"error: --out {str(out)!r}: {reason}\n"
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == [blocker]
+    if case != "dangling-link":
+        assert blocker.read_text() == "kept\n"

@@ -1,3 +1,4 @@
+import builtins
 import math
 import xml.etree.ElementTree as ET
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from oracles import read_trace_csv, reference_mode_bands, reference_write_trace_csv
 
+from tsea import io
 from tsea.experiments import MODE_NAMES, Trace, TraceRecorder, run_dynamic_switching
 from tsea.io import (
     CSV_BLOCK_ROWS,
@@ -79,18 +81,20 @@ def test_writer_formats_each_bit_pattern(tmp_path):
 
 
 def test_writer_matches_reference_at_format_boundaries(tmp_path):
-    # repr switches to exponent notation outside 1e-4 <= |x| < 1e16, where
-    # the writer hands fields from its fast formatter to repr: both sides of
-    # each bound, zeros, subnormals, NaN, inf, powers of two, the floats
-    # next to 2**53, random bit patterns and log-uniform magnitudes
+    # the writer takes orjson's text for 1e-4 <= |x| < 1e16, zeros and
+    # |x| < 1e-9, and hands 1e-9 <= |x| < 1e-4, |x| >= 1e16, NaN and inf to
+    # repr: both sides of each bound, zeros, subnormals, NaN, inf, powers of
+    # two, the floats next to 2**53, random bit patterns and log-uniform
+    # magnitudes from the subnormals up
     edges = [np.nextafter(1e-4, 0.0), 1e-4, np.nextafter(1e-4, math.inf),
-             np.nextafter(1e16, 0.0), 1e16]
+             np.nextafter(1e16, 0.0), 1e16,
+             np.nextafter(1e-9, 0.0), 1e-9, np.nextafter(1e-9, math.inf), 1e-10]
     special = [0.0, 5e-324, 2.2250738585072009e-308, 1e-310, math.nan, math.inf,
                *(2.0 ** e for e in range(-20, 61)), 2.0 ** 53 - 1, 2.0 ** 53 + 2]
     rng = np.random.default_rng(20240614)
     bits = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max, 20_000,
                         dtype=np.int64, endpoint=True).view(np.float64)
-    log_uniform = 10.0 ** rng.uniform(-6.0, 18.0, 20_000)
+    log_uniform = 10.0 ** rng.uniform(-320.0, 18.0, 20_000)
     values = np.concatenate([edges, special, bits, log_uniform])
     values = np.concatenate([values, -values])
     n = -(-values.size // len(FLOAT_COLUMNS))
@@ -98,6 +102,37 @@ def test_writer_matches_reference_at_format_boundaries(tmp_path):
     cols = dict(zip(FLOAT_COLUMNS, values.reshape(len(FLOAT_COLUMNS), n)))
     mode = (np.arange(n) % len(MODE_NAMES)).astype(np.int8)
     _assert_same_as_reference(Trace(dt=1.25e-4, mode=mode, **cols), tmp_path)
+
+
+def _count_repr_calls(monkeypatch, trace: Trace, tmp_path) -> list:
+    seen = []
+
+    def spy(x):
+        seen.append(x)
+        return builtins.repr(x)
+
+    monkeypatch.setattr(io, "repr", spy, raising=False)
+    _assert_same_as_reference(trace, tmp_path)
+    return seen
+
+
+def _constant_columns(values, n: int) -> Trace:
+    cols = {name: np.full(n, v) for name, v in zip(FLOAT_COLUMNS, values)}
+    return Trace(dt=1.25e-4, mode=(np.arange(n) % len(MODE_NAMES)).astype(np.int8), **cols)
+
+
+def test_writer_calls_repr_only_for_slow_fields(monkeypatch, tmp_path):
+    # every field in orjson's exact range: no repr call at all
+    fast = (1e-12, 5e-324, -0.0, 1e-4, 0.5, -1e-10, 0.0, 3.0, np.nextafter(1e-9, 0.0))
+    assert _count_repr_calls(monkeypatch, _constant_columns(fast, 2 * CSV_BLOCK_ROWS + 3),
+                             tmp_path) == []
+    # one call per distinct slow bit pattern per block: 1e-05 twice and both
+    # NaN patterns in every row, three blocks
+    neg_nan = np.copysign(math.nan, -1.0)
+    slow = (0.5, 1e-05, 1e-9, 1e-05, math.nan, neg_nan, 1e16, -math.inf, 0.25)
+    seen = _count_repr_calls(monkeypatch, _constant_columns(slow, 2 * CSV_BLOCK_ROWS + 3),
+                             tmp_path)
+    assert len(seen) == 3 * 6
 
 
 def test_writer_matches_reference_edge_values(tmp_path):

@@ -182,6 +182,13 @@ def test_resolve_accepts_paths(tmp_path):
     assert resolve_preset(str(path)) == preset
 
 
+def test_unreadable_path_rejected(tmp_path):
+    with pytest.raises(ValueError, match="cannot read preset file .*: Is a directory"):
+        resolve_preset(str(tmp_path))
+    with pytest.raises(ValueError, match="cannot read preset file .*: File name too long"):
+        resolve_preset("p" * 5000)
+
+
 def test_bad_schema_version_rejected():
     doc = preset_to_dict(load_named_preset("calibrated"))
     doc["schema_version"] = 99
