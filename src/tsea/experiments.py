@@ -23,9 +23,13 @@ their refused gate tests. The stiffness rig replays its legs (a torque ramp
 and the dwell after it) the same way: a leg's steps, rows, settle count and
 exit depend only on its script, the bits of the rig's angle and velocity and
 the step count modulo the stride, so once a leg starts under an earlier leg's
-key (cycle 2's ramp from 1 Nm to 0 at the default rate) the rig copies the
-rows of the legs that repeat, and fits each cycle on the finished trace.
-_repeat_sources is the one rule both use for which unit a copy repeats.
+key, or under its mirror key (script and state negated: the rig has no
+gravity and every operation of its step is odd, so such a leg takes the
+earlier leg's steps negated; at the default rate cycle 1's ramp from -1 Nm to
+0 mirrors the ramp from 1 Nm to 0), the rig copies the rows of the legs that
+repeat, negated where they mirror, and fits each cycle on the finished trace.
+_repeat_sources is the one rule both use for which unit a copy repeats and
+whether it is negated.
 Every trace, report and plot stays byte-identical to a run that simulates
 every unit. Before it simulates, every protocol bounds its step count,
 replayed steps included, by MAX_RUN_STEPS.
@@ -116,6 +120,8 @@ class Trace:
 
 _FLOAT_COLS = ("theta_m", "omega_m", "theta_o", "omega_o",
                "tau_cmd", "tau_applied", "tau_spring", "i_q")
+# the columns a mirror image of the locked rig negates
+_ODD_COLS = frozenset(("theta_m", "omega_m", "tau_cmd", "tau_applied", "tau_spring", "i_q"))
 
 
 class TraceRecorder:
@@ -171,10 +177,19 @@ class TraceRecorder:
         iq_(i_q)
         mode_(code)
 
-    def copy_rows(self, start: int, stop: int) -> None:
-        """Append a copy of rows [start, stop)."""
-        for col in (*self._cols.values(), self._mode):
-            col.extend(col[start:stop])
+    def copy_rows(self, start: int, stop: int, negate: bool = False) -> None:
+        """Append a copy of rows [start, stop), or with negate set its mirror
+        image on the locked stiffness rig: the _ODD_COLS as 0.0 - x (0.0,
+        never -0.0, as the rig writes), the output's 0.0s and the mode as
+        they are."""
+        for name, col in self._cols.items():
+            if negate and name in _ODD_COLS:
+                # the view is released before the array grows
+                col.frombytes((0.0 - np.frombuffer(col, np.float64, stop - start, 8 * start))
+                              .tobytes())
+            else:
+                col.extend(col[start:stop])
+        self._mode.extend(self._mode[start:stop])
 
     def trace(self) -> Trace:
         t = np.arange(0, self.n_recorded * self.stride, self.stride, dtype=np.float64)
@@ -439,16 +454,26 @@ def _check_run_length(what: str, steps: int) -> None:
                          f"the most a run may take")
 
 
-def _repeat_sources(seen: dict, key: tuple, i: int, n: int) -> list[int]:
-    """The units a run of n scripted units repeats once unit i starts.
+def _repeat_sources(seen: dict, key: tuple, i: int, n: int,
+                    mirror: tuple | None = None) -> list[tuple[int, bool]]:
+    """The unit each of units i..n-1 repeats, once unit i of a run of n
+    scripted units starts, and whether the repeat is negated.
 
     seen maps each start key to the first unit that started under it. When
     unit i starts under unit j's key, unit i takes unit j's steps bit for bit,
-    so units j..i-1 repeat in turn until n are done: returns the unit each of
-    units i..n-1 repeats. Otherwise registers key and returns [].
+    so units j..i-1 repeat in turn until n are done: returns (source, False)
+    for each. When it starts under no earlier key but unit j started under
+    mirror, unit i's mirror key, the repeats are negated on odd passes over
+    j..i-1. Otherwise registers key and returns [].
     """
     j = seen.setdefault(key, i)
-    return [j + (c - j) % (i - j) for c in range(i, n)] if j < i else []
+    mirrored = j == i and mirror in seen
+    if mirrored:
+        j = seen[mirror]
+    if j == i:
+        return []
+    return [(j + (c - j) % (i - j), mirrored and (c - j) // (i - j) % 2 == 1)
+            for c in range(i, n)]
 
 
 def _other_mode(mode: Mode) -> Mode:
@@ -610,7 +635,7 @@ class _Driver:
             return  # no unit repeated another
 
         records = self.records
-        for src in sources:
+        for src, _ in sources:  # never negated: gravity breaks the mirror symmetry
             k0, r0, n0, retried0, _ = marks[src]
             k1, r1, n1, retried1, state = marks[src + 1]
             shift = self.k - k0  # a multiple of stride, so the rows stay on the grid
@@ -660,7 +685,14 @@ def run_static_stiffness(
     leg starts under an earlier leg's key, the legs left repeat the legs in
     between in turn, and each is copied as its source's rows in one call: the
     copy holds the values the simulation would compute again, so the bytes
-    cannot change.
+    cannot change. A leg that starts under the mirror key of an earlier leg
+    (script and state negated) repeats that leg negated: with no gravity term,
+    an odd force law, and IEEE rounding and tanh odd too, each value is the
+    source's negated up to the sign of a zero, and the rig writes 0.0 where
+    negation gives -0.0, as a negated copy does. The legs after it repeat the
+    legs in between, negated on odd passes over them. The state is never -0.0
+    (it starts at 0.0, and a sum is -0.0 only when both terms are), so a leg
+    that starts with theta or omega at 0.0 has a mirror key no leg starts under.
     """
     if mode not in (Mode.SEA, Mode.PEA):
         raise ValueError("stiffness protocol characterizes an engaged mode")
@@ -699,7 +731,8 @@ def run_static_stiffness(
     leg_rows = [0]  # row count at the start of every leg, simulated or copied, and at the end
     for leg, (tau_from, tau_to, n) in enumerate(legs):
         key = (tau_from, tau_to, n, step_i % stride, struct.pack("2d", theta, omega))
-        sources = _repeat_sources(seen, key, leg, len(legs))
+        mirror = (-tau_from, -tau_to, n, step_i % stride, struct.pack("2d", -theta, -omega))
+        sources = _repeat_sources(seen, key, leg, len(legs), mirror)
         if sources:
             break
         quiet = 0
@@ -731,8 +764,8 @@ def run_static_stiffness(
             )
         leg_rows.append(rec.n_recorded)
     # copy the legs left, if a leg repeated; nothing reads the rig's state after them
-    for src in sources:
-        rec.copy_rows(leg_rows[src], leg_rows[src + 1])
+    for src, negated in sources:
+        rec.copy_rows(leg_rows[src], leg_rows[src + 1], negated)
         leg_rows.append(rec.n_recorded)
     cycle_starts = leg_rows[1::4]  # legs 1, 5, 9, ..., then the row count at the end
 

@@ -95,6 +95,8 @@ def default_output_inertia(load: LoadModel) -> float:
 def _type_errors(preset: Preset) -> list[str]:
     """A message for every field whose value has the wrong JSON type."""
     errors = []
+    if not isinstance(preset.name, str):
+        errors.append(f"name must be a string (got {preset.name!r})")
     for prefix, section in (("hub.", preset.hub), ("", preset.params), ("load.", preset.load)):
         for f in dataclasses.fields(section):
             value = getattr(section, f.name)
@@ -225,10 +227,12 @@ def _unreadable(path: str | Path, exc: OSError) -> ValueError:
 
 def load_preset(path: str | Path) -> Preset:
     try:
-        text = Path(path).read_text()
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:  # a directory, no permission, a name too long
         raise _unreadable(path, exc) from exc
-    return validate_or_raise(preset_from_dict(json.loads(text)))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ValueError(f"preset file {str(path)!r} is not UTF-8 JSON: {exc}") from exc
+    return validate_or_raise(preset_from_dict(data))
 
 
 def load_named_preset(name: str) -> Preset:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import csv
 import math
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -284,66 +284,66 @@ def reference_rig_step(theta: float, omega: float, tau: float, K_rig: float,
     return rk4_body(f, theta, omega, p.dt)
 
 
-RigRow = tuple[float, float, float]        # (theta, omega, tau)
+# a full trace row, its fields named as Trace's columns
+RIG_ROW = np.dtype([("mode", np.int8)] + [(name, np.float64) for name in (
+    "theta_m", "omega_m", "theta_o", "omega_o", "tau_cmd", "tau_applied", "tau_spring", "i_q")])
 LegStart = tuple[int, int, float, float]   # (step, row, theta, omega)
 
 
 def reference_rig_rows(mode: Mode, preset, ramp_rate: float, cycles: int,
-                       settle_omega: float = 1e-4) -> tuple[list[RigRow], list[LegStart]]:
+                       settle_omega: float = 1e-4) -> tuple[np.ndarray, list[LegStart]]:
     """The kept rows of the original stiffness rig, and where its legs start.
 
     The torque ramps between the cycle vertices 0, +1, 0, -1, 0 Nm and dwells
     at each (and at 0 Nm before the first cycle) until |omega| < settle_omega
     for 0.05 s; every step is one reference_rig_step, and every stride-th
-    step's state before the step is kept with the step's torque. A leg is a
-    ramp and its dwell, or the leading dwell; the leg starts hold one entry at
-    the start of each leg and one at the end of the run."""
+    step's state before the step is kept with the step's torque as a full
+    trace row (a RIG_ROW record): the output locked at 0.0, the torque
+    commanded and applied, the spring torque K_rig*theta and the current
+    torque/K_t. A leg is a ramp and its dwell, or the leading dwell; the leg
+    starts hold one entry at the start of each leg and one at the end of the
+    run."""
     p = preset.params
     K_rig = p.K_s if mode is Mode.SEA else p.K_s + p.K_struct
     tau_c = p.tau_c_sea if mode is Mode.SEA else p.tau_c_pea
+    code = MODE_NAMES.index(mode.value)
     dt = p.dt
     stride = max(1, round(1.0 / (dt * STIFFNESS_RECORD_HZ)))
     window = max(1, round(0.05 / dt))
     n_ramp = max(1, round(1.0 / ramp_rate / dt))
-    rows: list[RigRow] = []
+    dwell_steps = round(60.0 / dt)
+    vertices = [(0.0, 1.0), (1.0, 0.0), (0.0, -1.0), (-1.0, 0.0)] * cycles
+    rows = []
     legs: list[LegStart] = []
     theta = omega = 0.0
     k = 0
-
-    def advance(tau: float) -> None:
-        nonlocal theta, omega, k
-        if k % stride == 0:
-            rows.append((theta, omega, tau))
-        theta, omega = reference_rig_step(theta, omega, tau, K_rig, tau_c, p)
-        k += 1
-
-    def dwell(tau: float) -> None:
+    # the leading dwell ramps over no steps
+    for a, b, n in [(0.0, 0.0, 0)] + [(a, b, n_ramp) for a, b in vertices]:
+        legs.append((k, len(rows), theta, omega))
+        ramp = (a + (b - a) * j / n for j in range(1, n + 1))
         quiet = 0
-        for _ in range(round(60.0 / dt)):
-            advance(tau)
-            quiet = quiet + 1 if abs(omega) < settle_omega else 0
-            if quiet >= window:
-                return
-        raise AssertionError(f"reference rig did not settle at tau={tau} Nm")
-
+        for i, tau in enumerate(chain(ramp, repeat(b, dwell_steps))):
+            if k % stride == 0:
+                rows.append((code, theta, omega, 0.0, 0.0, tau, tau, K_rig * theta, tau / p.K_t))
+            theta, omega = reference_rig_step(theta, omega, tau, K_rig, tau_c, p)
+            k += 1
+            if i >= n:  # dwelling
+                quiet = quiet + 1 if abs(omega) < settle_omega else 0
+                if quiet >= window:
+                    break
+        else:
+            raise AssertionError(f"reference rig did not settle at tau={b} Nm")
     legs.append((k, len(rows), theta, omega))
-    dwell(0.0)
-    for _ in range(cycles):
-        for a, b in ((0.0, 1.0), (1.0, 0.0), (0.0, -1.0), (-1.0, 0.0)):
-            legs.append((k, len(rows), theta, omega))
-            for j in range(1, n_ramp + 1):
-                advance(a + (b - a) * j / n_ramp)
-            dwell(b)
-    legs.append((k, len(rows), theta, omega))
-    return rows, legs
+    return np.array(rows, dtype=RIG_ROW), legs
 
 
-def reference_stiffness_report(mode: Mode, rows: list[RigRow],
+def reference_stiffness_report(mode: Mode, rows: np.ndarray,
                                legs: list[LegStart]) -> StiffnessReport:
     """The stiffness report over reference_rig_rows: the OLS slope and loop
     area of torque over angle on each cycle's rows (legs 1..4, 5..8, ...)."""
-    theta = np.array([row[0] for row in rows])
-    tau = np.array([row[2] for row in rows])
+    # contiguous, as the trace's columns are: numpy sums a strided view in
+    # other blocks, which can round differently
+    theta, tau = (np.ascontiguousarray(rows[name]) for name in ("theta_m", "tau_applied"))
     starts = [row for _, row, _, _ in legs[1::4]]  # legs 1, 5, 9, ..., then the end
     slopes = [linear_fit(theta[a:b], tau[a:b]) for a, b in zip(starts, starts[1:])]
     areas = [hysteresis_area(theta[a:b], tau[a:b]) for a, b in zip(starts, starts[1:])]

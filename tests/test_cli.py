@@ -197,24 +197,42 @@ def test_bad_numbers_fail_fast(argv, message, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("field, value, message", [
-    ("omega_eps", 1e-4, "(b + tau_c/omega_eps)*dt/J = 272.6 for the motor in SEA must be < 2.785"),
-    ("dt", 5e-3, "(b + tau_c/omega_eps)*dt/J = 56.5 for the motor in SEA must be < 2.785"),
-    ("K_s", "5.57", "K_s must be a number (got '5.57')"),
-    ("t_switch", 1e300, "t_switch = 1e+300 s spans more than 50000000 steps of dt = 0.000125 s, "
-                        "the most a run may take"),
-], ids=["omega_eps-tiny", "dt-large", "K_s-string", "t_switch-ceiling"])
-def test_bad_preset_fails_at_load(field, value, message, tmp_path, capsys):
+def _param(field, value):
+    """A preset edit that sets one actuator parameter."""
+    return lambda doc: doc["params"].update({field: value})
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_param("omega_eps", 1e-4), "invalid preset 'calibrated': (b + tau_c/omega_eps)*dt/J = "
+                                "272.6 for the motor in SEA must be < 2.785"),
+    (_param("dt", 5e-3), "invalid preset 'calibrated': (b + tau_c/omega_eps)*dt/J = 56.5 "
+                         "for the motor in SEA must be < 2.785"),
+    (_param("K_s", "5.57"), "invalid preset 'calibrated': K_s must be a number (got '5.57')"),
+    (_param("t_switch", 1e300), "invalid preset 'calibrated': t_switch = 1e+300 s spans more "
+                                "than 50000000 steps of dt = 0.000125 s, the most a run may take"),
+    (lambda doc: doc.update(name=5), "invalid preset 5: name must be a string (got 5)"),
+    # file contents in place of an edit: named in the message, which json or
+    # the UTF-8 codec gave without the file
+    (b'{"a":\n', "preset file '{bad}' is not UTF-8 JSON: Expecting value: line 2 column 1 "
+                 "(char 6)"),
+    (b"\xff\xfe", "preset file '{bad}' is not UTF-8 JSON: 'utf-8' codec can't decode byte "
+                  "0xff in position 0: invalid start byte"),
+], ids=["omega_eps-tiny", "dt-large", "K_s-string", "t_switch-ceiling", "name-number",
+        "truncated-json", "not-utf8"])
+def test_bad_preset_fails_at_load(edit, message, tmp_path, capsys):
     from tsea.params import load_named_preset, preset_to_dict
 
-    doc = preset_to_dict(load_named_preset("calibrated"))
-    doc["params"][field] = value
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
+    if isinstance(edit, bytes):
+        bad.write_bytes(edit)
+    else:
+        doc = preset_to_dict(load_named_preset("calibrated"))
+        edit(doc)
+        bad.write_text(json.dumps(doc))
     out = tmp_path / "out"
     assert main(["cycle", "--preset", str(bad), "--out", str(out)]) == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith(f"error: invalid preset 'calibrated': {message}")
+    assert captured.err.startswith("error: " + message.replace("{bad}", str(bad)))
     assert captured.err.count("\n") == 1
     assert captured.out == ""
     assert not out.exists()

@@ -18,6 +18,7 @@ from oracles import (
     reference_stiffness_report,
     reference_switch_cycle,
     reference_track_driver,
+    RIG_ROW,
 )
 from tsea.experiments import (
     CYCLE_RECORD_HZ,
@@ -30,6 +31,7 @@ from tsea.experiments import (
     TraceRecorder,
     _check_run_length,
     _Driver,
+    _repeat_sources,
     _stride_for,
     crossing_times,
     dominant_frequency,
@@ -190,20 +192,27 @@ def test_static_stiffness_frictionless_quick(full_range):
 ], ids=["stiffness", "cycle"])
 def test_records_only_kept_rows(method, hz, run, calibrated, monkeypatch):
     # the loop that counts the steps calls the recorder on the rows it keeps,
-    # not on every step
-    calls = []
-    original = getattr(TraceRecorder, method)
+    # not on every step; the rest are copies: the stiffness rig copies its
+    # leg 4, the mirror image of leg 2, and three switch cycles copy none
+    calls, copied = [], []
+    original, copy_rows = getattr(TraceRecorder, method), TraceRecorder.copy_rows
 
     def spy(self, *args):
         calls.append(args)
         original(self, *args)
 
+    def copy_spy(self, start, stop, negate=False):
+        copied.append(stop - start)
+        copy_rows(self, start, stop, negate)
+
     monkeypatch.setattr(TraceRecorder, method, spy)
+    monkeypatch.setattr(TraceRecorder, "copy_rows", copy_spy)
     p = calibrated.params
     stride = _stride_for(p.dt, hz)
     assert stride > 1
     trace, _ = run(calibrated)
-    assert len(calls) == len(trace) > 1
+    assert len(calls) + sum(copied) == len(trace) and len(calls) > 1
+    assert bool(copied) == (method == "record_raw")
     assert trace.dt == p.dt * stride
     assert np.allclose(np.diff(trace.t), trace.dt, rtol=1e-9, atol=0.0)
 
@@ -215,14 +224,15 @@ def test_records_only_kept_rows(method, hz, run, calibrated, monkeypatch):
 def test_time_column_is_the_step_clock(hz, run, calibrated, monkeypatch):
     # row r is step r*stride, and its time the product (r*stride)*dt that the
     # loops form; at dt = 1e-4 (strides 10 and 5) r*(stride*dt) differs on
-    # some rows, and the cycle run copies rows of the cycles it replays
+    # some rows; both runs copy rows, the cycle run those of the cycles it
+    # replays, the stiffness run those of the mirror image of its leg 2
     dt = 1e-4
     copies = []
     copy_rows = TraceRecorder.copy_rows
 
-    def spy(self, start, stop):
+    def spy(self, start, stop, negate=False):
         copies.append((start, stop))
-        copy_rows(self, start, stop)
+        copy_rows(self, start, stop, negate)
 
     monkeypatch.setattr(TraceRecorder, "copy_rows", spy)
     trace, _ = run(with_params(calibrated, dt=dt))
@@ -230,7 +240,7 @@ def test_time_column_is_the_step_clock(hz, run, calibrated, monkeypatch):
     expected = np.array([k * dt for k in range(0, len(trace) * stride, stride)])
     assert trace.t.tobytes() == expected.tobytes()
     assert not np.array_equal(np.arange(len(trace)) * (stride * dt), expected)
-    assert (len(copies) > 0) == (hz == CYCLE_RECORD_HZ)
+    assert copies
 
 
 def test_static_stiffness_dwell_timeout(calibrated):
@@ -719,20 +729,26 @@ def _reference_rig(preset: str, mode: Mode, rate: float):
 @pytest.mark.parametrize("mode", [Mode.SEA, Mode.PEA])
 @pytest.mark.parametrize("preset", ["calibrated", "paper-linear-window"])
 def test_stiffness_replay_matches_full_simulation(preset, mode, rate, cycles, monkeypatch):
-    # a leg of cycle 2 (leg 6, 7 or 8 here) starts where the same leg of cycle 1
-    # did, bit for bit, and the legs from there on repeat; one cycle has no leg
-    # to repeat
+    # a leg starts where an earlier leg of the same script did, bit for bit
+    # (leg 6 where leg 2 did, leg 8 where leg 4 did), or where the mirror image
+    # of an earlier leg did, its script and state negated (leg 4, 5 or 6 where
+    # leg 2, 3 or 4 did); the legs from there on repeat, the mirrored ones
+    # negated; by leg 8 every case has repeated a leg, and in one cycle only
+    # calibrated SEA at 1 Nm/s has
     all_rows, all_legs = _reference_rig(preset, mode, rate)
     legs = all_legs[:4 * cycles + 2]  # the leading dwell, the cycles' legs, the end
     rows = all_rows[:legs[-1][1]]
     pre = load_named_preset(preset)
     stride = _stride_for(pre.params.dt, STIFFNESS_RECORD_HZ)
     simulated = legs[-1][0]  # steps up to the first leg that repeats one, else all
+    mirrored = False  # whether that leg repeats a mirror image
     seen = set()
     for leg, (k, _, theta, omega) in enumerate(legs[:-1]):
-        key = ("dwell" if leg == 0 else (leg - 1) % 4, k % stride, theta.hex(), omega.hex())
-        if key in seen:
-            simulated = k
+        # scripts 0..3 ramp 0 -> 1, 1 -> 0, 0 -> -1, -1 -> 0 Nm; s + 2 mirrors s
+        script, mirror = ("dwell", "dwell") if leg == 0 else ((leg - 1) % 4, (leg + 1) % 4)
+        key = (script, k % stride, theta.hex(), omega.hex())
+        if key in seen or (mirror, k % stride, (-theta).hex(), (-omega).hex()) in seen:
+            simulated, mirrored = k, key not in seen
             break
         seen.add(key)
 
@@ -743,19 +759,37 @@ def test_stiffness_replay_matches_full_simulation(preset, mode, rate, cycles, mo
         next(calls)
         return tanh(x)
 
-    def spy(self, start, stop):
-        copies.append((start, stop))
-        copy_rows(self, start, stop)
+    def spy(self, start, stop, negate=False):
+        copies.append(negate)
+        copy_rows(self, start, stop, negate)
 
     monkeypatch.setattr(tsea.experiments, "tanh", counted)
     monkeypatch.setattr(TraceRecorder, "copy_rows", spy)
     trace, report = run_static_stiffness(mode, pre, ramp_rate=rate, cycles=cycles)
-    for name, col in (("theta_m", 0), ("omega_m", 1)):
-        ref = np.array([row[col] for row in rows])
-        assert np.array_equal(getattr(trace, name).view(np.int64), ref.view(np.int64)), name
+    # every column by its bits: a copy that writes -0.0 for 0.0 or negates the
+    # locked output's 0.0 differs
+    for name in RIG_ROW.names:
+        assert getattr(trace, name).tobytes() == rows[name].tobytes(), name
     assert repr(report.as_dict()) == repr(reference_stiffness_report(mode, rows, legs).as_dict())
     assert next(calls) == 4 * simulated  # four tanh calls a step
-    assert (simulated < legs[-1][0]) == bool(copies) == (cycles > 1)
+    assert (simulated < legs[-1][0]) == bool(copies)
+    assert bool(copies) or cycles == 1
+    assert any(copies) == mirrored  # a mirrored leg's copy comes first, negated
+
+
+def test_repeat_sources_mirror_alternates_sign():
+    seen = {}
+    for i, key in enumerate("abc"):
+        assert _repeat_sources(seen, key, i, 9, mirror="-" + key) == []
+    # unit 3 starts at unit 1's mirror image: units 1 and 2 repeat in turn,
+    # negated, then as they are (the mirror image of a mirror image), and so on
+    assert _repeat_sources(seen, "-b", 3, 9, mirror="b") == [
+        (1, True), (2, True), (1, False), (2, False), (1, True), (2, True)]
+    # a repeat as it is comes first; without a mirror key nothing is negated
+    assert _repeat_sources(dict(seen), "a", 3, 5, mirror="-b") == [(0, False), (1, False)]
+    assert _repeat_sources(dict(seen), "-a", 3, 5) == []
+    # a unit that is its own mirror image repeats nothing
+    assert _repeat_sources({}, "z", 0, 3, mirror="z") == []
 
 
 def test_replay_keys_state_bits_and_row_phase(calibrated):

@@ -176,8 +176,11 @@ def test_rig_matches_reference():
 @pytest.mark.parametrize("mode", [Mode.SEA, Mode.PEA])
 def test_stiffness_rig_replays_reference(mode, full_range):
     # the rig's inline step over the protocol's own torque schedule
-    # (from leg 7 or 8 on, three cycles at 5 Nm/s copy legs of cycle 1)
+    # (at 5 Nm/s SEA leg 6 starts at the mirror image of leg 4's start, PEA
+    # leg 5 at leg 3's; from there on the rig copies the two legs before,
+    # negated, then as they are)
     trace, _ = run_static_stiffness(mode, full_range, ramp_rate=5.0, cycles=3)
     rows, _ = reference_rig_rows(mode, full_range, ramp_rate=5.0, cycles=3)
-    got = [(bits(q), bits(w)) for q, w in zip(trace.theta_m.tolist(), trace.omega_m.tolist())]
-    assert got == [(bits(q), bits(w)) for q, w, _ in rows]
+    for name in ("theta_m", "omega_m"):
+        assert [bits(v) for v in getattr(trace, name).tolist()] \
+            == [bits(v) for v in rows[name].tolist()], name
