@@ -198,19 +198,21 @@ def _run_cycle(args, preset, noise: io.NoiseModel) -> dict:
 
 
 def _run_hub_curve(args, preset, _noise: io.NoiseModel) -> dict:
+    # every value first, then the report before the trace, as _write_outputs
+    # does: a value strict JSON refuses stops the run before any trace is written
     betas = np.linspace(-args.sweep_range, args.sweep_range, args.steps)
     taus = np.array([hub_torque(preset.hub, float(b)) for b in betas])
     lengths = np.array([effective_length(preset.hub, float(b)) for b in betas])
+    k_lin = linearized_stiffness(preset.hub)
+    d = {"k_linearized_nm_per_rad": k_lin,
+         "sweep_range_rad": args.sweep_range, "steps": args.steps}
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    io.write_report_json(d, out_dir / "report.json")
     with open(out_dir / "trace.csv", "w", newline="") as fh:
         fh.write("beta,tau_hub,l_eff\n")
         for b, tau, l in zip(betas, taus, lengths):
             fh.write(f"{float(b)!r},{float(tau)!r},{float(l)!r}\n")
-    k_lin = linearized_stiffness(preset.hub)
-    d = {"k_linearized_nm_per_rad": k_lin,
-         "sweep_range_rad": args.sweep_range, "steps": args.steps}
-    io.write_report_json(d, out_dir / "report.json")
     io.emit_svg_plot(betas, {"tau_hub [Nm]": taus, "l_eff [mm]": lengths},
                      out_dir / "plot.svg", title=f"hub curve, K_lin={k_lin:.3f} Nm/rad")
     print(f"hub-curve: {args.steps} points over ±{args.sweep_range} rad, "

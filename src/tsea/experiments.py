@@ -602,6 +602,20 @@ class _Driver:
             f"hold did not settle below |omega| < {omega_tol} rad/s within {timeout_s} s"
         )
 
+    def check_unsaturated(self, target: float) -> None:
+        """Raise SimulationError if the P law at the state a hold settled in
+        asks the motor for tau_max or more: the arm then hangs rather than
+        holds, and whatever a protocol measures from there is not the hold."""
+        s = self.state
+        tau = self.kp * (target - s[0])  # p_position's law, not a counted control call
+        if abs(tau) >= self.p.tau_max:
+            theta_o = s.theta if type(s) is PeaState else s.theta_o
+            raise SimulationError(
+                f"the hold at {math.degrees(target):g}° saturates the motor: the P law asks "
+                f"for {tau:.4g} Nm against tau_max = {self.p.tau_max:g} Nm with the output "
+                f"at {math.degrees(theta_o):.2f}°"
+            )
+
     def replay(self, n: int) -> Iterator[int | None]:
         """Drive n units of a protocol that scripts the same unit n times, and
         replay the units a simulation would repeat instead of simulating them.
@@ -653,9 +667,11 @@ class _Driver:
 def run_hold(mode: Mode, preset: Preset) -> tuple[Trace, PlantState]:
     """Hold the horizontal under gravity until the plant is numerically at
     rest (|omega| < 1e-6 rad/s). Used for the steady-state torque identities.
+    Raises SimulationError if the settled hold saturates the motor.
     """
     drv = _Driver(preset, HOLD_KP, initial_state(mode))
     drv.hold(0.0, 1e-6, window_s=0.05, timeout_s=40.0)
+    drv.check_unsaturated(0.0)
     return drv.rec.trace(), drv.state
 
 
@@ -865,15 +881,15 @@ def run_disturbance(
     n_impacts: int | None = None,
     impact_torque: float = IMPACT_TORQUE_NM,
     post_window_s: float = 8.0,
-    measure: str = "output",
 ) -> tuple[Trace, DisturbanceReport]:
     """Impulse response under position hold at the horizontal.
 
     A rectangular torque pulse of round(IMPACT_DURATION_S / dt) steps strikes
     the output side; peak deflection and settling into the ±0.5° band over
     post_window_s are measured on the impacted (output-side) angle relative
-    to its pre-impact rest value. In parallel mode the motor and output
-    angles are one coordinate, so the choice of side is moot there.
+    to its pre-impact rest value (in parallel mode the motor and output
+    angles are one coordinate). A pre-impact hold that saturates the motor
+    raises SimulationError rather than measuring impacts on a hanging arm.
     """
     if mode not in (Mode.SEA, Mode.PEA):
         raise ValueError("disturbance protocol characterizes an engaged mode")
@@ -883,8 +899,6 @@ def run_disturbance(
         raise ValueError("n_impacts must be >= 1")
     if not math.isfinite(impact_torque):  # zero and negative pulses are legal
         raise ValueError(f"impact_torque must be finite (got {impact_torque})")
-    if measure not in ("output", "motor"):
-        raise ValueError("measure must be 'output' or 'motor'")
     dt = preset.params.dt
     post_steps = _whole_steps("post_window_s", post_window_s, dt)
     # a whole number of steps, so the impulse does not depend on the start time
@@ -897,6 +911,7 @@ def run_disturbance(
     drv = _Driver(preset, DISTURB_KP, initial_state(mode))
     # settle into the pre-impact hold
     drv.hold(0.0, omega_tol=1e-4, window_s=0.25, timeout_s=timeout_s, min_hold_s=1.0)
+    drv.check_unsaturated(0.0)
     # every step logs a row, so an impact's window is the post_steps rows from
     # its first row, and each impact's rows start where the last one's ended
     starts = [drv.rec.n_recorded]
@@ -910,15 +925,14 @@ def run_disturbance(
 
     trace = drv.rec.trace()
     windows = [(start, start + post_steps) for start in starts[:-1]]
-    return trace, _disturbance_report(mode, trace, windows, impact_torque, measure)
+    return trace, _disturbance_report(mode, trace, windows, impact_torque)
 
 
 def _disturbance_report(mode: Mode, trace: Trace, windows: list[tuple[int, int]],
-                       impact_torque: float, measure: str) -> DisturbanceReport:
+                       impact_torque: float) -> DisturbanceReport:
     """Per-impact metrics of run_disturbance's trace, each impact's post-strike
     window given as its [start, stop) rows."""
-    # a parallel-mode row logs its one angle in both columns
-    angles = trace.theta_m if measure == "motor" else trace.theta_o
+    angles = trace.theta_o  # a parallel-mode row logs its one angle in both columns
     half_band = math.radians(SETTLE_BAND_DEG) / 2.0
     peaks, settles, crossings, freqs = [], [], [], []
     for a, b in windows:

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
+from .spring_hub import effective_length, linearized_stiffness
+
 SCHEMA_VERSION = 1
 
 # Names that must resolve via load_named_preset(); one JSON file each under
@@ -171,6 +173,23 @@ def validate(preset: Preset) -> list[str]:
         if p.t_switch / p.dt > MAX_RUN_STEPS:  # selector.latency_steps counts them one by one
             errors.append(f"t_switch = {p.t_switch} s spans more than {MAX_RUN_STEPS} steps "
                           f"of dt = {p.dt} s, the most a run may take")
+        # the hub law hub-curve sweeps: a positive finite slope, and finite
+        # lengths over a full turn (the longest is at beta = pi)
+        try:
+            k_lin = linearized_stiffness(h)
+        except ValueError as exc:  # the springs are slack at rest
+            errors.append(f"hub.preload_ext = {h.preload_ext} mm: {exc}")
+        else:
+            if not 0.0 < k_lin < math.inf:
+                errors.append(f"hub.k, hub.r1 and hub.r2 give a linearized stiffness of "
+                              f"{k_lin} Nm/rad; it must be positive and finite")
+        try:
+            l_max = effective_length(h, math.pi)
+        except ValueError:  # math.sqrt of a chord² rounded below zero (r1 within ulps of r2)
+            l_max = math.nan
+        if not math.isfinite(l_max):
+            errors.append(f"hub.r1, hub.r2, hub.l0 and hub.preload_ext must give a finite "
+                          f"spring length over a full turn (got {l_max} mm at beta = pi)")
 
     return errors
 

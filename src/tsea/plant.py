@@ -14,12 +14,12 @@ Three engagement states share one integrator entry point:
 The hub spring is the linear law K_s*beta in both engaged modes; the geometric
 model in spring_hub characterizes the hub and does not enter the dynamics.
 
-step() unpacks the state into floats and runs one RK4 kernel per body shape,
-each with its four stages and its forces written out inline: series_step for
-the spring-coupled pair (SEA), freewheel_step for the pair while the selector
-travels, and body_step for the parallel body. body_accel is body_step's force
-on its own, for the switch gate. The locked-output stiffness rig (experiments)
-writes its own load-free step of the same body inline.
+step() unpacks the state into floats and writes one body shape's four RK4
+stages and forces out inline in each branch: the spring-coupled pair (SEA),
+the same pair while the selector travels, and the parallel body. body_accel
+is the parallel body's force on its own, for the switch gate. The
+locked-output stiffness rig (experiments) writes its own load-free step of the
+same body inline.
 
 The states are immutable NamedTuples. step(), the selector and the trace
 recorder unpack them by position, so their field order is part of the contract.
@@ -119,8 +119,8 @@ def body_accel(q: float, w: float, tau: float, tau_ext: float, mgr: float,
     K*(q - anchor), the output load mgr*cos(q) + tau_ext, viscous damping b
     and Coulomb friction tc. The parallel body (pea_body) is this body, and so
     is the locked-output stiffness rig with anchor = mgr = tau_ext = 0, whose
-    load-free step experiments.run_static_stiffness writes inline; body_step
-    writes this force inline in each of its stages.
+    load-free step experiments.run_static_stiffness writes inline; step
+    writes this force inline in each stage of its PEA branch.
     """
     return (
         tau - K * (q - anchor) - (mgr * cos(q) + tau_ext)
@@ -131,91 +131,6 @@ def body_accel(q: float, w: float, tau: float, tau_ext: float, mgr: float,
 def pea_body(p: ActuatorParams) -> tuple[float, float, float, float, float]:
     """(K, b, tc, w_eps, J) of the rigidly coupled parallel body for body_accel."""
     return p.K_s, p.b_m + p.b_o, p.tau_c_pea + p.tau_c_out, p.omega_eps, p.J_m + p.J_o
-
-
-def body_step(q: float, w: float, dt: float, tau: float, tau_ext: float,
-              mgr: float, anchor: float, K: float, b: float, tc: float,
-              w_eps: float, J: float) -> tuple[float, float]:
-    """One classical RK4 step of body_accel's body; tau and tau_ext are held.
-
-    The stages and the force are written out in body_accel's order of
-    operations. Raises ValueError (from math.cos) if a stage angle is infinite.
-    """
-    half = 0.5 * dt
-    a1 = (tau - K * (q - anchor) - (mgr * cos(q) + tau_ext) - b * w - tc * tanh(w / w_eps)) / J
-    q2, w2 = q + half * w, w + half * a1
-    a2 = (tau - K * (q2 - anchor) - (mgr * cos(q2) + tau_ext) - b * w2 - tc * tanh(w2 / w_eps)) / J
-    q3, w3 = q + half * w2, w + half * a2
-    a3 = (tau - K * (q3 - anchor) - (mgr * cos(q3) + tau_ext) - b * w3 - tc * tanh(w3 / w_eps)) / J
-    q4, w4 = q + dt * w3, w + dt * a3
-    a4 = (tau - K * (q4 - anchor) - (mgr * cos(q4) + tau_ext) - b * w4 - tc * tanh(w4 / w_eps)) / J
-    sixth = dt / 6.0
-    return (
-        q + sixth * (w + 2.0 * (w2 + w3) + w4),
-        w + sixth * (a1 + 2.0 * (a2 + a3) + a4),
-    )
-
-
-def series_step(qm: float, wm: float, qo: float, wo: float, dt: float,
-                tau: float, tau_ext: float, mgr: float, off: float, K: float,
-                tc_m: float, b_m: float, J_m: float, b_o: float, tc_o: float,
-                J_o: float, w_eps: float) -> tuple[float, float, float, float]:
-    """One classical RK4 step of the motor/output pair on the hub spring
-    K*(qm - qo - off), under motor-side Coulomb tc_m, output-side tc_o and the
-    output load mgr*cos(qo) + tau_ext; tau and tau_ext are held.
-    Raises ValueError (from math.cos) if a stage angle is infinite.
-    """
-    half = 0.5 * dt
-    tau_s = K * (qm - qo - off)
-    am1 = (tau - tau_s - b_m * wm - tc_m * tanh(wm / w_eps)) / J_m
-    ao1 = (tau_s - (mgr * cos(qo) + tau_ext) - b_o * wo - tc_o * tanh(wo / w_eps)) / J_o
-    qo2, wm2, wo2 = qo + half * wo, wm + half * am1, wo + half * ao1
-    tau_s = K * (qm + half * wm - qo2 - off)
-    am2 = (tau - tau_s - b_m * wm2 - tc_m * tanh(wm2 / w_eps)) / J_m
-    ao2 = (tau_s - (mgr * cos(qo2) + tau_ext) - b_o * wo2 - tc_o * tanh(wo2 / w_eps)) / J_o
-    qo3, wm3, wo3 = qo + half * wo2, wm + half * am2, wo + half * ao2
-    tau_s = K * (qm + half * wm2 - qo3 - off)
-    am3 = (tau - tau_s - b_m * wm3 - tc_m * tanh(wm3 / w_eps)) / J_m
-    ao3 = (tau_s - (mgr * cos(qo3) + tau_ext) - b_o * wo3 - tc_o * tanh(wo3 / w_eps)) / J_o
-    qo4, wm4, wo4 = qo + dt * wo3, wm + dt * am3, wo + dt * ao3
-    tau_s = K * (qm + dt * wm3 - qo4 - off)
-    am4 = (tau - tau_s - b_m * wm4 - tc_m * tanh(wm4 / w_eps)) / J_m
-    ao4 = (tau_s - (mgr * cos(qo4) + tau_ext) - b_o * wo4 - tc_o * tanh(wo4 / w_eps)) / J_o
-    sixth = dt / 6.0
-    return (
-        qm + sixth * (wm + 2.0 * (wm2 + wm3) + wm4),
-        wm + sixth * (am1 + 2.0 * (am2 + am3) + am4),
-        qo + sixth * (wo + 2.0 * (wo2 + wo3) + wo4),
-        wo + sixth * (ao1 + 2.0 * (ao2 + ao3) + ao4),
-    )
-
-
-def freewheel_step(qm: float, wm: float, qo: float, wo: float, dt: float,
-                   tau: float, tau_ext: float, mgr: float, b_m: float, J_m: float,
-                   b_o: float, tc_o: float, J_o: float,
-                   w_eps: float) -> tuple[float, float, float, float]:
-    """series_step's pair while the selector travels: no spring and no motor-side
-    Coulomb term. Raises ValueError (from math.cos) if a stage angle is infinite.
-    """
-    half = 0.5 * dt
-    am1 = (tau - b_m * wm) / J_m
-    ao1 = (-(mgr * cos(qo) + tau_ext) - b_o * wo - tc_o * tanh(wo / w_eps)) / J_o
-    qo2, wm2, wo2 = qo + half * wo, wm + half * am1, wo + half * ao1
-    am2 = (tau - b_m * wm2) / J_m
-    ao2 = (-(mgr * cos(qo2) + tau_ext) - b_o * wo2 - tc_o * tanh(wo2 / w_eps)) / J_o
-    qo3, wm3, wo3 = qo + half * wo2, wm + half * am2, wo + half * ao2
-    am3 = (tau - b_m * wm3) / J_m
-    ao3 = (-(mgr * cos(qo3) + tau_ext) - b_o * wo3 - tc_o * tanh(wo3 / w_eps)) / J_o
-    qo4, wm4, wo4 = qo + dt * wo3, wm + dt * am3, wo + dt * ao3
-    am4 = (tau - b_m * wm4) / J_m
-    ao4 = (-(mgr * cos(qo4) + tau_ext) - b_o * wo4 - tc_o * tanh(wo4 / w_eps)) / J_o
-    sixth = dt / 6.0
-    return (
-        qm + sixth * (wm + 2.0 * (wm2 + wm3) + wm4),
-        wm + sixth * (am1 + 2.0 * (am2 + am3) + am4),
-        qo + sixth * (wo + 2.0 * (wo2 + wo3) + wo4),
-        wo + sixth * (ao1 + 2.0 * (ao2 + ao3) + ao4),
-    )
 
 
 def step(
@@ -235,34 +150,68 @@ def step(
     tau_max = p.tau_max  # clamp_torque, inline
     tau = tau_max if tau_m > tau_max else -tau_max if tau_m < -tau_max else tau_m
     mgr = load.mass * load.g * load.radius
+    ext, dt, w_eps = tau_out_extra, p.dt, p.omega_eps
+    half = 0.5 * dt
+    sixth = dt / 6.0
     cls = type(state)
 
     if cls is PeaState:
         q, w, anchor = state
-        try:  # pea_body(p)'s constants, inline
-            q, w = body_step(q, w, p.dt, tau, tau_out_extra, mgr, anchor, p.K_s, p.b_m + p.b_o,
-                             p.tau_c_pea + p.tau_c_out, p.omega_eps, p.J_m + p.J_o)
+        K, b, tc, J = p.K_s, p.b_m + p.b_o, p.tau_c_pea + p.tau_c_out, p.J_m + p.J_o  # pea_body
+        try:  # body_accel's force in each stage
+            a1 = (tau - K * (q - anchor) - (mgr * cos(q) + ext) - b * w - tc * tanh(w / w_eps)) / J
+            q2, w2 = q + half * w, w + half * a1
+            a2 = (tau - K * (q2 - anchor) - (mgr * cos(q2) + ext) - b * w2 - tc * tanh(w2 / w_eps)) / J
+            q3, w3 = q + half * w2, w + half * a2
+            a3 = (tau - K * (q3 - anchor) - (mgr * cos(q3) + ext) - b * w3 - tc * tanh(w3 / w_eps)) / J
+            q4, w4 = q + dt * w3, w + dt * a3
+            a4 = (tau - K * (q4 - anchor) - (mgr * cos(q4) + ext) - b * w4 - tc * tanh(w4 / w_eps)) / J
+            q, w = (q + sixth * (w + 2.0 * (w2 + w3) + w4),
+                    w + sixth * (a1 + 2.0 * (a2 + a3) + a4))
         except ValueError:  # math.cos of an infinite stage angle
             q = w = math.nan
         if isfinite(q) and isfinite(w):
             return _build(PeaState, (q, w, anchor))
         raise SimulationError("non-finite PEA state")
 
+    qm, wm, qo, wo, off = state  # off: SEA's beta_offset, TRANS's target_mode
+    b_m, J_m, b_o, tc_o, J_o = p.b_m, p.J_m, p.b_o, p.tau_c_out, p.J_o
     try:
-        if cls is SeaState:
-            qm, wm, qo, wo, off = state
-            qm, wm, qo, wo = series_step(
-                qm, wm, qo, wo, p.dt, tau, tau_out_extra, mgr, off, p.K_s,
-                p.tau_c_sea, p.b_m, p.J_m, p.b_o, p.tau_c_out, p.J_o, p.omega_eps)
-        else:
-            qm, wm, qo, wo, target = state
-            qm, wm, qo, wo = freewheel_step(
-                qm, wm, qo, wo, p.dt, tau, tau_out_extra, mgr,
-                p.b_m, p.J_m, p.b_o, p.tau_c_out, p.J_o, p.omega_eps)
+        if cls is SeaState:  # the pair on the hub spring K*(qm - qo - off)
+            K, tc_m = p.K_s, p.tau_c_sea
+            tau_s = K * (qm - qo - off)
+            am1 = (tau - tau_s - b_m * wm - tc_m * tanh(wm / w_eps)) / J_m
+            ao1 = (tau_s - (mgr * cos(qo) + ext) - b_o * wo - tc_o * tanh(wo / w_eps)) / J_o
+            qo2, wm2, wo2 = qo + half * wo, wm + half * am1, wo + half * ao1
+            tau_s = K * (qm + half * wm - qo2 - off)
+            am2 = (tau - tau_s - b_m * wm2 - tc_m * tanh(wm2 / w_eps)) / J_m
+            ao2 = (tau_s - (mgr * cos(qo2) + ext) - b_o * wo2 - tc_o * tanh(wo2 / w_eps)) / J_o
+            qo3, wm3, wo3 = qo + half * wo2, wm + half * am2, wo + half * ao2
+            tau_s = K * (qm + half * wm2 - qo3 - off)
+            am3 = (tau - tau_s - b_m * wm3 - tc_m * tanh(wm3 / w_eps)) / J_m
+            ao3 = (tau_s - (mgr * cos(qo3) + ext) - b_o * wo3 - tc_o * tanh(wo3 / w_eps)) / J_o
+            qo4, wm4, wo4 = qo + dt * wo3, wm + dt * am3, wo + dt * ao3
+            tau_s = K * (qm + dt * wm3 - qo4 - off)
+            am4 = (tau - tau_s - b_m * wm4 - tc_m * tanh(wm4 / w_eps)) / J_m
+            ao4 = (tau_s - (mgr * cos(qo4) + ext) - b_o * wo4 - tc_o * tanh(wo4 / w_eps)) / J_o
+        else:  # the selector travels: no spring and no motor-side Coulomb term
+            am1 = (tau - b_m * wm) / J_m
+            ao1 = (-(mgr * cos(qo) + ext) - b_o * wo - tc_o * tanh(wo / w_eps)) / J_o
+            qo2, wm2, wo2 = qo + half * wo, wm + half * am1, wo + half * ao1
+            am2 = (tau - b_m * wm2) / J_m
+            ao2 = (-(mgr * cos(qo2) + ext) - b_o * wo2 - tc_o * tanh(wo2 / w_eps)) / J_o
+            qo3, wm3, wo3 = qo + half * wo2, wm + half * am2, wo + half * ao2
+            am3 = (tau - b_m * wm3) / J_m
+            ao3 = (-(mgr * cos(qo3) + ext) - b_o * wo3 - tc_o * tanh(wo3 / w_eps)) / J_o
+            qo4, wm4, wo4 = qo + dt * wo3, wm + dt * am3, wo + dt * ao3
+            am4 = (tau - b_m * wm4) / J_m
+            ao4 = (-(mgr * cos(qo4) + ext) - b_o * wo4 - tc_o * tanh(wo4 / w_eps)) / J_o
+        qm, wm, qo, wo = (qm + sixth * (wm + 2.0 * (wm2 + wm3) + wm4),
+                          wm + sixth * (am1 + 2.0 * (am2 + am3) + am4),
+                          qo + sixth * (wo + 2.0 * (wo2 + wo3) + wo4),
+                          wo + sixth * (ao1 + 2.0 * (ao2 + ao3) + ao4))
     except ValueError:  # math.cos of an infinite stage angle
         qm = wm = qo = wo = math.nan
     if not (isfinite(qm) and isfinite(wm) and isfinite(qo) and isfinite(wo)):
         raise SimulationError(f"non-finite {mode_of(state).value} state")
-    if cls is SeaState:
-        return _build(SeaState, (qm, wm, qo, wo, off))
-    return _build(TransitionState, (qm, wm, qo, wo, target))
+    return _build(cls, (qm, wm, qo, wo, off))

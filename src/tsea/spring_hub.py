@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .params import HubGeometry
+if TYPE_CHECKING:  # params validates a hub with this module's laws
+    from .params import HubGeometry
 
 _MM_NM = 1e-3  # N·mm -> Nm
 

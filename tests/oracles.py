@@ -6,10 +6,10 @@ tension resolution and summed moments. The reference trace writer and
 mode-band scan are the original row-by-row loops that the columnar versions
 in tsea.io must match exactly; the trace reader parses what the writer wrote
 back into a Trace for the bit-exact round trip. The closure-based RK4 steps
-are the original integrators that the float kernels in tsea.plant and the
-stiffness rig's inline step must match bit for bit, and the tracking loop is
-the original one-step-per-call driver loop that run_dynamic_switching's phases
-must match. The selector countdown is the original float count of the travel
+are the original integrators that plant.step, which holds the stages of each
+body shape, and the stiffness rig's inline step must match bit for bit, and
+the tracking loop is the original one-step-per-call driver loop that
+run_dynamic_switching's phases must match. The selector countdown is the original float count of the travel
 that selector.latency_steps must match. The switch-cycle and disturbance
 loops and the stiffness rig simulate every unit (every leg, for the rig),
 where the protocols replay the units that repeat an earlier one.
@@ -424,4 +424,4 @@ def reference_disturbance(mode: Mode, preset, n_impacts: int, impact_torque: flo
         windows.append((start, drv.rec.n_recorded))
         drv.hold(0.0, omega_tol=1e-4, window_s=0.25, timeout_s=40.0)
     trace = drv.rec.trace()
-    return trace, _disturbance_report(mode, trace, windows, impact_torque, "output"), drv
+    return trace, _disturbance_report(mode, trace, windows, impact_torque), drv

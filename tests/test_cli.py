@@ -142,6 +142,25 @@ def test_simulation_blowup_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_saturated_hold_exits_2(tmp_path, capsys):
+    # a hold that asks the motor for more than tau_max leaves the arm hanging;
+    # the run fails rather than reporting impacts on it
+    from tsea.params import load_named_preset, preset_to_dict
+
+    doc = preset_to_dict(load_named_preset("calibrated"))
+    doc["load"]["mass"] = 50
+    heavy = tmp_path / "heavy.json"
+    heavy.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    code = main(["disturb", "--mode", "pea", "--impacts", "1", "--preset", str(heavy),
+                 "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "simulation error: the hold at 0° saturates the motor: the P law asks for 44.47 Nm "
+        "against tau_max = 3 Nm with the output at -84.94°\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, message", [
     (["track", "--period", "0"], "switch_period must be positive and finite (got 0.0)"),
     (["track", "--period", "inf"], "switch_period must be positive and finite (got inf)"),
@@ -211,6 +230,18 @@ def _param(field, value):
     (_param("t_switch", 1e300), "invalid preset 'calibrated': t_switch = 1e+300 s spans more "
                                 "than 50000000 steps of dt = 0.000125 s, the most a run may take"),
     (lambda doc: doc.update(name=5), "invalid preset 5: name must be a string (got 5)"),
+    # hub laws hub-curve could not sweep: slack springs, an infinite slope and
+    # length, radii so close that the chord² at rest rounds below zero
+    (lambda doc: doc["hub"].update(preload_ext=0),
+     "invalid preset 'calibrated': hub.preload_ext = 0 mm: non-positive stiffness"),
+    (lambda doc: doc["hub"].update(r2=1e308),
+     "invalid preset 'calibrated': hub.k, hub.r1 and hub.r2 give a linearized stiffness of "
+     "inf Nm/rad; it must be positive and finite; hub.r1, hub.r2, hub.l0 and "
+     "hub.preload_ext must give a finite spring length over a full turn (got nan mm at "
+     "beta = pi)"),
+    (lambda doc: doc["hub"].update(r1=1.2485677453194244, r2=1.2485677453194257),
+     "invalid preset 'calibrated': hub.r1, hub.r2, hub.l0 and hub.preload_ext must give a "
+     "finite spring length over a full turn (got nan mm at beta = pi)\n"),
     # file contents in place of an edit: named in the message, which json or
     # the UTF-8 codec gave without the file
     (b'{"a":\n', "preset file '{bad}' is not UTF-8 JSON: Expecting value: line 2 column 1 "
@@ -218,7 +249,7 @@ def _param(field, value):
     (b"\xff\xfe", "preset file '{bad}' is not UTF-8 JSON: 'utf-8' codec can't decode byte "
                   "0xff in position 0: invalid start byte"),
 ], ids=["omega_eps-tiny", "dt-large", "K_s-string", "t_switch-ceiling", "name-number",
-        "truncated-json", "not-utf8"])
+        "hub-slack", "hub-r2-huge", "hub-radii-close", "truncated-json", "not-utf8"])
 def test_bad_preset_fails_at_load(edit, message, tmp_path, capsys):
     from tsea.params import load_named_preset, preset_to_dict
 
@@ -230,12 +261,13 @@ def test_bad_preset_fails_at_load(edit, message, tmp_path, capsys):
         edit(doc)
         bad.write_text(json.dumps(doc))
     out = tmp_path / "out"
-    assert main(["cycle", "--preset", str(bad), "--out", str(out)]) == 1
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error: " + message.replace("{bad}", str(bad)))
-    assert captured.err.count("\n") == 1
-    assert captured.out == ""
-    assert not out.exists()
+    for command in ("cycle", "hub-curve"):
+        assert main([command, "--preset", str(bad), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: " + message.replace("{bad}", str(bad)))
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("edit, message", [

@@ -1,20 +1,19 @@
-"""The float RK4 kernels replay the original closure-based integrators bit for bit.
+"""The float RK4 steps replay the original closure-based integrators bit for bit.
 
-plant.step and the switch gate run module-level float kernels, and the
-stiffness rig its own step inline, with the stages written out in the
-original arithmetic order. These tests run them against the closure-based
-references in oracles on seeded random inputs (the rig on its own protocol)
-and compare float.hex, so a zero whose sign moved (-0.0 against 0.0) fails as
-loudly as a changed digit.
+plant.step holds the four RK4 stages of each body shape, the switch gate
+evaluates the parallel body's force (body_accel), and the stiffness rig writes
+its own step inline, all in the original arithmetic order. These tests run
+them against the closure-based references in oracles on seeded random inputs
+(the rig on its own protocol) and compare float.hex, so a zero whose sign
+moved (-0.0 against 0.0) fails as loudly as a changed digit.
 """
 
-import math
 import random
 import sys
 
 import pytest
 
-from oracles import pea_rhs, reference_rig_rows, reference_rig_step, reference_step
+from oracles import pea_rhs, reference_rig_rows, reference_step
 from tsea.experiments import run_static_stiffness
 from tsea.params import ActuatorParams, LoadModel
 from tsea.plant import (
@@ -23,7 +22,6 @@ from tsea.plant import (
     SeaState,
     SimulationError,
     TransitionState,
-    body_step,
     step,
 )
 from tsea.selector import transmitted_torque
@@ -147,30 +145,6 @@ def test_pea_gate_matches_reference():
         tau_m, tau_ext = sample.torque(3.0), sample.torque(5.0)
         _, alpha = pea_rhs(tau_m, tau_ext, p, s.theta_anchor)(s.theta, s.omega)
         assert bits(transmitted_torque(s, tau_m, tau_ext, p)) == bits(tau_m - p.J_m * alpha)
-
-
-def test_rig_matches_reference():
-    # body_step's zero-load case (anchor = mgr = tau_ext = 0) is the locked-output
-    # rig's body; the rig itself steps inline (test_stiffness_rig_replays_reference)
-    sample = Sampler("kernels-rig")
-    special = [(BIG, 1e308), (-BIG, -1e308), (math.inf, 0.0), (math.nan, 0.0)]
-    for i in range(N_RANDOM + len(special)):
-        sample.next_sample()
-        p = sample.params()
-        if sample.rng.random() < 0.5:
-            K_rig, tau_c = p.K_s, p.tau_c_sea
-        else:
-            K_rig, tau_c = p.K_s + p.K_struct, p.tau_c_pea
-        theta, omega = special[i - N_RANDOM] if i >= N_RANDOM else (sample.angle(), sample.velocity())
-        tau = sample.torque(1.0)
-        ref = reference_rig_step(theta, omega, tau, K_rig, tau_c, p)
-        try:
-            new = body_step(theta, omega, p.dt, tau, 0.0, 0.0, 0.0,
-                            K_rig, p.b_m, tau_c, p.omega_eps, p.J_m)
-        except ValueError:  # math.cos of an infinite stage angle: the rig blows up
-            assert not all(math.isfinite(v) for v in ref), (theta, omega, tau, p)
-            continue
-        assert [bits(v) for v in new] == [bits(v) for v in ref], (theta, omega, tau, p)
 
 
 @pytest.mark.parametrize("mode", [Mode.SEA, Mode.PEA])
