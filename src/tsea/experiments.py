@@ -100,7 +100,8 @@ class InvariantViolation(RuntimeError):
 
 @dataclass(frozen=True)
 class Trace:
-    """Uniformly sampled simulation log."""
+    """Uniformly sampled simulation log. A recorded trace's eight float
+    columns are strided views of the recorder's one packed row buffer."""
 
     dt: float            # sample spacing [s]
     t: np.ndarray        # [s]
@@ -120,21 +121,22 @@ class Trace:
 
 _FLOAT_COLS = ("theta_m", "omega_m", "theta_o", "omega_o",
                "tau_cmd", "tau_applied", "tau_spring", "i_q")
-# the columns a mirror image of the locked rig negates
-_ODD_COLS = frozenset(("theta_m", "omega_m", "tau_cmd", "tau_applied", "tau_spring", "i_q"))
+# the columns, by number in _FLOAT_COLS, a mirror image of the locked rig negates
+_ODD_COLS = [0, 1, 4, 5, 6, 7]
+_pack_row = struct.Struct("8d").pack
 
 
 class TraceRecorder:
-    """Append-only column store for a caller that appends a row every stride
-    steps of dt from step 0, so row r's time is (r*stride)*dt."""
+    """Append-only row store for a caller that appends a row every stride
+    steps of dt from step 0, so row r's time is (r*stride)*dt. Each row's
+    eight floats are packed in _FLOAT_COLS order into one row-major buffer,
+    next to an array of mode codes; the trace's columns are views of it."""
 
     def __init__(self, dt: float, stride: int = 1):
         self.dt = dt
         self.stride = stride
-        self._cols = {name: array("d") for name in _FLOAT_COLS}
+        self._rows = array("d")
         self._mode = array("b")
-        # bound appends in _FLOAT_COLS order, then the mode code's
-        self._appends = (*(col.append for col in self._cols.values()), self._mode.append)
 
     @property
     def n_recorded(self) -> int:
@@ -152,51 +154,36 @@ class TraceRecorder:
         else:
             qm, wm, qo, wo, _ = state
             code, tau_s = 2, 0.0
-        qm_, wm_, qo_, wo_, cmd_, app_, spring_, iq_, mode_ = self._appends
-        qm_(qm)
-        wm_(wm)
-        qo_(qo)
-        wo_(wo)
-        cmd_(tau_cmd)
-        app_(tau_applied)
-        spring_(tau_s)
-        iq_(tau_applied / p.K_t)
-        mode_(code)
+        self._rows.frombytes(_pack_row(qm, wm, qo, wo, tau_cmd, tau_applied, tau_s,
+                                       tau_applied / p.K_t))
+        self._mode.append(code)
 
     def record_raw(self, code: int, qm: float, wm: float, qo: float, wo: float,
                    tau_cmd: float, tau_applied: float, tau_spring: float,
                    i_q: float) -> None:
-        qm_, wm_, qo_, wo_, cmd_, app_, spring_, iq_, mode_ = self._appends
-        qm_(qm)
-        wm_(wm)
-        qo_(qo)
-        wo_(wo)
-        cmd_(tau_cmd)
-        app_(tau_applied)
-        spring_(tau_spring)
-        iq_(i_q)
-        mode_(code)
+        self._rows.frombytes(_pack_row(qm, wm, qo, wo, tau_cmd, tau_applied, tau_spring, i_q))
+        self._mode.append(code)
 
     def copy_rows(self, start: int, stop: int, negate: bool = False) -> None:
         """Append a copy of rows [start, stop), or with negate set its mirror
         image on the locked stiffness rig: the _ODD_COLS as 0.0 - x (0.0,
         never -0.0, as the rig writes), the output's 0.0s and the mode as
         they are."""
-        for name, col in self._cols.items():
-            if negate and name in _ODD_COLS:
-                # the view is released before the array grows
-                col.frombytes((0.0 - np.frombuffer(col, np.float64, stop - start, 8 * start))
-                              .tobytes())
-            else:
-                col.extend(col[start:stop])
+        rows = self._rows
+        block = rows[8 * start:8 * stop]  # a copy: the view below is of it, so rows can grow
+        if negate:
+            cols = np.frombuffer(block).reshape(-1, 8)
+            cols[:, _ODD_COLS] = 0.0 - cols[:, _ODD_COLS]
+        rows.extend(block)
         self._mode.extend(self._mode[start:stop])
 
     def trace(self) -> Trace:
         t = np.arange(0, self.n_recorded * self.stride, self.stride, dtype=np.float64)
         t *= self.dt  # the products k*dt its caller forms, not r*(stride*dt)
-        cols = {name: np.asarray(col, dtype=np.float64) for name, col in self._cols.items()}
+        rows = np.frombuffer(self._rows, np.float64).reshape(-1, 8)
         return Trace(dt=self.dt * self.stride, t=t,
-                     mode=np.asarray(self._mode, dtype=np.int8), **cols)
+                     mode=np.asarray(self._mode, dtype=np.int8),
+                     **dict(zip(_FLOAT_COLS, rows.T)))
 
 
 def _stride_for(dt: float, hz: float) -> int:
@@ -539,16 +526,16 @@ class _Driver:
         load = self.load
         kp = self.kp
         stride = self.stride
-        rec = self.rec
+        tau_max = p.tau_max
         state = self.state
         k = self.k
         engage_k = self._engage_k
         decision = engaged = None
+        # looked up once per call, by the names that wrappers and spies patch
+        p_law, record, step = p_position, self.rec.record, plant.step
         try:
-            # the callables are looked up on every call, by the names that
-            # wrappers and spies patch
             for target in targets:
-                tau_cmd = p_position(target, state[0], kp)  # field 0: the motor angle
+                tau_cmd = p_law(target, state[0], kp)  # field 0: the motor angle
                 if switch:  # the gate tests every step until it accepts
                     src = mode_of(state)
                     dst = _other_mode(src)
@@ -562,9 +549,10 @@ class _Driver:
                         self._request = (k, src, dst, decision.transmitted)
                     else:
                         self.retried += 1
-                if k % stride == 0:
-                    rec.record(state, tau_cmd, clamp_torque(tau_cmd, p), p)
-                state = plant.step(state, tau_cmd, p, load, extra)
+                if k % stride == 0:  # the applied torque is clamp_torque's
+                    record(state, tau_cmd, tau_max if tau_cmd > tau_max else
+                           -tau_max if tau_cmd < -tau_max else tau_cmd, p)
+                state = step(state, tau_cmd, p, load, extra)
                 k += 1
                 if k == engage_k:
                     engaged = state

@@ -65,8 +65,11 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.sigma_deg < 0.0:
-            raise ValueError(f"sigma_deg must be non-negative (got {self.sigma_deg})")
+        if not 0.0 < self.quantization_deg < math.inf:  # NaN fails too
+            raise ValueError(
+                f"quantization_deg must be positive and finite (got {self.quantization_deg})")
+        if not 0.0 <= self.sigma_deg < math.inf:
+            raise ValueError(f"sigma_deg must be finite and non-negative (got {self.sigma_deg})")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative (got {self.seed})")
 

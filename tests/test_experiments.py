@@ -50,7 +50,7 @@ from tsea.experiments import (
     settling_time,
 )
 from tsea.params import load_named_preset
-from tsea.plant import Mode, PeaState, SimulationError, TransitionState
+from tsea.plant import Mode, PeaState, SimulationError, TransitionState, clamp_torque
 from tsea.selector import COMPLETED, REJECTED, SwitchDecision, latency_steps
 
 
@@ -470,6 +470,19 @@ def _driver_bits(drv: _Driver) -> tuple:
                      "tau_cmd", "tau_applied", "tau_spring", "i_q"))
     return (columns, bits(drv.state), drv.k, drv.t.hex(), bits(drv.engaged_from),
             drv.records, drv.retried)
+
+
+def test_driver_logs_the_clamped_torque(calibrated):
+    # the driver clamps the logged torque inline: it must be clamp_torque's,
+    # inside the clamp and on both sides of it
+    drv = _Driver(calibrated, HOLD_KP, initial_state(Mode.SEA), 1)
+    for target in (0.0, 1.0, -1.0):  # P law 0, then about +-30 Nm against tau_max = 3
+        drv.run(repeat(target, 20))
+    trace = drv.rec.trace()
+    applied = [clamp_torque(tau, calibrated.params) for tau in trace.tau_cmd.tolist()]
+    assert trace.tau_applied.tolist() == applied
+    tau_max = calibrated.params.tau_max
+    assert {0.0, tau_max, -tau_max} <= set(applied)
 
 
 @pytest.mark.parametrize("stride", [1, 8])

@@ -192,9 +192,15 @@ def test_noise_deterministic_and_motor_untouched():
     assert not np.array_equal(a.theta_o, c.theta_o)
 
 
-def test_noise_sigma_validation():
-    with pytest.raises(ValueError):
-        NoiseModel(sigma_deg=-0.1)
+@pytest.mark.parametrize("field, value", [
+    ("sigma_deg", -0.1), ("sigma_deg", math.inf), ("sigma_deg", math.nan),
+    ("quantization_deg", 0.0), ("quantization_deg", -1.0), ("quantization_deg", math.nan),
+    ("quantization_deg", math.inf),
+])
+def test_noise_model_validation(field, value):
+    # each value would log theta_o as NaN or inf, quantize by a negative step or skip the jitter
+    with pytest.raises(ValueError, match=field):
+        NoiseModel(**{field: value})
 
 
 def test_svg_constant_series_valid_xml(tmp_path):
