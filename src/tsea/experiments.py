@@ -204,11 +204,13 @@ def mode_runs(mode: np.ndarray) -> list[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 def rms(series) -> float:
-    """Root mean square of a non-empty series."""
+    """Root mean square of a non-empty series; inf, silently, when a square
+    overflows (write_report_json names the field)."""
     arr = np.asarray(series, dtype=np.float64)
     if arr.size == 0:
         raise ValueError("rms of empty series")
-    return float(np.sqrt(np.mean(arr * arr)))
+    with np.errstate(over="ignore"):
+        return float(np.sqrt(np.mean(arr * arr)))
 
 
 def linear_fit(x, y) -> float:
@@ -482,9 +484,10 @@ class _Driver:
     controller, the selector gate, the trace recorder and the plant.
 
     Protocols script their phases as calls to run() and hold(), a switch
-    request included; the driver owns the state, the step count k (the time
-    is k*dt), the recorder and the switch bookkeeping (the selector travel in
-    steps, completed records, refused gate tests) in between.
+    request included (a hold is one run under a stop rule); the driver owns
+    the state, the step count k (the time is k*dt), the recorder and the
+    switch bookkeeping (the selector travel in steps, completed records,
+    refused gate tests) in between.
     """
 
     def __init__(self, preset: Preset, kp: float, state: PlantState, stride: int = 1):
@@ -508,8 +511,8 @@ class _Driver:
         """k*dt, a product so that it cannot drift."""
         return self.k * self.p.dt
 
-    def run(self, targets: Iterable[float], extra: float = 0.0,
-            switch: bool = False) -> SwitchDecision | None:
+    def run(self, targets: Iterable[float], extra: float = 0.0, switch: bool = False,
+            settle: tuple[float, int, int] | None = None) -> SwitchDecision | bool | None:
         """One control period per item of targets (repeat(target, n) for a
         constant phase), each in this order: the P law on the motor angle;
         when switch is set, the switch gate to the other engaged mode, retried
@@ -518,9 +521,12 @@ class _Driver:
         with extra output torque. The driver counts the selector travel in
         whole steps: latency steps after the gate accepts, the selector
         engages, the engagement appends its COMPLETED record and the run
-        stops; an iterator keeps the targets not taken.
+        stops; an iterator keeps the targets not taken. settle is hold()'s stop
+        rule (tol, window, earliest): the run stops on the first step k > earliest
+        that ends window steps in a row with every velocity under tol.
 
-        Returns the gate's last decision, or None when no switch was requested.
+        Returns True if settle stopped the run, else the gate's last decision
+        (None when no switch was requested).
         """
         p = self.p
         load = self.load
@@ -531,6 +537,8 @@ class _Driver:
         k = self.k
         engage_k = self._engage_k
         decision = engaged = None
+        tol, window, earliest = settle or (None, 0, 0)
+        quiet = 0
         # looked up once per call, by the names that wrappers and spies patch
         p_law, record, step = p_position, self.rec.record, plant.step
         try:
@@ -560,6 +568,12 @@ class _Driver:
                     request_k, src, dst, torque = self._request
                     self.records.append(SwitchRecord(request_k, k, src, dst, torque, COMPLETED))
                     break
+                if tol is not None:  # the velocities are fields 1 and 3, one field in PEA
+                    still = abs(state[1]) < tol and (type(state) is PeaState or abs(state[3]) < tol)
+                    quiet = quiet + 1 if still else 0
+                    if quiet >= window and k > earliest:
+                        decision = True
+                        break
         except SimulationError as exc:
             self.state, self.k = state, k
             raise SimulationError(f"{exc} after step {k} (t={self.t:.6f} s)") from exc
@@ -570,30 +584,18 @@ class _Driver:
 
     def hold(self, target: float, omega_tol: float, window_s: float,
              timeout_s: float, min_hold_s: float = 0.0) -> None:
-        """Hold target until both velocities stay under omega_tol for window_s
-        consecutive seconds (checked after min_hold_s)."""
+        """Hold target in one run until both velocities stay under omega_tol
+        for window_s consecutive seconds (checked after min_hold_s). Start it
+        with no switch in flight: an engagement stops the run. Raises
+        SimulationError if the hold does not settle within timeout_s, or if
+        the P law at the settled state asks the motor for tau_max or more:
+        the arm then hangs rather than holds, and whatever a protocol
+        measures from there is not the hold."""
         dt = self.p.dt
-        window_steps = max(1, round(window_s / dt))
-        min_steps = round(min_hold_s / dt)
-        quiet = 0
-        for k in range(round(timeout_s / dt)):
-            self.run((target,))
-            s = self.state
-            if type(s) is PeaState:
-                still = abs(s.omega) < omega_tol
-            else:
-                still = abs(s.omega_m) < omega_tol and abs(s.omega_o) < omega_tol
-            quiet = quiet + 1 if still else 0
-            if k >= min_steps and quiet >= window_steps:
-                return
-        raise SimulationError(
-            f"hold did not settle below |omega| < {omega_tol} rad/s within {timeout_s} s"
-        )
-
-    def check_unsaturated(self, target: float) -> None:
-        """Raise SimulationError if the P law at the state a hold settled in
-        asks the motor for tau_max or more: the arm then hangs rather than
-        holds, and whatever a protocol measures from there is not the hold."""
+        settle = (omega_tol, max(1, round(window_s / dt)), self.k + round(min_hold_s / dt))
+        if not self.run(repeat(target, round(timeout_s / dt)), settle=settle):
+            raise SimulationError(
+                f"hold did not settle below |omega| < {omega_tol} rad/s within {timeout_s} s")
         s = self.state
         tau = self.kp * (target - s[0])  # p_position's law, not a counted control call
         if abs(tau) >= self.p.tau_max:
@@ -659,7 +661,6 @@ def run_hold(mode: Mode, preset: Preset) -> tuple[Trace, PlantState]:
     """
     drv = _Driver(preset, HOLD_KP, initial_state(mode))
     drv.hold(0.0, 1e-6, window_s=0.05, timeout_s=40.0)
-    drv.check_unsaturated(0.0)
     return drv.rec.trace(), drv.state
 
 
@@ -876,8 +877,8 @@ def run_disturbance(
     the output side; peak deflection and settling into the ±0.5° band over
     post_window_s are measured on the impacted (output-side) angle relative
     to its pre-impact rest value (in parallel mode the motor and output
-    angles are one coordinate). A pre-impact hold that saturates the motor
-    raises SimulationError rather than measuring impacts on a hanging arm.
+    angles are one coordinate). A hold that saturates the motor raises
+    SimulationError rather than measuring impacts on a hanging arm.
     """
     if mode not in (Mode.SEA, Mode.PEA):
         raise ValueError("disturbance protocol characterizes an engaged mode")
@@ -899,7 +900,6 @@ def run_disturbance(
     drv = _Driver(preset, DISTURB_KP, initial_state(mode))
     # settle into the pre-impact hold
     drv.hold(0.0, omega_tol=1e-4, window_s=0.25, timeout_s=timeout_s, min_hold_s=1.0)
-    drv.check_unsaturated(0.0)
     # every step logs a row, so an impact's window is the post_steps rows from
     # its first row, and each impact's rows start where the last one's ended
     starts = [drv.rec.n_recorded]

@@ -36,12 +36,11 @@ from pathlib import Path
 import numpy as np
 import orjson
 
-from .experiments import MODE_NAMES, Trace, mode_runs
+from .experiments import _FLOAT_COLS, MODE_NAMES, Trace, mode_runs
 
 SCHEMA_VERSION = 1
 
-CSV_HEADER = ("t", "mode", "theta_m", "omega_m", "theta_o", "omega_o",
-              "tau_cmd", "tau_applied", "tau_spring", "i_q")
+CSV_HEADER = ("t", "mode", *_FLOAT_COLS)
 CSV_TERMINATOR = b"\r\n"
 _CSV_HEADER_LINE = ",".join(CSV_HEADER).encode() + CSV_TERMINATOR
 # the mode field with the separators on either side, indexed by mode code
@@ -89,53 +88,73 @@ def apply_noise(trace: Trace, model: NoiseModel) -> Trace:
     return replace(trace, theta_o=theta_o)
 
 
+def _json_floats(values: np.ndarray) -> bytes:
+    """orjson's JSON text of values, a fresh C-contiguous float64 array, with
+    every field that orjson does not print as repr does printed by repr.
+
+    repr and orjson print the same shortest round-trip digits, and the same
+    text where both print them positionally (1e-4 <= |x| < 1e16 and zeros:
+    "3.0", "-0.0") or both need a two-digit exponent (|x| < 1e-9: "1e-10",
+    "5e-324"). Elsewhere the texts differ (1e-05 / 0.00001, 1e-09 / 1e-9,
+    1e+16 / 1e16, nan / null): those fields go to repr, once per distinct
+    bit pattern, and are printed as null until the repr replaces them.
+    values[slow] lists them row-major, in the order they appear in the text.
+    """
+    mag = np.abs(values)
+    slow = ((mag >= 1e-9) & (mag < 1e-4)) | ~(mag < 1e16)
+    if not slow.any():
+        return orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)
+    patterns, fills = np.unique(values[slow].view(np.int64), return_inverse=True)
+    reprs = np.array([repr(x).encode() for x in patterns.view(np.float64).tolist()], dtype=object)
+    values[slow] = math.nan
+    pieces = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY).split(b"null")
+    parts = [b""] * (2 * len(pieces) - 1)
+    parts[0::2] = pieces
+    parts[1::2] = reprs[fills].tolist()
+    return b"".join(parts)
+
+
 def write_trace_csv(trace: Trace, path: str | Path) -> int:
     """Write every row of the trace; returns the number of data rows."""
-    cols = (trace.t, trace.theta_m, trace.omega_m, trace.theta_o, trace.omega_o,
-            trace.tau_cmd, trace.tau_applied, trace.tau_spring, trace.i_q)
+    floats = [getattr(trace, name) for name in _FLOAT_COLS]
     with open(path, "wb") as fh:
         fh.write(_CSV_HEADER_LINE)
         for start in range(0, len(trace), CSV_BLOCK_ROWS):
             block = slice(start, start + CSV_BLOCK_ROWS)
-            values = np.array([c[block] for c in cols], dtype=np.float64)
-            # repr and orjson print the same shortest round-trip digits, and
-            # the same text where both print them positionally (1e-4 <= |x|
-            # < 1e16 and zeros: "3.0", "-0.0") or both need a two-digit
-            # exponent (|x| < 1e-9: "1e-10", "5e-324"). Elsewhere the texts
-            # differ (1e-05 / 0.00001, 1e-09 / 1e-9, 1e+16 / 1e16, nan /
-            # null): those fields go to repr.
-            mag = np.abs(values)
-            slow = ((mag >= 1e-9) & (mag < 1e-4)) | ~(mag < 1e16)
-            reprs = None
-            if slow.any():
-                # one repr per distinct bit pattern, in the order the fields
-                # appear in the file; each such field is printed as null below
-                patterns, fills = np.unique(values.T[slow.T].view(np.int64), return_inverse=True)
-                reprs = np.array([repr(x).encode() for x in patterns.view(np.float64).tolist()],
-                                 dtype=object)
-                values[slow] = math.nan
             # the t column on its own, the other eight as one list per row,
             # so each row is its t text, its mode, the text of its other
             # fields and the terminator
-            times = orjson.dumps(values[0], option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].split(b",")
-            rows = orjson.dumps(values[1:].T.copy(), option=orjson.OPT_SERIALIZE_NUMPY)
+            times = _json_floats(np.array(trace.t[block], dtype=np.float64))[1:-1].split(b",")
+            rows = _json_floats(np.stack([c[block] for c in floats], axis=1, dtype=np.float64))
             parts = [CSV_TERMINATOR] * (4 * len(times))
             parts[0::4] = times
             parts[1::4] = _MODE_FIELDS[trace.mode[block]].tolist()
             parts[2::4] = rows[2:-2].split(b"],[")
-            text = b"".join(parts)
-            if reprs is not None:
-                pieces = text.split(b"null")
-                parts = [b""] * (2 * len(pieces) - 1)
-                parts[0::2] = pieces
-                parts[1::2] = reprs[fills].tolist()
-                text = b"".join(parts)
-            fh.write(text)
+            fh.write(b"".join(parts))
     return len(trace)
 
 
+def _non_finite(value, where: str = "") -> tuple[str, float] | None:
+    """The key path (as in segments[0].rms_iq_a) and value of the first
+    non-finite float in a report value, or None."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else (where, value)
+    if isinstance(value, dict):
+        items = ((f"{where}.{key}" if where else str(key), v) for key, v in value.items())
+    elif isinstance(value, (list, tuple)):
+        items = ((f"{where}[{i}]", v) for i, v in enumerate(value))
+    else:
+        return None
+    return next(filter(None, (_non_finite(v, path) for path, v in items)), None)
+
+
 def write_report_json(report_dict: dict, path: str | Path) -> None:
+    """Write the report as strict JSON; a non-finite value raises ValueError
+    naming its key path before anything is written."""
     doc = {"schema_version": SCHEMA_VERSION, **report_dict}
+    bad = _non_finite(doc)
+    if bad is not None:
+        raise ValueError(f"report value {bad[0]} is {bad[1]!r}, which JSON cannot hold")
     Path(path).write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
 

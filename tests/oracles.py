@@ -9,8 +9,9 @@ back into a Trace for the bit-exact round trip. The closure-based RK4 steps
 are the original integrators that plant.step, which holds the stages of each
 body shape, and the stiffness rig's inline step must match bit for bit, and
 the tracking loop is the original one-step-per-call driver loop that
-run_dynamic_switching's phases must match. The selector countdown is the original float count of the travel
-that selector.latency_steps must match. The switch-cycle and disturbance
+run_dynamic_switching's phases must match, as the hold loop is the one that
+_Driver.hold's single run must match. The selector countdown is the original
+float count of the travel that selector.latency_steps must match. The switch-cycle and disturbance
 loops and the stiffness rig simulate every unit (every leg, for the rig),
 where the protocols replay the units that repeat an earlier one.
 """
@@ -374,14 +375,40 @@ def reference_track_driver(preset, duration: float, switch_period: float,
     return drv
 
 
+def reference_hold(drv: _Driver, target: float, omega_tol: float, window_s: float,
+                   timeout_s: float, min_hold_s: float = 0.0) -> None:
+    """The original _Driver.hold loop: one single-step driver run per control
+    period until both velocities have stayed under omega_tol for window_s
+    consecutive seconds, tested from the step that ends min_hold_s on. It
+    does not check the settled hold for saturation."""
+    dt = drv.p.dt
+    window_steps = max(1, round(window_s / dt))
+    min_steps = round(min_hold_s / dt)
+    quiet = 0
+    for k in range(round(timeout_s / dt)):
+        drv.run((target,))
+        s = drv.state
+        if type(s) is PeaState:
+            still = abs(s.omega) < omega_tol
+        else:
+            still = abs(s.omega_m) < omega_tol and abs(s.omega_o) < omega_tol
+        quiet = quiet + 1 if still else 0
+        if k >= min_steps and quiet >= window_steps:
+            return
+    raise SimulationError(
+        f"hold did not settle below |omega| < {omega_tol} rad/s within {timeout_s} s"
+    )
+
+
 def reference_switch_cycle(preset, n: int, hold: float, retry_window_s: float = 0.25
                            ) -> tuple[Trace, CycleReport, _Driver]:
     """The switch-cycle loop that simulates every one of its n cycles, without
-    the invariant checks. Returns its trace, its report and the driver it ran."""
+    the invariant checks or the saturation check of its hold. Returns its
+    trace, its report and the driver it ran."""
     p = preset.params
     drv = _Driver(preset, HOLD_KP, initial_state(Mode.SEA, hold),
                   _stride_for(p.dt, CYCLE_RECORD_HZ))
-    drv.hold(hold, omega_tol=1e-3, window_s=0.05, timeout_s=20.0, min_hold_s=0.5)
+    reference_hold(drv, hold, omega_tol=1e-3, window_s=0.05, timeout_s=20.0, min_hold_s=0.5)
     max_ke_loss = 0.0
     retry_steps = max(1, round(retry_window_s / p.dt))
     latency = latency_steps(p.t_switch, p.dt)
@@ -409,19 +436,20 @@ def reference_switch_cycle(preset, n: int, hold: float, retry_window_s: float = 
 def reference_disturbance(mode: Mode, preset, n_impacts: int, impact_torque: float
                           ) -> tuple[Trace, DisturbanceReport, _Driver]:
     """The disturbance loop that simulates every one of its n_impacts impacts
-    and re-settles, over 8 s post-impact windows measured on the output angle.
+    and re-settles, over 8 s post-impact windows measured on the output angle,
+    without the saturation check of its holds.
     Returns its trace, its report and the driver it ran."""
     dt = preset.params.dt
     post_steps = round(8.0 / dt)
     pulse_steps = min(round(IMPACT_DURATION_S / dt), post_steps)
     drv = _Driver(preset, DISTURB_KP, initial_state(mode))
-    drv.hold(0.0, omega_tol=1e-4, window_s=0.25, timeout_s=40.0, min_hold_s=1.0)
+    reference_hold(drv, 0.0, omega_tol=1e-4, window_s=0.25, timeout_s=40.0, min_hold_s=1.0)
     windows = []
     for _ in range(n_impacts):
         start = drv.rec.n_recorded
         drv.run(repeat(0.0, pulse_steps), impact_torque)
         drv.run(repeat(0.0, post_steps - pulse_steps))
         windows.append((start, drv.rec.n_recorded))
-        drv.hold(0.0, omega_tol=1e-4, window_s=0.25, timeout_s=40.0)
+        reference_hold(drv, 0.0, omega_tol=1e-4, window_s=0.25, timeout_s=40.0)
     trace = drv.rec.trace()
     return trace, _disturbance_report(mode, trace, windows, impact_torque), drv

@@ -1,9 +1,11 @@
+import functools
 import json
 import re
 
 import numpy as np
 import pytest
 
+import tsea.experiments
 from tsea.cli import main
 
 
@@ -159,6 +161,47 @@ def test_saturated_hold_exits_2(tmp_path, capsys):
         "simulation error: the hold at 0° saturates the motor: the P law asks for 44.47 Nm "
         "against tau_max = 3 Nm with the output at -84.94°\n")
     assert not out.exists()
+
+
+def test_saturated_cycle_hold_exits_2(tmp_path, capsys, monkeypatch):
+    # every hold is checked, the switch cycle's opening hold too: 50 kg held
+    # at the horizontal hangs the arm with the P law at ten times tau_max
+    from tsea.params import load_named_preset, preset_to_dict
+
+    doc = preset_to_dict(load_named_preset("calibrated"))
+    doc["load"]["mass"] = 50
+    heavy = tmp_path / "heavy.json"
+    heavy.write_text(json.dumps(doc))
+    monkeypatch.setattr(tsea.experiments, "run_switch_cycle",
+                        functools.partial(tsea.experiments.run_switch_cycle, hold=0.0))
+    out = tmp_path / "out"
+    assert main(["cycle", "--n", "1", "--preset", str(heavy), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "simulation error: the hold at 0° saturates the motor: the P law asks for 30.26 Nm "
+        "against tau_max = 3 Nm with the output at -88.65°\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit, field", [
+    (("params", "K_t", 1e-320), "segments[0].rms_iq_a is inf"),
+    (("load", "radius", 1e200), "segments[0].rms_error_rad is inf"),
+], ids=["K_t", "radius"])
+@pytest.mark.filterwarnings("error")  # a numpy warning would print lines of its own
+def test_non_finite_report_value_is_named(edit, field, tmp_path, capsys):
+    # presets that pass validation but make a report value overflow fail with
+    # one line naming the value, no warning or traceback, and no report
+    from tsea.params import load_named_preset, preset_to_dict
+
+    doc = preset_to_dict(load_named_preset("calibrated"))
+    section, key, value = edit
+    doc[section][key] = value
+    preset = tmp_path / "preset.json"
+    preset.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    code = main(["track", "--duration", "0.5", "--preset", str(preset), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: report value {field}, which JSON cannot hold\n"
+    assert not (out / "report.json").exists()
 
 
 @pytest.mark.parametrize("argv, message", [

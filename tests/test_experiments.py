@@ -15,6 +15,7 @@ from conftest import with_params, without_friction
 from oracles import (
     exponential_band_crossing,
     reference_disturbance,
+    reference_hold,
     reference_rig_rows,
     reference_stiffness_report,
     reference_switch_cycle,
@@ -23,6 +24,7 @@ from oracles import (
 )
 from tsea.experiments import (
     CYCLE_RECORD_HZ,
+    DISTURB_KP,
     HANG_CENTER_RAD,
     HOLD_KP,
     IMPACT_TORQUE_NM,
@@ -455,6 +457,42 @@ def test_hold_timeout_stops_after_its_steps(calibrated):
         drv.hold(0.0, omega_tol=0.0, window_s=0.05, timeout_s=0.01)
     assert str(err.value) == "hold did not settle below |omega| < 0.0 rad/s within 0.01 s"
     assert drv.k == round(0.01 / calibrated.params.dt) == drv.rec.n_recorded
+
+
+@pytest.mark.parametrize("kp, mode, stride, args", [
+    (DISTURB_KP, Mode.SEA, 1, (0.0, 1e-4, 0.25, 40.0, 1.0)),
+    (DISTURB_KP, Mode.PEA, 1, (0.0, 1e-4, 0.25, 40.0, 1.0)),
+    (HOLD_KP, Mode.SEA, 8, (HANG_CENTER_RAD, 1e-3, 0.05, 20.0, 0.5)),
+    (HOLD_KP, Mode.SEA, 1, (0.0, 1e-6, 0.05, 40.0)),
+    (HOLD_KP, Mode.PEA, 1, (0.0, 1e-6, 0.05, 40.0)),
+    (HOLD_KP, Mode.PEA, 1, (0.0, 0.0, 0.05, 0.01)),
+], ids=["sea-pre-impact", "pea-pre-impact", "cycle-opening", "run-hold-sea", "run-hold-pea",
+        "timeout"])
+def test_hold_is_one_run_matching_per_step_loop(kp, mode, stride, args, calibrated):
+    # the pre-impact holds of run_disturbance, the opening hold of
+    # run_switch_cycle (at rest from its first step, so it stops on the first
+    # step after min_hold_s), run_hold's holds and a hold that times out
+    # leave what the original loop of one single-step run per period leaves;
+    # each hold starts at rest at its target
+    hold, ref = (_Driver(calibrated, kp, initial_state(mode, args[0]), stride) for _ in range(2))
+    runs = itertools.count()
+    run = hold.run
+
+    def counted(*a, **kw):
+        next(runs)
+        return run(*a, **kw)
+
+    hold.run = counted
+    errors = []
+    for call in (hold.hold, functools.partial(reference_hold, ref)):
+        try:
+            call(*args)
+        except SimulationError as exc:
+            errors.append(str(exc))
+    assert next(runs) == 1
+    assert _driver_bits(hold) == _driver_bits(ref)
+    assert errors == ([] if args[1] else [
+        "hold did not settle below |omega| < 0.0 rad/s within 0.01 s"] * 2)
 
 
 def _driver_bits(drv: _Driver) -> tuple:

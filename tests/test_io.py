@@ -1,5 +1,6 @@
 import builtins
 import math
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -251,7 +252,10 @@ def test_report_json(tmp_path):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_report_json_rejects_non_finite(bad, tmp_path):
+    # the message names the key path of the first non-finite value
     path = tmp_path / "r.json"
-    with pytest.raises(ValueError):
-        write_report_json({"ok": 1.0, "nested": {"bad": [bad]}}, path)
+    report = {"ok": 1.0, "nested": {"fine": [2.0], "bad": [3.0, bad, -math.inf]}}
+    with pytest.raises(ValueError, match=re.escape(
+            f"report value nested.bad[1] is {bad!r}, which JSON cannot hold")):
+        write_report_json(report, path)
     assert not path.exists()

@@ -8,6 +8,7 @@ them against the closure-based references in oracles on seeded random inputs
 moved (-0.0 against 0.0) fails as loudly as a changed digit.
 """
 
+import math
 import random
 import sys
 
@@ -22,6 +23,8 @@ from tsea.plant import (
     SeaState,
     SimulationError,
     TransitionState,
+    clamp_torque,
+    spring_torque,
     step,
 )
 from tsea.selector import transmitted_torque
@@ -38,14 +41,22 @@ def bits(x: float) -> str:
 class Sampler:
     """Seeded random inputs. In a fifth of the samples almost every value is
     a signed zero or a subnormal, where only the order of the operations
-    decides the sign of a zero result."""
+    decides the sign of a zero result. In another fifth the extra output
+    torque nearly cancels gravity and the output's other static torques, the
+    velocities are small but not zero and a small omega_eps saturates the
+    Coulomb term: the output force is then a sum of comparable terms whose
+    rounding depends on their order, and a one-ulp change in it outlives the
+    step, whose change of velocity is not small against the velocity."""
 
     def __init__(self, seed: str):
         self.rng = random.Random(seed)
         self.z = 0.0  # chance that a value is drawn from SIGNED_TINY
+        self.cancel = False  # whether the extra torque nearly cancels gravity
 
     def next_sample(self) -> None:
-        self.z = 0.8 if self.rng.random() < 0.2 else 0.1
+        u = self.rng.random()
+        self.z = 0.8 if u < 0.2 else 0.1
+        self.cancel = u >= 0.8
 
     def tiny(self) -> bool:
         return self.rng.random() < self.z
@@ -60,6 +71,8 @@ class Sampler:
 
     def velocity(self) -> float:
         rng = self.rng
+        if self.cancel:  # small, never zero
+            return rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(-12.0, -2.0)
         if self.tiny():
             return rng.choice(SIGNED_TINY)
         return rng.uniform(-2e3, 2e3) if rng.random() < 0.05 else rng.uniform(-20.0, 20.0)
@@ -80,11 +93,29 @@ class Sampler:
             K_s=d.K_s * rng.uniform(0.5, 2.0), K_struct=d.K_struct * rng.uniform(0.5, 2.0),
             b_m=c(d.b_m), b_o=c(d.b_o), tau_c_sea=c(d.tau_c_sea),
             tau_c_pea=c(d.tau_c_pea), tau_c_out=c(0.05),
-            dt=d.dt * rng.uniform(0.25, 2.0), omega_eps=d.omega_eps * rng.uniform(0.5, 2.0),
+            dt=d.dt * rng.uniform(0.25, 2.0),
+            # a cancelling sample saturates the Coulomb term at small velocities
+            omega_eps=10.0 ** rng.uniform(-8.0, -2.0) if self.cancel
+            else d.omega_eps * rng.uniform(0.5, 2.0),
         )
 
     def load(self) -> LoadModel:
         return LoadModel(mass=0.0 if self.tiny() else self.rng.uniform(0.1, 2.0))
+
+    def extra(self, p: ActuatorParams, ld: LoadModel, state, tau_m: float) -> float:
+        """The extra output torque: in a cancelling sample, the static torque
+        on the output (its spring or, in PEA, the motor and its spring, less
+        the gravity load) give or take 1e-10 to 1e-2 of it."""
+        if not self.cancel:
+            return self.torque(10.0)
+        mgr = ld.mass * ld.g * ld.radius
+        if type(state) is PeaState:
+            q, _, anchor = state
+            static = clamp_torque(tau_m, p) - p.K_s * (q - anchor) - mgr * math.cos(q)
+        else:
+            static = spring_torque(state, p) - mgr * math.cos(state.theta_o)
+        rng = self.rng
+        return static * (1.0 + rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(-10.0, -2.0))
 
     def state(self, mode: Mode):
         if mode is Mode.PEA:
@@ -118,7 +149,8 @@ def test_step_matches_reference_on_random_states(mode):
     for _ in range(N_RANDOM):
         sample.next_sample()
         p, ld, state = sample.params(), sample.load(), sample.state(mode)
-        result = assert_same_step(state, sample.torque(5.0), p, ld, sample.torque(10.0))
+        tau_m = sample.torque(5.0)
+        result = assert_same_step(state, tau_m, p, ld, sample.extra(p, ld, state, tau_m))
         errors += result[0] == "SimulationError"
     assert errors < N_RANDOM // 100  # nearly every sample reached the comparison of bits
 
