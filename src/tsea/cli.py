@@ -141,10 +141,11 @@ def _run_stiffness(args, preset, noise: io.NoiseModel) -> dict:
     _write_outputs(
         Path(args.out), trace, d,
         {"theta_m [rad]": trace.theta_m, "tau_applied [Nm]": trace.tau_applied},
-        None, noise, f"stiffness {args.mode}: K_fit={report.K_fit:.3f} Nm/rad",
+        None, noise, f"stiffness {args.mode}: K_fit={report.K_fit_nm_per_rad:.3f} Nm/rad",
     )
-    print(f"stiffness {args.mode}: K_fit = {report.K_fit:.4f} ± {report.K_stderr:.4f} Nm/rad, "
-          f"loop area = {report.loop_area:.4f} Nm·rad over {len(report.k_per_cycle)} cycles")
+    print(f"stiffness {args.mode}: K_fit = {report.K_fit_nm_per_rad:.4f} "
+          f"± {report.K_stderr_nm_per_rad:.4f} Nm/rad, loop area = "
+          f"{report.loop_area_nm_rad:.4f} Nm·rad over {len(report.k_per_cycle)} cycles")
     return d
 
 
@@ -159,10 +160,11 @@ def _run_track(args, preset, noise: io.NoiseModel) -> dict:
          "i_q [A]": trace.i_q},
         bands, noise, "dynamic switching",
     )
-    print(f"track: {d['switches_completed']} switches completed, {report.retried_attempts} retried attempts")
+    print(f"track: {report.switches_completed} switches completed, "
+          f"{report.retried_attempts} retried attempts")
     for name, stats in report.per_mode.items():
-        print(f"  {name}: rms error {stats['rms_error_rad']:.4f} rad, "
-              f"rms i_q {stats['rms_iq_a']:.2f} A, peak i_q {stats['peak_iq_a']:.2f} A")
+        print("  {}: rms error {rms_error_rad:.4f} rad, rms i_q {rms_iq_a:.2f} A, "
+              "peak i_q {peak_iq_a:.2f} A".format(name, **stats))
     return d
 
 
@@ -204,8 +206,7 @@ def _run_hub_curve(args, preset, _noise: io.NoiseModel) -> dict:
     taus = np.array([hub_torque(preset.hub, float(b)) for b in betas])
     lengths = np.array([effective_length(preset.hub, float(b)) for b in betas])
     k_lin = linearized_stiffness(preset.hub)
-    d = {"k_linearized_nm_per_rad": k_lin,
-         "sweep_range_rad": args.sweep_range, "steps": args.steps}
+    d = dict(k_linearized_nm_per_rad=k_lin, sweep_range_rad=args.sweep_range, steps=args.steps)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     io.write_report_json(d, out_dir / "report.json")

@@ -3,11 +3,14 @@
 Four protocols: quasi-static stiffness characterization with the output
 locked, dynamic switching during sinusoidal tracking, impulse disturbance
 rejection under position hold, and a switching endurance run. Each protocol
-returns (Trace, report); all metric functions are pure. The three protocols
-that move the actuator script their phases on one driver loop (_Driver);
-the stiffness rig steps its locked motor, one body on a grounded spring with
-no load, with an RK4 step written inline in its own loop. Both log a row
-every stride steps from step 0, so row r's time is (r*stride)*dt.
+returns (Trace, report). A report is a dataclass whose fields, in order, are
+its report.json keys, written by Report.as_dict; the switch records of the
+tracking and endurance runs stay in memory, in a records field that is not
+written. All metric functions are pure. The three protocols that move the
+actuator script their phases on one driver loop (_Driver); the stiffness rig
+steps its locked motor, one body on a grounded spring with no load, with an
+RK4 step written inline in its own loop. Both log a row every stride steps
+from step 0, so row r's time is (r*stride)*dt.
 
 The endurance and disturbance runs repeat one scripted unit (a switch
 cycle; an impact and its re-settle) and settle into a cycle of units: on
@@ -41,7 +44,7 @@ import math
 import struct
 from array import array
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import islice, repeat
 from math import isfinite, tanh
 
@@ -73,8 +76,8 @@ from .selector import (
     request_switch,
 )
 
-MODE_NAMES = ("SEA", "PEA", "TRANS")
-MODE_CODE = {Mode.SEA: 0, Mode.PEA: 1, Mode.TRANS: 2}
+MODE_NAMES = tuple(mode.value for mode in Mode)  # indexed by a trace's mode code
+MODE_CODE = {mode: code for code, mode in enumerate(Mode)}
 
 # Protocol constants; gains are per-protocol, impact size is calibrated once
 # against the series-mode peak-deflection target and reused unchanged.
@@ -119,8 +122,7 @@ class Trace:
         return len(self.t)
 
 
-_FLOAT_COLS = ("theta_m", "omega_m", "theta_o", "omega_o",
-               "tau_cmd", "tau_applied", "tau_spring", "i_q")
+_FLOAT_COLS = tuple(f.name for f in fields(Trace))[3:]  # the fields after dt, t and mode
 # the columns, by number in _FLOAT_COLS, a mirror image of the locked rig negates
 _ODD_COLS = [0, 1, 4, 5, 6, 7]
 _pack_row = struct.Struct("8d").pack
@@ -304,28 +306,35 @@ def dominant_frequency(t, y, min_excursion: float = 0.0) -> float | None:
 # Reports
 # ---------------------------------------------------------------------------
 
+class Report:
+    """A report whose dataclass fields, in order, are its report.json keys.
+    A field declared with field(repr=False) stays in memory only."""
+
+    def as_dict(self) -> dict:
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self) if f.repr}
+
+
+def _plain(value):
+    """A report value as report.json holds it: a nested report as its dict."""
+    if isinstance(value, Report):
+        return value.as_dict()
+    if isinstance(value, list):
+        return [_plain(v) for v in value]
+    return value
+
+
 @dataclass(frozen=True)
-class StiffnessReport:
+class StiffnessReport(Report):
     mode: str
-    K_fit: float                  # mean per-cycle OLS slope [Nm/rad]
-    K_stderr: float               # spread of per-cycle slopes [Nm/rad]
-    loop_area: float              # mean per-cycle hysteresis area [Nm·rad]
+    K_fit_nm_per_rad: float       # mean per-cycle OLS slope
+    K_stderr_nm_per_rad: float    # spread of per-cycle slopes
+    loop_area_nm_rad: float       # mean per-cycle hysteresis area
     k_per_cycle: list[float]
     area_per_cycle: list[float]
 
-    def as_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "K_fit_nm_per_rad": self.K_fit,
-            "K_stderr_nm_per_rad": self.K_stderr,
-            "loop_area_nm_rad": self.loop_area,
-            "k_per_cycle": self.k_per_cycle,
-            "area_per_cycle": self.area_per_cycle,
-        }
-
 
 @dataclass(frozen=True)
-class DisturbanceReport:
+class DisturbanceReport(Report):
     mode: str
     impact_torque_nm: float
     impact_duration_s: float
@@ -336,57 +345,29 @@ class DisturbanceReport:
     mean_peak_deg: float
     mean_settling_ms: float | None
 
-    def as_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "impact_torque_nm": self.impact_torque_nm,
-            "impact_duration_s": self.impact_duration_s,
-            "peaks_deg": self.peaks_deg,
-            "settling_ms": self.settling_ms,
-            "zero_crossings": self.zero_crossings,
-            "dominant_freq_hz": self.dominant_freq_hz,
-            "mean_peak_deg": self.mean_peak_deg,
-            "mean_settling_ms": self.mean_settling_ms,
-        }
-
 
 @dataclass(frozen=True)
-class SegmentStats:
+class SegmentStats(Report):
     mode: str
     t_start: float
     t_end: float
     rms_error_rad: float
-    rms_iq: float
-    peak_iq: float
-
-    def as_dict(self) -> dict:
-        return {
-            "mode": self.mode, "t_start": self.t_start, "t_end": self.t_end,
-            "rms_error_rad": self.rms_error_rad,
-            "rms_iq_a": self.rms_iq, "peak_iq_a": self.peak_iq,
-        }
+    rms_iq_a: float
+    peak_iq_a: float
 
 
 @dataclass(frozen=True)
-class TrackingReport:
+class TrackingReport(Report):
     segments: list[SegmentStats]
-    per_mode: dict[str, dict[str, float]]  # pooled rms/peak per engaged mode
-    switch_records: list[SwitchRecord]
+    per_mode: dict[str, dict[str, float]]  # _tracking_stats pooled per engaged mode
+    switches_completed: int
     retried_attempts: int
-    dt: float  # the preset's step, which turns record steps into seconds
-
-    def as_dict(self) -> dict:
-        return {
-            "segments": [s.as_dict() for s in self.segments],
-            "per_mode": self.per_mode,
-            "switches_completed": sum(1 for r in self.switch_records if r.outcome == COMPLETED),
-            "retried_attempts": self.retried_attempts,
-            "switch_records": [_record_dict(r, self.dt) for r in self.switch_records],
-        }
+    switch_records: list[dict]  # the records as _record_dict writes them
+    records: list[SwitchRecord] = field(repr=False)
 
 
 @dataclass(frozen=True)
-class CycleReport:
+class CycleReport(Report):
     completed: int
     rejected: int
     retried_attempts: int
@@ -395,15 +376,6 @@ class CycleReport:
     # the latency invariant aborts the run unless every engagement takes
     # exactly latency_steps(t_switch, dt) steps, so the error is 0 by construction
     max_latency_error_s: float = 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "completed": self.completed,
-            "rejected": self.rejected,
-            "retried_attempts": self.retried_attempts,
-            "max_ke_loss_j": self.max_ke_loss_j,
-            "max_latency_error_s": self.max_latency_error_s,
-        }
 
 
 def _record_dict(r: SwitchRecord, dt: float) -> dict:
@@ -781,14 +753,8 @@ def run_static_stiffness(
         ta = trace.tau_applied[a:bnd]
         slopes.append(linear_fit(th, ta))
         areas.append(hysteresis_area(th, ta))
-    k_fit = float(np.mean(slopes))
-    k_sd = float(np.std(slopes))
-    report = StiffnessReport(
-        mode=mode.value, K_fit=k_fit, K_stderr=k_sd,
-        loop_area=float(np.mean(areas)),
-        k_per_cycle=slopes, area_per_cycle=areas,
-    )
-    return trace, report
+    return trace, StiffnessReport(mode.value, float(np.mean(slopes)), float(np.std(slopes)),
+                                  float(np.mean(areas)), slopes, areas)
 
 
 # ---------------------------------------------------------------------------
@@ -829,35 +795,28 @@ def run_dynamic_switching(
 
     trace = drv.rec.trace()
     err_all = center + amp * np.sin(two_pi_f * trace.t) - trace.theta_m
-    segments: list[SegmentStats] = []
+    segments = []
     for start, stop in mode_runs(trace.mode):
         name = MODE_NAMES[trace.mode[start]]
-        if name == "TRANS":
-            continue
-        e = err_all[start:stop]
-        iq = trace.i_q[start:stop]
-        segments.append(SegmentStats(
-            mode=name,
-            t_start=float(trace.t[start]),
-            t_end=float(trace.t[stop - 1]),
-            rms_error_rad=rms(e),
-            rms_iq=rms(iq),
-            peak_iq=float(np.max(np.abs(iq))),
-        ))
-
+        if name != "TRANS":
+            segments.append(SegmentStats(
+                name, float(trace.t[start]), float(trace.t[stop - 1]),
+                **_tracking_stats(err_all[start:stop], trace.i_q[start:stop])))
     per_mode = {}
     for code, name in enumerate(MODE_NAMES[:2]):  # the engaged modes, rows in trace order
         rows = trace.mode == code
         if rows.any():
-            e = err_all[rows]
-            iq = trace.i_q[rows]
-            per_mode[name] = {
-                "rms_error_rad": rms(e),
-                "rms_iq_a": rms(iq),
-                "peak_iq_a": float(np.max(np.abs(iq))),
-            }
-    report = TrackingReport(segments, per_mode, drv.records, drv.retried, dt)
-    return trace, report
+            per_mode[name] = _tracking_stats(err_all[rows], trace.i_q[rows])
+    records = drv.records
+    completed = sum(1 for r in records if r.outcome == COMPLETED)
+    return trace, TrackingReport(segments, per_mode, completed, drv.retried,
+                                 [_record_dict(r, dt) for r in records], records)
+
+
+def _tracking_stats(err: np.ndarray, iq: np.ndarray) -> dict[str, float]:
+    """The tracking error and q-axis current statistics of a set of rows, as
+    each segments entry and each per_mode entry reports them."""
+    return dict(rms_error_rad=rms(err), rms_iq_a=rms(iq), peak_iq_a=float(np.max(np.abs(iq))))
 
 
 # ---------------------------------------------------------------------------
@@ -1036,11 +995,5 @@ def run_switch_cycle(
             drv.run(repeat(hold, dwell_steps))
 
     completed = sum(1 for r in records if r.outcome == COMPLETED)
-    report = CycleReport(
-        completed=completed,
-        rejected=len(records) - completed,
-        retried_attempts=drv.retried,
-        max_ke_loss_j=max_ke_loss,
-        records=records,
-    )
-    return drv.rec.trace(), report
+    return drv.rec.trace(), CycleReport(completed, len(records) - completed, drv.retried,
+                                        max_ke_loss, records)

@@ -211,8 +211,9 @@ def emit_svg_plot(
         top = margin_t + pi * (PANEL_HEIGHT + panel_gap)
         bot = top + PANEL_HEIGHT
         lo, hi = float(np.min(y)), float(np.max(y))
-        if hi == lo:
-            lo, hi = lo - 1.0, hi + 1.0
+        if hi == lo:  # constant: widen by 1.0, or relative to |lo| where 1.0 rounds away
+            widen = 1.0 if lo - 1.0 < lo + 1.0 else abs(lo) / 1024.0
+            lo, hi = lo - widen, hi + widen
         pad = 0.05 * (hi - lo)
         lo, hi = lo - pad, hi + pad
 

@@ -162,14 +162,20 @@ def validate(preset: Preset) -> list[str]:
             if ratio >= RK4_REAL_AXIS_LIMIT:
                 errors.append(f"(b + tau_c/omega_eps)*dt/J = {ratio:.4g} for the {body} "
                               f"must be < {RK4_REAL_AXIS_LIMIT} (RK4 stability bound)")
-        for rig, omega_sq in (  # spring modes: the free SEA pair, the locked PEA rig
+        for rig, omega_sq in (  # the free SEA pair, the locked PEA rig, the hanging load
             ("SEA spring pair", p.K_s * (1.0 / p.J_m + 1.0 / p.J_o)),
             ("locked-output PEA rig", (p.K_s + p.K_struct) / p.J_m),
+            ("gravity mode (load.mass*load.g*load.radius/J_o)",
+             load.mass * load.g * load.radius / p.J_o),
         ):
             ratio = p.dt * math.sqrt(omega_sq)
-            if ratio >= RK4_IMAG_AXIS_LIMIT:
+            if not ratio < RK4_IMAG_AXIS_LIMIT:  # NaN too, where mass*g overflows and radius is 0
                 errors.append(f"dt*omega = {ratio:.4g} for the {rig} "
                               f"must be < {RK4_IMAG_AXIS_LIMIT:.4g} (RK4 stability bound)")
+        i_max = p.tau_max / p.K_t  # the largest q-axis current; rms squares it
+        if not math.isfinite(i_max * i_max):
+            errors.append(f"K_t = {p.K_t} makes the largest current tau_max/K_t = {i_max:.4g} A, "
+                          f"whose square is not finite")
         if p.t_switch / p.dt > MAX_RUN_STEPS:  # selector.latency_steps counts them one by one
             errors.append(f"t_switch = {p.t_switch} s spans more than {MAX_RUN_STEPS} steps "
                           f"of dt = {p.dt} s, the most a run may take")

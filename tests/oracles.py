@@ -348,8 +348,9 @@ def reference_stiffness_report(mode: Mode, rows: np.ndarray,
     starts = [row for _, row, _, _ in legs[1::4]]  # legs 1, 5, 9, ..., then the end
     slopes = [linear_fit(theta[a:b], tau[a:b]) for a, b in zip(starts, starts[1:])]
     areas = [hysteresis_area(theta[a:b], tau[a:b]) for a, b in zip(starts, starts[1:])]
-    return StiffnessReport(mode=mode.value, K_fit=float(np.mean(slopes)),
-                           K_stderr=float(np.std(slopes)), loop_area=float(np.mean(areas)),
+    return StiffnessReport(mode=mode.value, K_fit_nm_per_rad=float(np.mean(slopes)),
+                           K_stderr_nm_per_rad=float(np.std(slopes)),
+                           loop_area_nm_rad=float(np.mean(areas)),
                            k_per_cycle=slopes, area_per_cycle=areas)
 
 

@@ -60,7 +60,7 @@ def test_criterion_2_static_stiffness_self_consistency():
             wall = time.perf_counter() - t0
             expected = (preset.params.K_s if mode is Mode.SEA
                         else preset.params.K_s + preset.params.K_struct)
-            results[(name, mode)] = (rep.K_fit, expected, wall)
+            results[(name, mode)] = (rep.K_fit_nm_per_rad, expected, wall)
 
     ok = all(abs(k / exp - 1.0) < 0.01 and wall < 30.0
              for k, exp, wall in results.values())
@@ -83,14 +83,14 @@ def test_criterion_3_hysteresis_calibration():
     preset = load_named_preset("calibrated")
     _, sea = run_static_stiffness(Mode.SEA, preset)
     _, pea = run_static_stiffness(Mode.PEA, preset)
-    reduction = (sea.loop_area - pea.loop_area) / sea.loop_area * 100.0
+    reduction = (sea.loop_area_nm_rad - pea.loop_area_nm_rad) / sea.loop_area_nm_rad * 100.0
     ok = (
-        abs(sea.loop_area / 0.073 - 1.0) < 0.20
-        and abs(pea.loop_area / 0.024 - 1.0) < 0.20
+        abs(sea.loop_area_nm_rad / 0.073 - 1.0) < 0.20
+        and abs(pea.loop_area_nm_rad / 0.024 - 1.0) < 0.20
         and abs(reduction - 67.7) < 10.0
     )
-    _report(3, ok, f"SEA loop={sea.loop_area:.4f} (0.073±20%), "
-                   f"PEA loop={pea.loop_area:.4f} (0.024±20%), "
+    _report(3, ok, f"SEA loop={sea.loop_area_nm_rad:.4f} (0.073±20%), "
+                   f"PEA loop={pea.loop_area_nm_rad:.4f} (0.024±20%), "
                    f"reduction={reduction:.1f}% (67.7±10 pp)")
 
 

@@ -29,6 +29,46 @@ def test_cycle_subcommand(tmp_path, capsys):
     assert report["completed"] == 5
 
 
+STATS_KEYS = ["rms_error_rad", "rms_iq_a", "peak_iq_a"]
+REPORT_KEYS = {
+    "stiffness": ["schema_version", "mode", "K_fit_nm_per_rad", "K_stderr_nm_per_rad",
+                  "loop_area_nm_rad", "k_per_cycle", "area_per_cycle"],
+    "track": ["schema_version", "segments", "per_mode", "switches_completed",
+              "retried_attempts", "switch_records"],
+    "disturb": ["schema_version", "mode", "impact_torque_nm", "impact_duration_s", "peaks_deg",
+                "settling_ms", "zero_crossings", "dominant_freq_hz", "mean_peak_deg",
+                "mean_settling_ms"],
+    "cycle": ["schema_version", "completed", "rejected", "retried_attempts", "max_ke_loss_j",
+              "max_latency_error_s"],
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["stiffness", "--mode", "sea", "--cycles", "1", "--rate", "5"],
+    ["track", "--duration", "2", "--period", "1"],
+    ["disturb", "--mode", "pea", "--impacts", "1"],
+    ["cycle", "--n", "2"],
+], ids=lambda argv: argv[0])
+def test_report_keys_and_order(argv, tmp_path):
+    # the report dataclasses' fields are the schema: a renamed or reordered
+    # field changes report.json, and the in-memory switch records stay out
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "report.json").read_text()
+    report = json.loads(text)
+    assert list(report) == REPORT_KEYS[argv[0]]
+    assert '"records"' not in text
+    if argv[0] == "track":
+        assert report["switches_completed"] == len(report["switch_records"]) == 2
+        assert len(report["segments"]) == 2
+        for segment in report["segments"]:
+            assert list(segment) == ["mode", "t_start", "t_end", *STATS_KEYS]
+        assert {mode: list(s) for mode, s in report["per_mode"].items()} == {
+            "SEA": STATS_KEYS, "PEA": STATS_KEYS}
+        for record in report["switch_records"]:
+            assert list(record) == ["request_time", "engage_time", "from_mode", "to_mode",
+                                    "torque_at_request", "outcome"]
+
+
 def test_disturb_subcommand(tmp_path, capsys):
     code = main(["disturb", "--mode", "pea", "--impacts", "1", "--out", str(tmp_path)])
     assert code == 0
@@ -100,6 +140,23 @@ def test_hub_curve(tmp_path, capsys):
     # first-difference slope near zero matches the linearized stiffness
     slope = (rows[mid + 1, 1] - rows[mid - 1, 1]) / (rows[mid + 1, 0] - rows[mid - 1, 0])
     assert slope == pytest.approx(5.86, abs=0.01)
+
+
+def test_hub_curve_plots_a_constant_length_of_1e300(tmp_path, capsys):
+    # l_eff is 1e300 at every point, where widening its axis by ±1.0 rounds away
+    from tsea.params import load_named_preset, preset_to_dict
+
+    doc = preset_to_dict(load_named_preset("calibrated"))
+    doc["hub"]["preload_ext"] = 1e300
+    preset = tmp_path / "preset.json"
+    preset.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["hub-curve", "--preset", str(preset), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    svg = (out / "plot.svg").read_text()
+    coords = re.findall(r'\b(?:x|y|x1|y1|x2|y2|points)="([^"]*)"', svg)
+    values = [float(v) for c in coords for v in re.split(r"[ ,]", c)]
+    assert len(values) > 400 and all(np.isfinite(values))
 
 
 def test_hub_curve_steps_validation(tmp_path, capsys):
@@ -187,18 +244,18 @@ def test_saturated_cycle_hold_exits_2(tmp_path, capsys, monkeypatch):
     (("load", "radius", 1e200), "segments[0].rms_error_rad is inf"),
 ], ids=["K_t", "radius"])
 @pytest.mark.filterwarnings("error")  # a numpy warning would print lines of its own
-def test_non_finite_report_value_is_named(edit, field, tmp_path, capsys):
-    # presets that pass validation but make a report value overflow fail with
-    # one line naming the value, no warning or traceback, and no report
-    from tsea.params import load_named_preset, preset_to_dict
+def test_non_finite_report_value_is_named(edit, field, tmp_path, capsys, monkeypatch):
+    # a report value that overflows fails with one line naming the value, no
+    # warning or traceback, and no report. validate refuses such presets when
+    # they load, so the protocol is handed one past it
+    from dataclasses import replace
 
-    doc = preset_to_dict(load_named_preset("calibrated"))
     section, key, value = edit
-    doc[section][key] = value
-    preset = tmp_path / "preset.json"
-    preset.write_text(json.dumps(doc))
+    run = tsea.experiments.run_dynamic_switching
+    monkeypatch.setattr(tsea.experiments, "run_dynamic_switching", lambda preset, **kw: run(
+        replace(preset, **{section: replace(getattr(preset, section), **{key: value})}), **kw))
     out = tmp_path / "out"
-    code = main(["track", "--duration", "0.5", "--preset", str(preset), "--out", str(out)])
+    code = main(["track", "--duration", "0.5", "--out", str(out)])
     assert code == 1
     assert capsys.readouterr().err == f"error: report value {field}, which JSON cannot hold\n"
     assert not (out / "report.json").exists()
@@ -273,6 +330,13 @@ def _param(field, value):
     (_param("t_switch", 1e300), "invalid preset 'calibrated': t_switch = 1e+300 s spans more "
                                 "than 50000000 steps of dt = 0.000125 s, the most a run may take"),
     (lambda doc: doc.update(name=5), "invalid preset 5: name must be a string (got 5)"),
+    # presets whose report would overflow after the whole run: every i_q is
+    # inf, and the gravity mode breaks the RK4 bound of the spring modes
+    (_param("K_t", 1e-320), "invalid preset 'calibrated': K_t = 1e-320 makes the largest "
+                            "current tau_max/K_t = inf A, whose square is not finite"),
+    (lambda doc: doc["load"].update(radius=1e200),
+     "invalid preset 'calibrated': dt*omega = 1.506e+97 for the gravity mode "
+     "(load.mass*load.g*load.radius/J_o) must be < 2.828 (RK4 stability bound)"),
     # hub laws hub-curve could not sweep: slack springs, an infinite slope and
     # length, radii so close that the chord² at rest rounds below zero
     (lambda doc: doc["hub"].update(preload_ext=0),
@@ -292,7 +356,7 @@ def _param(field, value):
     (b"\xff\xfe", "preset file '{bad}' is not UTF-8 JSON: 'utf-8' codec can't decode byte "
                   "0xff in position 0: invalid start byte"),
 ], ids=["omega_eps-tiny", "dt-large", "K_s-string", "t_switch-ceiling", "name-number",
-        "hub-slack", "hub-r2-huge", "hub-radii-close", "truncated-json", "not-utf8"])
+        "K_t-tiny", "radius-huge", "hub-slack", "hub-r2-huge", "hub-radii-close", "truncated-json", "not-utf8"])
 def test_bad_preset_fails_at_load(edit, message, tmp_path, capsys):
     from tsea.params import load_named_preset, preset_to_dict
 

@@ -182,8 +182,8 @@ def test_static_stiffness_frictionless_quick(full_range):
     # remains, so the loop encloses (almost) nothing
     pre = without_friction(full_range, b_m=0.003)
     trace, rep = run_static_stiffness(Mode.SEA, pre, cycles=1)
-    assert rep.K_fit == pytest.approx(5.57, rel=0.01)
-    assert rep.loop_area < 1e-4
+    assert rep.K_fit_nm_per_rad == pytest.approx(5.57, rel=0.01)
+    assert rep.loop_area_nm_rad < 1e-4
     assert np.all(np.diff(trace.t) > 0)
     dts = np.diff(trace.t)
     assert np.allclose(dts, dts[0])
@@ -323,16 +323,16 @@ def spy_on_gate(monkeypatch) -> list:
 
 def test_dynamic_switching_short(calibrated):
     trace, rep = run_dynamic_switching(calibrated, duration=6.0, switch_period=2.0)
-    assert len(rep.switch_records) == 3  # floor(duration / period)
+    assert len(rep.records) == 3  # floor(duration / period)
     dt = calibrated.params.dt
     latency = latency_steps(calibrated.params.t_switch, dt)
     assert latency * dt == pytest.approx(calibrated.params.t_switch, abs=dt)
-    for r in rep.switch_records:
+    for r in rep.records:
         assert r.outcome == COMPLETED
         assert r.engage_k - r.request_k == latency
         assert abs(r.torque_at_request) < calibrated.params.tau_disengage
     # switches alternate modes
-    for a, b in zip(rep.switch_records, rep.switch_records[1:]):
+    for a, b in zip(rep.records, rep.records[1:]):
         assert a.to_mode is b.from_mode
     # parallel-mode rows log one coordinate for both angles
     pea = trace.mode == 1
@@ -355,7 +355,7 @@ def test_dynamic_switching_retries_until_gate_opens(calibrated, monkeypatch):
     )
     assert rep.retried_attempts > 0
     assert rep.retried_attempts == sum(1 for d in decisions if not d.accepted)
-    for r in rep.switch_records:
+    for r in rep.records:
         assert abs(r.torque_at_request) < calibrated.params.tau_disengage
 
 
@@ -373,8 +373,8 @@ def test_phased_tracking_matches_per_step_loop(calibrated, duration, period, cen
     for name in ("t", "mode", "theta_m", "omega_m", "theta_o", "omega_o",
                  "tau_cmd", "tau_applied", "tau_spring", "i_q"):
         assert getattr(trace, name).tobytes() == getattr(ref, name).tobytes(), name
-    assert rep.switch_records == drv.records
-    assert [r.outcome for r in rep.switch_records] == [COMPLETED] * completed
+    assert rep.records == drv.records
+    assert [r.outcome for r in rep.records] == [COMPLETED] * completed
     assert rep.retried_attempts == drv.retried == retried
 
 
@@ -668,7 +668,7 @@ def test_selector_engages_once_per_switch(protocol, t_switch, calibrated, monkey
 
     monkeypatch.setattr(tsea.experiments, "advance_selector", spy)
     if protocol == "track":
-        records = run_dynamic_switching(pre, duration=3.0, switch_period=1.0)[1].switch_records
+        records = run_dynamic_switching(pre, duration=3.0, switch_period=1.0)[1].records
     else:
         records = run_switch_cycle(pre, n=4)[1].records  # too few cycles to replay one
     completed = [r for r in records if r.outcome == COMPLETED]

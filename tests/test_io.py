@@ -213,6 +213,19 @@ def test_svg_constant_series_valid_xml(tmp_path):
     assert any(el.tag.endswith("polyline") for el in root.iter())
 
 
+@pytest.mark.parametrize("value", [1e300, -1e300, 2.0 ** 60])
+def test_svg_constant_series_beyond_unit_spacing(value, tmp_path):
+    # lo - 1.0 rounds back to lo here, so the axis must widen relative to |lo|
+    path = tmp_path / "p.svg"
+    emit_svg_plot(np.linspace(0, 1, 50), {"flat": np.full(50, value)}, path)
+    root = ET.parse(path).getroot()
+    (line,) = [el for el in root.iter() if el.tag.endswith("polyline")]
+    ys = {float(pt.split(",")[1]) for pt in line.get("points").split()}
+    assert ys == {28.0 + io.PANEL_HEIGHT / 2}  # mid-panel: the top margin plus half
+    ticks = [float(el.get("y1")) for el in root.iter() if el.tag.endswith("}line")]
+    assert len(ticks) == 3 and all(map(math.isfinite, ticks))
+
+
 def test_svg_empty_series_rejected(tmp_path):
     with pytest.raises(ValueError, match="no series"):
         emit_svg_plot([0.0, 1.0], {}, tmp_path / "p.svg")
@@ -222,7 +235,7 @@ def test_svg_band_shading_matches_switches(tmp_path, calibrated):
     trace, rep = run_dynamic_switching(calibrated, duration=3.0, switch_period=1.0)
     bands = mode_bands(trace)
     engage_times = [r.engage_k * calibrated.params.dt
-                    for r in rep.switch_records if r.outcome == COMPLETED]
+                    for r in rep.records if r.outcome == COMPLETED]
     starts = [b[0] for b in bands]
     for et in engage_times:
         assert min(abs(s - et) for s in starts) < 2 * trace.dt

@@ -101,6 +101,30 @@ def test_rk4_spring_bounds_rejected(fields, messages):
     assert validate(preset) == messages
 
 
+GRAVITY = ("for the gravity mode (load.mass*load.g*load.radius/J_o) must be < 2.828 "
+           "(RK4 stability bound)")
+
+
+@pytest.mark.parametrize("section, fields, messages", [
+    ("load", {"radius": 1e200}, [f"dt*omega = 1.506e+97 {GRAVITY}"]),
+    # mass*g overflows to inf and inf*0.0 is NaN, which no bound passes
+    ("load", {"mass": 1e300, "g": 1e300, "radius": 0.0}, [f"dt*omega = nan {GRAVITY}"]),
+    ("load", {"mass": 50.0}, []),  # 0.0057: the hold saturates, but RK4 is stable
+    ("params", {"K_t": 1e-320}, ["K_t = 1e-320 makes the largest current tau_max/K_t = inf A, "
+                                 "whose square is not finite"]),
+    ("params", {"K_t": 2e-154}, ["K_t = 2e-154 makes the largest current tau_max/K_t = "
+                                 "1.5e+154 A, whose square is not finite"]),
+    ("params", {"K_t": 3e-154}, []),  # 1e154 A, whose square 1e308 is finite
+], ids=["radius-huge", "gravity-nan", "mass-50", "K_t-subnormal", "K_t-square-overflows",
+        "K_t-square-finite"])
+def test_load_and_current_bounds(section, fields, messages):
+    # presets whose tracking report would overflow are refused when they load
+    preset = load_named_preset("calibrated")
+    preset = dataclasses.replace(
+        preset, **{section: dataclasses.replace(getattr(preset, section), **fields)})
+    assert validate(preset) == messages
+
+
 @pytest.mark.parametrize("section, field, value, message", [
     ("params", "K_s", "5.57", "K_s must be a number (got '5.57')"),
     ("params", "dt", None, "dt must be a number (got None)"),
