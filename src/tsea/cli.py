@@ -133,29 +133,26 @@ def _write_outputs(out_dir: Path, trace, report_dict: dict, svg_series: dict,
                      bands=svg_bands, title=title)
 
 
-def _run_stiffness(args, preset, noise: io.NoiseModel) -> dict:
+def _run_stiffness(args, preset, noise: io.NoiseModel) -> None:
     mode = Mode.SEA if args.mode == "sea" else Mode.PEA
     trace, report = experiments.run_static_stiffness(mode, preset, ramp_rate=args.rate,
                                                      cycles=args.cycles)
-    d = report.as_dict()
     _write_outputs(
-        Path(args.out), trace, d,
+        Path(args.out), trace, report.as_dict(),
         {"theta_m [rad]": trace.theta_m, "tau_applied [Nm]": trace.tau_applied},
         None, noise, f"stiffness {args.mode}: K_fit={report.K_fit_nm_per_rad:.3f} Nm/rad",
     )
     print(f"stiffness {args.mode}: K_fit = {report.K_fit_nm_per_rad:.4f} "
           f"± {report.K_stderr_nm_per_rad:.4f} Nm/rad, loop area = "
           f"{report.loop_area_nm_rad:.4f} Nm·rad over {len(report.k_per_cycle)} cycles")
-    return d
 
 
-def _run_track(args, preset, noise: io.NoiseModel) -> dict:
+def _run_track(args, preset, noise: io.NoiseModel) -> None:
     trace, report = experiments.run_dynamic_switching(preset, duration=args.duration,
                                                       switch_period=args.period)
-    d = report.as_dict()
     bands = io.mode_bands(trace)
     _write_outputs(
-        Path(args.out), trace, d,
+        Path(args.out), trace, report.as_dict(),
         {"theta_m [rad]": trace.theta_m, "theta_o [rad]": trace.theta_o,
          "i_q [A]": trace.i_q},
         bands, noise, "dynamic switching",
@@ -165,16 +162,14 @@ def _run_track(args, preset, noise: io.NoiseModel) -> dict:
     for name, stats in report.per_mode.items():
         print("  {}: rms error {rms_error_rad:.4f} rad, rms i_q {rms_iq_a:.2f} A, "
               "peak i_q {peak_iq_a:.2f} A".format(name, **stats))
-    return d
 
 
-def _run_disturb(args, preset, noise: io.NoiseModel) -> dict:
+def _run_disturb(args, preset, noise: io.NoiseModel) -> None:
     mode = Mode.SEA if args.mode == "sea" else Mode.PEA
     trace, report = experiments.run_disturbance(mode, preset, n_impacts=args.impacts,
                                                 impact_torque=args.impulse)
-    d = report.as_dict()
     _write_outputs(
-        Path(args.out), trace, d,
+        Path(args.out), trace, report.as_dict(),
         {"theta_o [rad]": trace.theta_o, "i_q [A]": trace.i_q},
         None, noise, f"disturbance {args.mode}",
     )
@@ -182,34 +177,31 @@ def _run_disturb(args, preset, noise: io.NoiseModel) -> dict:
               else f"{report.mean_settling_ms:.0f} ms")
     print(f"disturb {args.mode}: mean peak {report.mean_peak_deg:.2f} deg, "
           f"mean settling {settle} over {len(report.peaks_deg)} impacts")
-    return d
 
 
-def _run_cycle(args, preset, noise: io.NoiseModel) -> dict:
+def _run_cycle(args, preset, noise: io.NoiseModel) -> None:
     trace, report = experiments.run_switch_cycle(preset, n=args.n)
-    d = report.as_dict()
     bands = io.mode_bands(trace)
     _write_outputs(
-        Path(args.out), trace, d,
+        Path(args.out), trace, report.as_dict(),
         {"theta_m [rad]": trace.theta_m, "tau_spring [Nm]": trace.tau_spring},
         bands, noise, f"endurance: {report.completed} switches",
     )
     print(f"cycle: {report.completed} completed, {report.rejected} rejected, "
           f"0 violations, max engagement KE loss {report.max_ke_loss_j:.2e} J")
-    return d
 
 
-def _run_hub_curve(args, preset, _noise: io.NoiseModel) -> dict:
+def _run_hub_curve(args, preset, _noise: io.NoiseModel) -> None:
     # every value first, then the report before the trace, as _write_outputs
     # does: a value strict JSON refuses stops the run before any trace is written
     betas = np.linspace(-args.sweep_range, args.sweep_range, args.steps)
     taus = np.array([hub_torque(preset.hub, float(b)) for b in betas])
     lengths = np.array([effective_length(preset.hub, float(b)) for b in betas])
     k_lin = linearized_stiffness(preset.hub)
-    d = dict(k_linearized_nm_per_rad=k_lin, sweep_range_rad=args.sweep_range, steps=args.steps)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    io.write_report_json(d, out_dir / "report.json")
+    io.write_report_json(dict(k_linearized_nm_per_rad=k_lin, sweep_range_rad=args.sweep_range,
+                              steps=args.steps), out_dir / "report.json")
     with open(out_dir / "trace.csv", "w", newline="") as fh:
         fh.write("beta,tau_hub,l_eff\n")
         for b, tau, l in zip(betas, taus, lengths):
@@ -218,7 +210,6 @@ def _run_hub_curve(args, preset, _noise: io.NoiseModel) -> dict:
                      out_dir / "plot.svg", title=f"hub curve, K_lin={k_lin:.3f} Nm/rad")
     print(f"hub-curve: {args.steps} points over ±{args.sweep_range} rad, "
           f"K_lin = {k_lin:.4f} Nm/rad")
-    return d
 
 
 def main(argv: list[str] | None = None) -> int:

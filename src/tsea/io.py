@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -166,6 +167,7 @@ _BAND_FILL = {"SEA": "#9ecae1", "PEA": "#fc9272", "TRANS": "#cccccc"}
 _LINE_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b")
 PLOT_WIDTH = 900    # [px]
 PANEL_HEIGHT = 180  # [px] per series
+_FLOAT_MAX = sys.float_info.max
 
 
 def emit_svg_plot(
@@ -214,11 +216,16 @@ def emit_svg_plot(
         if hi == lo:  # constant: widen by 1.0, or relative to |lo| where 1.0 rounds away
             widen = 1.0 if lo - 1.0 < lo + 1.0 else abs(lo) / 1024.0
             lo, hi = lo - widen, hi + widen
+        # the panel maps s*v between the padded bounds at scale s: 1.0, or 0.5
+        # where the padded span overflows, which halves both ends before
+        # subtracting; the padding then stops at the float range
         pad = 0.05 * (hi - lo)
-        lo, hi = lo - pad, hi + pad
+        s = 1.0 if math.isfinite((hi + pad) - (lo - pad)) else 0.5
+        pad = 0.05 * (s * hi - s * lo)
+        lo, hi = max(s * lo - pad, -s * _FLOAT_MAX), min(s * hi + pad, s * _FLOAT_MAX)
 
         def y_of(v: float) -> float:
-            return bot - (v - lo) / (hi - lo) * PANEL_HEIGHT
+            return bot - (s * v - lo) / (hi - lo) * PANEL_HEIGHT
 
         if bands:
             for b0, b1, mode_name in bands:
@@ -232,7 +239,8 @@ def emit_svg_plot(
         out.append(f'<rect x="{margin_l}" y="{top}" width="{plot_w}" '
                    f'height="{PANEL_HEIGHT}" fill="none" stroke="#444"/>')
         for frac in (0.0, 0.5, 1.0):
-            val = lo + frac * (hi - lo)
+            # the label's value; the second form stays within the float range
+            val = (lo + frac * (hi - lo) if s == 1.0 else (1.0 - frac) * lo + frac * hi) / s
             yy = y_of(val)
             out.append(f'<line x1="{margin_l - 4}" y1="{yy:.2f}" x2="{margin_l}" '
                        f'y2="{yy:.2f}" stroke="#444"/>')

@@ -29,9 +29,6 @@ RK4_IMAG_AXIS_LIMIT = 2.0 * math.sqrt(2.0)
 # them or replays them: 6250 s at 8 kHz, 7.4x the stiffness rig's default bound.
 # validate() holds the selector travel to it too.
 MAX_RUN_STEPS = 50_000_000
-# The JSON types a field of each annotated type accepts (bool is not a number).
-_JSON_TYPES = {"float": ((int, float), "a number"), "int": (int, "an integer"),
-               "bool": (bool, "true or false")}
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,20 +62,15 @@ class ActuatorParams:
     # (b + tau_c/omega_eps)*dt/J of each body under RK4_REAL_AXIS_LIMIT, or
     # the stick phase chatters instead of settling.
     omega_eps: float = 0.02      # [rad/s]
-    # Dog-tooth counts, documentation only: engagement is modeled at arbitrary
-    # relative angles (chamfered teeth), so the pitch never enters the dynamics.
-    teeth_inner: int = 16
-    teeth_outer: int = 32
 
 
 @dataclass(frozen=True, slots=True)
 class LoadModel:
     """Point mass on a rigid arm; theta = 0 means the arm is horizontal."""
 
-    mass: float = 0.920                 # [kg]
-    radius: float = 0.26                # [m]
-    g: float = 9.81                     # [m/s²]
-    theta_zero_horizontal: bool = True  # angle convention flag; only True supported
+    mass: float = 0.920   # [kg]
+    radius: float = 0.26  # [m]
+    g: float = 9.81       # [m/s²]
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,16 +87,15 @@ def default_output_inertia(load: LoadModel) -> float:
 
 
 def _type_errors(preset: Preset) -> list[str]:
-    """A message for every field whose value has the wrong JSON type."""
+    """A message for every field whose value is not a JSON number (bool is not one)."""
     errors = []
     if not isinstance(preset.name, str):
         errors.append(f"name must be a string (got {preset.name!r})")
     for prefix, section in (("hub.", preset.hub), ("", preset.params), ("load.", preset.load)):
         for f in dataclasses.fields(section):
             value = getattr(section, f.name)
-            types, want = _JSON_TYPES[f.type]
-            if not isinstance(value, types) or (f.type != "bool" and isinstance(value, bool)):
-                errors.append(f"{prefix}{f.name} must be {want} (got {value!r})")
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                errors.append(f"{prefix}{f.name} must be a number (got {value!r})")
     return errors
 
 
@@ -149,8 +140,6 @@ def validate(preset: Preset) -> list[str]:
     non_negative("load.mass", load.mass)
     non_negative("load.radius", load.radius)
     positive("load.g", load.g)
-    if not load.theta_zero_horizontal:
-        errors.append("theta_zero_horizontal must be True (only the horizontal-zero convention is modeled)")
 
     if not errors:  # (b + tau_c/omega_eps)/J: damping rate of each body RK4 moves
         for body, b, tau_c, J in (

@@ -355,8 +355,19 @@ def _param(field, value):
                  "(char 6)"),
     (b"\xff\xfe", "preset file '{bad}' is not UTF-8 JSON: 'utf-8' codec can't decode byte "
                   "0xff in position 0: invalid start byte"),
+    # keys the model does not hold: refused by the dataclass, whose TypeError
+    # is worded differently across Python versions, so only the quoted key is
+    # matched
+    (_param("teeth_inner", 16), re.compile(
+        r"error: malformed preset config: .*unexpected keyword argument 'teeth_inner'\n")),
+    (_param("teeth_outer", 32), re.compile(
+        r"error: malformed preset config: .*unexpected keyword argument 'teeth_outer'\n")),
+    (lambda doc: doc["load"].update(theta_zero_horizontal=True), re.compile(
+        r"error: malformed preset config: .*unexpected keyword argument "
+        r"'theta_zero_horizontal'\n")),
 ], ids=["omega_eps-tiny", "dt-large", "K_s-string", "t_switch-ceiling", "name-number",
-        "K_t-tiny", "radius-huge", "hub-slack", "hub-r2-huge", "hub-radii-close", "truncated-json", "not-utf8"])
+        "K_t-tiny", "radius-huge", "hub-slack", "hub-r2-huge", "hub-radii-close", "truncated-json", "not-utf8",
+        "teeth_inner-removed", "teeth_outer-removed", "theta_zero_horizontal-removed"])
 def test_bad_preset_fails_at_load(edit, message, tmp_path, capsys):
     from tsea.params import load_named_preset, preset_to_dict
 
@@ -368,10 +379,13 @@ def test_bad_preset_fails_at_load(edit, message, tmp_path, capsys):
         edit(doc)
         bad.write_text(json.dumps(doc))
     out = tmp_path / "out"
-    for command in ("cycle", "hub-curve"):
-        assert main([command, "--preset", str(bad), "--out", str(out)]) == 1
+    for command in (["cycle"], ["hub-curve"], ["track", "--duration", "0.5"]):
+        assert main([*command, "--preset", str(bad), "--out", str(out)]) == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: " + message.replace("{bad}", str(bad)))
+        if isinstance(message, re.Pattern):
+            assert message.fullmatch(captured.err)
+        else:
+            assert captured.err.startswith("error: " + message.replace("{bad}", str(bad)))
         assert captured.err.count("\n") == 1
         assert captured.out == ""
         assert not out.exists()

@@ -1,7 +1,9 @@
 import builtins
 import math
 import re
+import sys
 import xml.etree.ElementTree as ET
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -224,6 +226,30 @@ def test_svg_constant_series_beyond_unit_spacing(value, tmp_path):
     assert ys == {28.0 + io.PANEL_HEIGHT / 2}  # mid-panel: the top margin plus half
     ticks = [float(el.get("y1")) for el in root.iter() if el.tag.endswith("}line")]
     assert len(ticks) == 3 and all(map(math.isfinite, ticks))
+
+
+@pytest.mark.parametrize("values", [[-1e308, 1e308], [0.0, 1.79e308],
+                                    [-sys.float_info.max, sys.float_info.max]],
+                         ids=["span-overflows", "padding-overflows", "float-range"])
+def test_svg_span_beyond_float_range(values, tmp_path):
+    # hi - lo, or a padded bound, overflows: every coordinate and value label
+    # is still finite, and the line stays inside its panel, between the labels.
+    # A label is read as a Decimal: "1.8e+308", the float range rounded to
+    # three digits, is a finite label beyond what a float holds
+    path = tmp_path / "p.svg"
+    emit_svg_plot([0.0, 1.0], {"y": values}, path)
+    root = ET.parse(path).getroot()
+    coords = [float(el.get(name)) for el in root.iter()
+              for name in ("x", "y", "x1", "y1", "x2", "y2") if el.get(name) is not None]
+    (line,) = [el for el in root.iter() if el.tag.endswith("polyline")]
+    points = [float(v) for pt in line.get("points").split() for v in pt.split(",")]
+    labels = [Decimal(el.text) for el in root.iter()
+              if el.tag.endswith("text") and el.get("text-anchor") == "end"]
+    assert len(labels) == 3
+    assert all(map(math.isfinite, coords + points))
+    assert all(label.is_finite() for label in labels)
+    assert all(28.0 <= y <= 28.0 + io.PANEL_HEIGHT for y in points[1::2])
+    assert labels[0] <= min(values) and max(values) <= labels[-1]
 
 
 def test_svg_empty_series_rejected(tmp_path):
