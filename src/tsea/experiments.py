@@ -28,11 +28,15 @@ exit depend only on its script, the bits of the rig's angle and velocity and
 the step count modulo the stride, so once a leg starts under an earlier leg's
 key, or under its mirror key (script and state negated: the rig has no
 gravity and every operation of its step is odd, so such a leg takes the
-earlier leg's steps negated; at the default rate cycle 1's ramp from -1 Nm to
-0 mirrors the ramp from 1 Nm to 0), the rig copies the rows of the legs that
+earlier leg's steps negated), the rig copies the rows of the legs that
 repeat, negated where they mirror, and fits each cycle on the finished trace.
 _repeat_sources is the one rule both use for which unit a copy repeats and
-whether it is negated.
+whether it is negated. The rig also stops simulating a leg partway through
+its ramp where it meets, on a logged step, the state of the earliest earlier
+leg of its script or its mirror image (_merge_source) at the same offset into
+the leg: the rest of the leg is copied from that leg's rows. At the default
+rate leg 3 (0 to -1 Nm) meets leg 1's state negated, so leg 4 starts at the
+mirror image of leg 2's start.
 Every trace, report and plot stays byte-identical to a run that simulates
 every unit. Before it simulates, every protocol bounds its step count,
 replayed steps included, by MAX_RUN_STEPS.
@@ -437,6 +441,19 @@ def _repeat_sources(seen: dict, key: tuple, i: int, n: int,
             for c in range(i, n)]
 
 
+def _merge_source(first: dict, script: tuple, mirror: tuple,
+                  i: int) -> tuple[int, bool] | None:
+    """The earliest earlier unit that ran unit i's script, or its mirror
+    image, at the same phase, and whether it was the mirror; else registers
+    script and returns None. first maps each (script, phase) to the first unit
+    that ran it."""
+    j = first.setdefault(script, i)
+    m = first.get(mirror, i)
+    if m < j:
+        return m, True
+    return (j, False) if j < i else None
+
+
 def _other_mode(mode: Mode) -> Mode:
     """The engaged mode a switch from mode heads for."""
     return Mode.PEA if mode is Mode.SEA else Mode.SEA
@@ -670,6 +687,14 @@ def run_static_stiffness(
     legs in between, negated on odd passes over them. The state is never -0.0
     (it starts at 0.0, and a sum is -0.0 only when both terms are), so a leg
     that starts with theta or omega at 0.0 has a mirror key no leg starts under.
+
+    A leg that starts under no earlier key can merge inside its ramp with
+    its _merge_source leg: once theta and omega, both nonzero, equal that leg's
+    row at the same offset (negated for a mirror) on a logged ramp step, the
+    rest of the leg is that leg's rest, since the ramp torque depends only on
+    the script and the step into it and no dwell count has started. The rig
+    copies those rows, takes that leg's step count and end state, and the next
+    leg starts under a repeated key.
     """
     if mode not in (Mode.SEA, Mode.PEA):
         raise ValueError("stiffness protocol characterizes an engaged mode")
@@ -705,17 +730,38 @@ def run_static_stiffness(
     omega = 0.0
     step_i = 0
     seen: dict[tuple, int] = {}
+    first: dict[tuple, int] = {}
+    starts = []  # (step_i, theta, omega) at the start of every simulated leg
     leg_rows = [0]  # row count at the start of every leg, simulated or copied, and at the end
+    rows = rec._rows  # each row's theta and omega are its first two floats
     for leg, (tau_from, tau_to, n) in enumerate(legs):
-        key = (tau_from, tau_to, n, step_i % stride, struct.pack("2d", theta, omega))
-        mirror = (-tau_from, -tau_to, n, step_i % stride, struct.pack("2d", -theta, -omega))
-        sources = _repeat_sources(seen, key, leg, len(legs), mirror)
+        script, phase = (tau_from, tau_to, n), step_i % stride
+        mirror = (-tau_from, -tau_to, n)
+        sources = _repeat_sources(seen, (script, phase, struct.pack("2d", theta, omega)), leg,
+                                  len(legs), (mirror, phase, struct.pack("2d", -theta, -omega)))
         if sources:
             break
+        starts.append((step_i, theta, omega))
+        merge = _merge_source(first, (script, phase), (mirror, phase), leg)
+        src, negated = merge or (leg, False)
+        sign = -1.0 if negated else 1.0
+        r = 8 * leg_rows[src]  # the source's row at this leg's offset, as rows indexes it
+        until = n if merge else 0  # the last step that may merge: ramp steps only
         quiet = 0
         for j in range(1, n + timeout_steps + 1):
             tau = tau_from + (tau_to - tau_from) * j / n if j <= n else tau_to
             if step_i % stride == 0:
+                if (j <= until and sign * theta == rows[r] and sign * omega == rows[r + 1]
+                        and theta and omega):
+                    # the source's state, or its negation, at the same step of the
+                    # same script: the rest of the leg is the rest of the source's
+                    rec.copy_rows(r // 8, leg_rows[src + 1], negated)
+                    k1, theta, omega = starts[src + 1]
+                    step_i = starts[leg][0] + k1 - starts[src][0]
+                    if negated:
+                        theta, omega = 0.0 - theta, 0.0 - omega
+                    break
+                r += 8
                 record(code, theta, omega, 0.0, 0.0, tau, tau, K_rig * theta, tau / K_t)
             # one RK4 step of the locked motor, one body on the grounded spring
             # K_rig: no output load (so no cos to fail) and no call per step

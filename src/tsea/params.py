@@ -179,12 +179,15 @@ def validate(preset: Preset) -> list[str]:
                 errors.append(f"hub.k, hub.r1 and hub.r2 give a linearized stiffness of "
                               f"{k_lin} Nm/rad; it must be positive and finite")
         try:
-            l_max = effective_length(h, math.pi)
+            l_rest, l_max = effective_length(h, 0.0), effective_length(h, math.pi)
         except ValueError:  # math.sqrt of a chord² rounded below zero (r1 within ulps of r2)
-            l_max = math.nan
+            l_rest = l_max = math.nan
         if not math.isfinite(l_max):
             errors.append(f"hub.r1, hub.r2, hub.l0 and hub.preload_ext must give a finite "
                           f"spring length over a full turn (got {l_max} mm at beta = pi)")
+        elif not l_rest > h.l0:  # the chord's rounding ate the preload (r2 >> r1)
+            errors.append(f"hub.r1, hub.r2, hub.l0 and hub.preload_ext must give a spring "
+                          f"length at rest above hub.l0 = {h.l0} mm (got {l_rest} mm)")
 
     return errors
 

@@ -349,6 +349,11 @@ def _param(field, value):
     (lambda doc: doc["hub"].update(r1=1.2485677453194244, r2=1.2485677453194257),
      "invalid preset 'calibrated': hub.r1, hub.r2, hub.l0 and hub.preload_ext must give a "
      "finite spring length over a full turn (got nan mm at beta = pi)\n"),
+    # r2 so far above r1 that the chord at rest absorbs the preload: the
+    # hub law's length is 0.0 mm at every angle, found by test_cli_fuzz
+    (lambda doc: doc["hub"].update(r2=2**70),
+     "invalid preset 'calibrated': hub.r1, hub.r2, hub.l0 and hub.preload_ext must give a "
+     "spring length at rest above hub.l0 = 12.8 mm (got 0.0 mm)\n"),
     # file contents in place of an edit: named in the message, which json or
     # the UTF-8 codec gave without the file
     (b'{"a":\n', "preset file '{bad}' is not UTF-8 JSON: Expecting value: line 2 column 1 "
@@ -366,7 +371,8 @@ def _param(field, value):
         r"error: malformed preset config: .*unexpected keyword argument "
         r"'theta_zero_horizontal'\n")),
 ], ids=["omega_eps-tiny", "dt-large", "K_s-string", "t_switch-ceiling", "name-number",
-        "K_t-tiny", "radius-huge", "hub-slack", "hub-r2-huge", "hub-radii-close", "truncated-json", "not-utf8",
+        "K_t-tiny", "radius-huge", "hub-slack", "hub-r2-huge", "hub-radii-close",
+        "hub-r2-eats-preload", "truncated-json", "not-utf8",
         "teeth_inner-removed", "teeth_outer-removed", "theta_zero_horizontal-removed"])
 def test_bad_preset_fails_at_load(edit, message, tmp_path, capsys):
     from tsea.params import load_named_preset, preset_to_dict

@@ -34,6 +34,7 @@ from tsea.experiments import (
     TraceRecorder,
     _check_run_length,
     _Driver,
+    _merge_source,
     _repeat_sources,
     _stride_for,
     crossing_times,
@@ -196,8 +197,9 @@ def test_static_stiffness_frictionless_quick(full_range):
 ], ids=["stiffness", "cycle"])
 def test_records_only_kept_rows(method, hz, run, calibrated, monkeypatch):
     # the loop that counts the steps calls the recorder on the rows it keeps,
-    # not on every step; the rest are copies: the stiffness rig copies its
-    # leg 4, the mirror image of leg 2, and three switch cycles copy none
+    # not on every step; the rest are copies: the stiffness rig copies the
+    # rest of leg 3 once it meets leg 1's state negated, and its leg 4, the
+    # mirror image of leg 2, and three switch cycles copy none
     calls, copied = [], []
     original, copy_rows = getattr(TraceRecorder, method), TraceRecorder.copy_rows
 
@@ -221,6 +223,33 @@ def test_records_only_kept_rows(method, hz, run, calibrated, monkeypatch):
     assert np.allclose(np.diff(trace.t), trace.dt, rtol=1e-9, atol=0.0)
 
 
+@pytest.mark.parametrize("mode, steps, recorded, n_rows", [
+    (Mode.SEA, 198_588, 49_647, 245_284),
+    (Mode.PEA, 144_392, 36_098, 164_914),
+], ids=["sea", "pea"])
+def test_stiffness_merges_at_default_rate(mode, steps, recorded, n_rows, calibrated,
+                                          monkeypatch):
+    # at the default 0.2 Nm/s, leg 3's ramp (0 -> -1 Nm) meets the negated
+    # state of leg 1 (0 -> 1 Nm) 8,683 rows in (SEA) or 8,529 (PEA), so the
+    # rig simulates its leading dwell, legs 1 and 2 and that much of leg 3;
+    # leg 4 then starts at leg 2's mirror image, and every leg after it is copied
+    tanh, record_raw = tsea.experiments.tanh, TraceRecorder.record_raw
+    calls, recorded_rows = itertools.count(), itertools.count()
+
+    def counted(x):
+        next(calls)
+        return tanh(x)
+
+    def spy(self, *args):
+        next(recorded_rows)
+        record_raw(self, *args)
+
+    monkeypatch.setattr(tsea.experiments, "tanh", counted)
+    monkeypatch.setattr(TraceRecorder, "record_raw", spy)
+    trace, _ = run_static_stiffness(mode, calibrated, ramp_rate=0.2)
+    assert (next(calls), next(recorded_rows), len(trace)) == (4 * steps, recorded, n_rows)
+
+
 @pytest.mark.parametrize("hz, run", [
     (CYCLE_RECORD_HZ, lambda pre: run_switch_cycle(pre, n=16)),
     (STIFFNESS_RECORD_HZ, lambda pre: run_static_stiffness(Mode.SEA, pre, cycles=1)),
@@ -229,7 +258,8 @@ def test_time_column_is_the_step_clock(hz, run, calibrated, monkeypatch):
     # row r is step r*stride, and its time the product (r*stride)*dt that the
     # loops form; at dt = 1e-4 (strides 10 and 5) r*(stride*dt) differs on
     # some rows; both runs copy rows, the cycle run those of the cycles it
-    # replays, the stiffness run those of the mirror image of its leg 2
+    # replays, the stiffness run the rest of its leg 3, from where it meets
+    # leg 1's state negated, and the mirror image of its leg 2
     dt = 1e-4
     copies = []
     copy_rows = TraceRecorder.copy_rows
@@ -807,23 +837,46 @@ def test_stiffness_replay_matches_full_simulation(preset, mode, rate, cycles, mo
     # of an earlier leg did, its script and state negated (leg 4, 5 or 6 where
     # leg 2, 3 or 4 did); the legs from there on repeat, the mirrored ones
     # negated; by leg 8 every case has repeated a leg, and in one cycle only
-    # calibrated SEA at 1 Nm/s has
+    # calibrated SEA at 1 Nm/s has. Before that, a leg's ramp can meet the
+    # state of the earliest earlier leg of its script or its mirror image, at
+    # the same phase, on a kept row at the same offset into the leg, or its
+    # negation (calibrated SEA leg 3 meets leg 1's, negated); the rest of the
+    # leg is then that leg's rest, and the next leg starts under a repeated key
     all_rows, all_legs = _reference_rig(preset, mode, rate)
     legs = all_legs[:4 * cycles + 2]  # the leading dwell, the cycles' legs, the end
     rows = all_rows[:legs[-1][1]]
     pre = load_named_preset(preset)
     stride = _stride_for(pre.params.dt, STIFFNESS_RECORD_HZ)
-    simulated = legs[-1][0]  # steps up to the first leg that repeats one, else all
-    mirrored = False  # whether that leg repeats a mirror image
-    seen = set()
-    for leg, (k, _, theta, omega) in enumerate(legs[:-1]):
+    n_ramp = max(1, round(1.0 / rate / pre.params.dt))
+    simulated = 0  # the legs' steps up to the first leg that repeats one, a merged leg's
+    # up to its merge
+    mirrored = False  # whether a merge or that leg repeats a mirror image
+    seen, first = set(), {}
+    for leg, ((k, row, theta, omega), (k_end, row_end, _, _)) in enumerate(zip(legs, legs[1:])):
         # scripts 0..3 ramp 0 -> 1, 1 -> 0, 0 -> -1, -1 -> 0 Nm; s + 2 mirrors s
         script, mirror = ("dwell", "dwell") if leg == 0 else ((leg - 1) % 4, (leg + 1) % 4)
         key = (script, k % stride, theta.hex(), omega.hex())
         if key in seen or (mirror, k % stride, (-theta).hex(), (-omega).hex()) in seen:
-            simulated, mirrored = k, key not in seen
+            mirrored |= key not in seen
             break
         seen.add(key)
+        simulated += k_end - k
+        sources = [(first[s, k % stride], s == mirror) for s in (script, mirror)
+                   if (s, k % stride) in first]
+        first.setdefault((script, k % stride), leg)
+        if leg == 0 or not sources:
+            continue
+        src, negated = min(sources)
+        src_row = legs[src][1]
+        ramp_rows = range(row, min(row_end, -(-(k + n_ramp) // stride)))  # steps < k + n_ramp
+        for r in ramp_rows:
+            state = rows["theta_m"][r], rows["omega_m"][r]
+            source = rows["theta_m"][src_row + r - row], rows["omega_m"][src_row + r - row]
+            if all(state) and [x.hex() for x in state] == [
+                    (-x if negated else x).hex() for x in source]:
+                simulated -= k_end - r * stride  # the rest of the leg is copied
+                mirrored |= negated
+                break
 
     tanh, copy_rows = tsea.experiments.tanh, TraceRecorder.copy_rows
     calls, copies = itertools.count(), []
@@ -847,7 +900,16 @@ def test_stiffness_replay_matches_full_simulation(preset, mode, rate, cycles, mo
     assert next(calls) == 4 * simulated  # four tanh calls a step
     assert (simulated < legs[-1][0]) == bool(copies)
     assert bool(copies) or cycles == 1
-    assert any(copies) == mirrored  # a mirrored leg's copy comes first, negated
+    assert any(copies) == mirrored  # a mirrored merge or leg copies its rows negated
+
+
+def test_merge_source_is_the_earliest_of_script_and_mirror():
+    first = {}
+    assert _merge_source(first, "up", "down", 0) is None
+    assert _merge_source(first, "down", "up", 1) == (0, True)  # up's mirror image
+    assert _merge_source(first, "up", "down", 2) == (0, False)  # not the later down
+    assert _merge_source(first, "down", "up", 3) == (0, True)
+    assert first == {"up": 0, "down": 1}
 
 
 def test_repeat_sources_mirror_alternates_sign():
