@@ -17,26 +17,26 @@ cycle; an impact and its re-settle) and settle into a cycle of units: on
 the shipped presets cycle 14 starts in cycle 12's state and PEA impact 2 in
 impact 1's. A unit's steps depend only on the state it starts in and, for
 the rows it logs, on k % stride; k only stamps switch records. So
-_Driver.replay keys each unit's start by the state's type, its floats' exact
-bits and k % stride, and once a key comes back it copies the units that
-repeat instead of simulating them: their rows in one call (they land on the
-row grid and take their times from their index), their switch records, which
-count steps and shift by whole steps (the report forms their times k*dt), and
-their refused gate tests. The stiffness rig replays its legs (a torque ramp
-and the dwell after it) the same way: a leg's steps, rows, settle count and
-exit depend only on its script, the bits of the rig's angle and velocity and
-the step count modulo the stride, so once a leg starts under an earlier leg's
-key, or under its mirror key (script and state negated: the rig has no
-gravity and every operation of its step is odd, so such a leg takes the
-earlier leg's steps negated), the rig copies the rows of the legs that
-repeat, negated where they mirror, and fits each cycle on the finished trace.
-_repeat_sources is the one rule both use for which unit a copy repeats and
-whether it is negated. The rig also stops simulating a leg partway through
-its ramp where it meets, on a logged step, the state of the earliest earlier
-leg of its script or its mirror image (_merge_source) at the same offset into
-the leg: the rest of the leg is copied from that leg's rows. At the default
-rate leg 3 (0 to -1 Nm) meets leg 1's state negated, so leg 4 starts at the
-mirror image of leg 2's start.
+_Driver.replay looks up every unit's start key: the state's type, its
+floats' exact bits and k % stride. A unit under a new key is simulated; a
+unit under the key of an earlier unit s is a copy of unit s, from its start
+to unit s+1's: its rows in one call (they land on the row grid and take
+their times from their index), its switch records, which count steps and
+shift by whole steps (the report forms their times k*dt), its refused gate
+tests and the state it leaves. The next unit then starts under unit s+1's
+key, so the same lookup copies the cycle unit by unit. The stiffness rig
+looks up its legs (a torque ramp and the dwell after it) the same way, by
+script, the bits of its angle and velocity and the step count modulo the
+stride, and also by the leg's mirror key (script and state negated: the rig
+has no gravity and every operation of its step is odd, so such a leg takes
+the earlier leg's steps negated, and the mirror of a mirror is the leg as it
+is). _merge_source is its one lookup rule. The rig also stops simulating a
+leg partway through its ramp where it meets, on a logged step, the state of
+the earliest earlier leg of its script or its mirror image at the same
+offset into the leg, and copies the rest of that leg; a copy at a leg's
+start is such a merge at its first row. At the default rate leg 3 (0 to -1
+Nm) meets leg 1's state negated, so leg 4 starts at the mirror image of leg
+2's start.
 Every trace, report and plot stays byte-identical to a run that simulates
 every unit. Before it simulates, every protocol bounds its step count,
 replayed steps included, by MAX_RUN_STEPS.
@@ -289,8 +289,6 @@ def crossing_times(t, y, min_excursion: float = 0.0) -> list[float]:
     if idx.size == 0:
         return []
     cross_t = t[idx] - y[idx] * (t[idx + 1] - t[idx]) / (y[idx + 1] - y[idx])
-    if min_excursion <= 0.0:
-        return [float(v) for v in cross_t]
     bounds = [0, *list(idx + 1), len(y)]
     seg_peak = [float(np.max(np.abs(y[bounds[k]:bounds[k + 1]]))) for k in range(len(bounds) - 1)]
     kept = [float(cross_t[k]) for k in range(len(idx))
@@ -419,35 +417,12 @@ def _check_run_length(what: str, steps: int) -> None:
                          f"the most a run may take")
 
 
-def _repeat_sources(seen: dict, key: tuple, i: int, n: int,
-                    mirror: tuple | None = None) -> list[tuple[int, bool]]:
-    """The unit each of units i..n-1 repeats, once unit i of a run of n
-    scripted units starts, and whether the repeat is negated.
-
-    seen maps each start key to the first unit that started under it. When
-    unit i starts under unit j's key, unit i takes unit j's steps bit for bit,
-    so units j..i-1 repeat in turn until n are done: returns (source, False)
-    for each. When it starts under no earlier key but unit j started under
-    mirror, unit i's mirror key, the repeats are negated on odd passes over
-    j..i-1. Otherwise registers key and returns [].
-    """
-    j = seen.setdefault(key, i)
-    mirrored = j == i and mirror in seen
-    if mirrored:
-        j = seen[mirror]
-    if j == i:
-        return []
-    return [(j + (c - j) % (i - j), mirrored and (c - j) // (i - j) % 2 == 1)
-            for c in range(i, n)]
-
-
-def _merge_source(first: dict, script: tuple, mirror: tuple,
+def _merge_source(first: dict, key: tuple, mirror: tuple,
                   i: int) -> tuple[int, bool] | None:
-    """The earliest earlier unit that ran unit i's script, or its mirror
-    image, at the same phase, and whether it was the mirror; else registers
-    script and returns None. first maps each (script, phase) to the first unit
-    that ran it."""
-    j = first.setdefault(script, i)
+    """The earliest earlier unit that started under unit i's key, or under
+    its mirror key, and whether it was the mirror; else registers key and
+    returns None. first maps each key to the first unit that started under it."""
+    j = first.setdefault(key, i)
     m = first.get(mirror, i)
     if m < j:
         return m, True
@@ -597,38 +572,35 @@ class _Driver:
 
     def replay(self, n: int) -> Iterator[int | None]:
         """Drive n units of a protocol that scripts the same unit n times, and
-        replay the units a simulation would repeat instead of simulating them.
+        copy the units a simulation would repeat instead of simulating them.
 
-        Yields once per unit, in order. None asks the caller to simulate the
-        unit now with run() and hold(). Each unit starts in an engaged mode,
-        keyed by its state's type, the exact bits of its floats (-0.0 is not
-        0.0) and k % stride, which fixes the steps that log rows; a unit's
-        script reads nothing else (not k itself, which only stamps switch
-        records), so a unit that starts under the key of unit j would take
-        unit j's steps again, bit for bit. When unit i starts under unit j's key, units
-        j..i-1 repeat in turn until n are done: each further unit is copied
-        from the unit it repeats, and that unit's index is yielded after the
-        copy, so the caller can check its records and find its rows. A copy
-        appends the source unit's rows in one call (shifted by a multiple of
-        stride, they stay on the row grid), its switch records with their
-        steps shifted by the same count, and its refused gate tests, and
-        leaves the state and k that simulating the unit would leave.
+        Yields once per unit, in order. Each unit starts in an engaged mode and
+        is keyed at its start by its state's type, the exact bits of its floats
+        (-0.0 is not 0.0) and k % stride, which fixes the steps that log rows;
+        a unit's script reads nothing else (k itself only stamps switch
+        records). Under a new key the driver yields None: the caller simulates
+        the unit now with run() and hold(). Under the key of an earlier unit s
+        the unit would take unit s's steps again, bit for bit, so the driver
+        copies unit s from its start to unit s+1's instead and yields s, so the
+        caller can check its records and find its rows. The copy appends unit
+        s's rows in one call (shifted by a multiple of stride, they stay on the
+        row grid), its switch records with their steps shifted by the same
+        count, and its refused gate tests, and leaves the state and k that
+        simulating the unit would leave. The next unit then starts under unit
+        s+1's key and is copied from unit s+1 in turn.
         """
         seen: dict[tuple, int] = {}
         marks = []  # (k, rows, records, refusals, state) at each unit's start
+        records = self.records
         for i in range(n):
             state = self.state
-            marks.append((self.k, self.rec.n_recorded, len(self.records), self.retried, state))
-            key = (type(state), self.k % self.stride, struct.pack(f"{len(state)}d", *state))
-            sources = _repeat_sources(seen, key, i, n)
-            if sources:
-                break
-            yield None
-        else:
-            return  # no unit repeated another
-
-        records = self.records
-        for src, _ in sources:  # never negated: gravity breaks the mirror symmetry
+            marks.append((self.k, self.rec.n_recorded, len(records), self.retried, state))
+            # no mirror key: gravity breaks the mirror symmetry
+            src = seen.setdefault(
+                (type(state), self.k % self.stride, struct.pack(f"{len(state)}d", *state)), i)
+            if src == i:
+                yield None
+                continue
             k0, r0, n0, retried0, _ = marks[src]
             k1, r1, n1, retried1, state = marks[src + 1]
             shift = self.k - k0  # a multiple of stride, so the rows stay on the grid
@@ -675,26 +647,26 @@ def run_static_stiffness(
 
     Each leg (the leading dwell, then a ramp and its dwell) is keyed at its
     start by its script, the exact bits of theta and omega (-0.0 is not 0.0)
-    and step_i % stride, which fix every step, row and exit of the leg. Once a
-    leg starts under an earlier leg's key, the legs left repeat the legs in
-    between in turn, and each is copied as its source's rows in one call: the
-    copy holds the values the simulation would compute again, so the bytes
-    cannot change. A leg that starts under the mirror key of an earlier leg
-    (script and state negated) repeats that leg negated: with no gravity term,
-    an odd force law, and IEEE rounding and tanh odd too, each value is the
-    source's negated up to the sign of a zero, and the rig writes 0.0 where
-    negation gives -0.0, as a negated copy does. The legs after it repeat the
-    legs in between, negated on odd passes over them. The state is never -0.0
-    (it starts at 0.0, and a sum is -0.0 only when both terms are), so a leg
-    that starts with theta or omega at 0.0 has a mirror key no leg starts under.
+    and step_i % stride, which fix every step, row and exit of the leg. A leg
+    that starts under the key of an earlier leg s (its _merge_source) repeats
+    leg s; one that starts under s's mirror key (script and state negated)
+    repeats leg s negated: with no gravity term, an odd force law, and IEEE
+    rounding and tanh odd too, each value is the source's negated up to the
+    sign of a zero, and the rig writes 0.0 where negation gives -0.0, as a
+    negated copy does. The state is never -0.0 (it starts at 0.0, and a sum is
+    -0.0 only when both terms are), so a leg that starts with theta or omega
+    at 0.0 has a mirror key no leg starts under.
 
-    A leg that starts under no earlier key can merge inside its ramp with
-    its _merge_source leg: once theta and omega, both nonzero, equal that leg's
-    row at the same offset (negated for a mirror) on a logged ramp step, the
-    rest of the leg is that leg's rest, since the ramp torque depends only on
-    the script and the step into it and no dwell count has started. The rig
-    copies those rows, takes that leg's step count and end state, and the next
-    leg starts under a repeated key.
+    A leg under a new key is simulated, and can merge inside its ramp with the
+    _merge_source leg of its script: once theta and omega, both nonzero, equal
+    that leg's row at the same offset (negated for a mirror) on a logged ramp
+    step, the rest of the leg is that leg's rest, since the ramp torque depends
+    only on the script and the step into it and no dwell count has started. A
+    repeat is such a merge at the leg's first row. Either way the rig copies
+    leg s's rows from there to leg s+1's start, negated for a mirror, and takes
+    leg s's step count and end state; the copy holds the values the simulation
+    would compute again, so the bytes cannot change. The next leg then starts
+    under leg s+1's key or its mirror key, and is copied in turn.
     """
     if mode not in (Mode.SEA, Mode.PEA):
         raise ValueError("stiffness protocol characterizes an engaged mode")
@@ -731,66 +703,63 @@ def run_static_stiffness(
     step_i = 0
     seen: dict[tuple, int] = {}
     first: dict[tuple, int] = {}
-    starts = []  # (step_i, theta, omega) at the start of every simulated leg
-    leg_rows = [0]  # row count at the start of every leg, simulated or copied, and at the end
+    marks = []  # (step_i, rows, theta, omega) at the start of every leg
     rows = rec._rows  # each row's theta and omega are its first two floats
     for leg, (tau_from, tau_to, n) in enumerate(legs):
         script, phase = (tau_from, tau_to, n), step_i % stride
         mirror = (-tau_from, -tau_to, n)
-        sources = _repeat_sources(seen, (script, phase, struct.pack("2d", theta, omega)), leg,
-                                  len(legs), (mirror, phase, struct.pack("2d", -theta, -omega)))
-        if sources:
-            break
-        starts.append((step_i, theta, omega))
-        merge = _merge_source(first, (script, phase), (mirror, phase), leg)
-        src, negated = merge or (leg, False)
-        sign = -1.0 if negated else 1.0
-        r = 8 * leg_rows[src]  # the source's row at this leg's offset, as rows indexes it
-        until = n if merge else 0  # the last step that may merge: ramp steps only
-        quiet = 0
-        for j in range(1, n + timeout_steps + 1):
-            tau = tau_from + (tau_to - tau_from) * j / n if j <= n else tau_to
-            if step_i % stride == 0:
-                if (j <= until and sign * theta == rows[r] and sign * omega == rows[r + 1]
-                        and theta and omega):
-                    # the source's state, or its negation, at the same step of the
-                    # same script: the rest of the leg is the rest of the source's
-                    rec.copy_rows(r // 8, leg_rows[src + 1], negated)
-                    k1, theta, omega = starts[src + 1]
-                    step_i = starts[leg][0] + k1 - starts[src][0]
-                    if negated:
-                        theta, omega = 0.0 - theta, 0.0 - omega
-                    break
-                r += 8
-                record(code, theta, omega, 0.0, 0.0, tau, tau, K_rig * theta, tau / K_t)
-            # one RK4 step of the locked motor, one body on the grounded spring
-            # K_rig: no output load (so no cos to fail) and no call per step
-            a1 = (tau - K_rig * theta - b * omega - tau_c * tanh(omega / w_eps)) / J
-            w2 = omega + half * a1
-            a2 = (tau - K_rig * (theta + half * omega) - b * w2 - tau_c * tanh(w2 / w_eps)) / J
-            w3 = omega + half * a2
-            a3 = (tau - K_rig * (theta + half * w2) - b * w3 - tau_c * tanh(w3 / w_eps)) / J
-            w4 = omega + dt * a3
-            a4 = (tau - K_rig * (theta + dt * w3) - b * w4 - tau_c * tanh(w4 / w_eps)) / J
-            theta += sixth * (omega + 2.0 * (w2 + w3) + w4)
-            omega += sixth * (a1 + 2.0 * (a2 + a3) + a4)
-            if not (isfinite(theta) and isfinite(omega)):
-                raise SimulationError(f"stiffness rig blew up at t={step_i * dt:.6f} s")
-            step_i += 1
-            if j > n:
-                quiet = quiet + 1 if abs(omega) < settle_omega else 0
-                if quiet >= window_steps:
-                    break
-        else:
-            raise SimulationError(
-                f"rig did not settle below |omega| < {settle_omega} rad/s at tau={tau_to} Nm"
-            )
-        leg_rows.append(rec.n_recorded)
-    # copy the legs left, if a leg repeated; nothing reads the rig's state after them
-    for src, negated in sources:
-        rec.copy_rows(leg_rows[src], leg_rows[src + 1], negated)
-        leg_rows.append(rec.n_recorded)
-    cycle_starts = leg_rows[1::4]  # legs 1, 5, 9, ..., then the row count at the end
+        marks.append((step_i, rec.n_recorded, theta, omega))
+        copy = _merge_source(seen, (script, phase, struct.pack("2d", theta, omega)),
+                             (mirror, phase, struct.pack("2d", -theta, -omega)), leg)
+        # the leg this one repeats, else the leg its ramp may merge with
+        src, negated = copy or _merge_source(first, (script, phase), (mirror, phase),
+                                             leg) or (leg, False)
+        r = 8 * marks[src][1]  # the source's row at this leg's offset, as rows indexes it
+        if copy is None:
+            sign = -1.0 if negated else 1.0
+            until = n if src < leg else 0  # the last step that may merge: ramp steps only
+            quiet = 0
+            for j in range(1, n + timeout_steps + 1):
+                tau = tau_from + (tau_to - tau_from) * j / n if j <= n else tau_to
+                if step_i % stride == 0:
+                    if (j <= until and sign * theta == rows[r] and sign * omega == rows[r + 1]
+                            and theta and omega):
+                        # the source's state, or its negation, at the same step of the
+                        # same script: the rest of the leg is the rest of the source's
+                        copy = src, negated
+                        break
+                    r += 8
+                    record(code, theta, omega, 0.0, 0.0, tau, tau, K_rig * theta, tau / K_t)
+                # one RK4 step of the locked motor, one body on the grounded spring
+                # K_rig: no output load (so no cos to fail) and no call per step
+                a1 = (tau - K_rig * theta - b * omega - tau_c * tanh(omega / w_eps)) / J
+                w2 = omega + half * a1
+                a2 = (tau - K_rig * (theta + half * omega) - b * w2 - tau_c * tanh(w2 / w_eps)) / J
+                w3 = omega + half * a2
+                a3 = (tau - K_rig * (theta + half * w2) - b * w3 - tau_c * tanh(w3 / w_eps)) / J
+                w4 = omega + dt * a3
+                a4 = (tau - K_rig * (theta + dt * w3) - b * w4 - tau_c * tanh(w4 / w_eps)) / J
+                theta += sixth * (omega + 2.0 * (w2 + w3) + w4)
+                omega += sixth * (a1 + 2.0 * (a2 + a3) + a4)
+                if not (isfinite(theta) and isfinite(omega)):
+                    raise SimulationError(f"stiffness rig blew up at t={step_i * dt:.6f} s")
+                step_i += 1
+                if j > n:
+                    quiet = quiet + 1 if abs(omega) < settle_omega else 0
+                    if quiet >= window_steps:
+                        break
+            else:
+                raise SimulationError(
+                    f"rig did not settle below |omega| < {settle_omega} rad/s at tau={tau_to} Nm"
+                )
+        if copy:  # leg src from row r on, to leg src + 1's start
+            rec.copy_rows(r // 8, marks[src + 1][1], negated)
+            k1, _, theta, omega = marks[src + 1]
+            step_i = marks[leg][0] + k1 - marks[src][0]
+            if negated:
+                theta, omega = 0.0 - theta, 0.0 - omega
+    # legs 1, 5, 9, ..., then the row count at the end
+    cycle_starts = [m[1] for m in marks[1::4]] + [rec.n_recorded]
 
     trace = rec.trace()
     slopes, areas = [], []

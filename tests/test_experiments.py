@@ -35,7 +35,6 @@ from tsea.experiments import (
     _check_run_length,
     _Driver,
     _merge_source,
-    _repeat_sources,
     _stride_for,
     crossing_times,
     dominant_frequency,
@@ -910,21 +909,8 @@ def test_merge_source_is_the_earliest_of_script_and_mirror():
     assert _merge_source(first, "up", "down", 2) == (0, False)  # not the later down
     assert _merge_source(first, "down", "up", 3) == (0, True)
     assert first == {"up": 0, "down": 1}
-
-
-def test_repeat_sources_mirror_alternates_sign():
-    seen = {}
-    for i, key in enumerate("abc"):
-        assert _repeat_sources(seen, key, i, 9, mirror="-" + key) == []
-    # unit 3 starts at unit 1's mirror image: units 1 and 2 repeat in turn,
-    # negated, then as they are (the mirror image of a mirror image), and so on
-    assert _repeat_sources(seen, "-b", 3, 9, mirror="b") == [
-        (1, True), (2, True), (1, False), (2, False), (1, True), (2, True)]
-    # a repeat as it is comes first; without a mirror key nothing is negated
-    assert _repeat_sources(dict(seen), "a", 3, 5, mirror="-b") == [(0, False), (1, False)]
-    assert _repeat_sources(dict(seen), "-a", 3, 5) == []
-    # a unit that is its own mirror image repeats nothing
-    assert _repeat_sources({}, "z", 0, 3, mirror="z") == []
+    # a key that is its own mirror image is no earlier unit's
+    assert _merge_source({}, "z", "z", 0) is None
 
 
 def test_replay_keys_state_bits_and_row_phase(calibrated):
