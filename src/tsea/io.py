@@ -18,12 +18,22 @@ exactly what csv.writer produced):
 
 The writer formats CSV_BLOCK_ROWS rows at a time. Two orjson.dumps calls per
 block give the text of every field: one for the t column, one for the other
-eight columns as one list per row. orjson is trusted where it prints the same
-text as repr: for 1e-4 <= |x| < 1e16 and zeros, where repr prints
-positionally, and for |x| < 1e-9, where both print an exponent of two or more
-digits. Every other field (1e-9 <= |x| < 1e-4, |x| >= 1e16, NaN and inf) is
-formatted with repr, once per distinct bit pattern in the block; a field
-repeats the text of its pattern, so the contract above holds unchanged.
+eight columns as one list per row. orjson prints the same shortest
+round-trip digits as repr, and the same text for 1e-4 <= |x| < 1e16 and
+zeros, where both print positionally, and for |x| < 1e-9, where both print an
+exponent of two or more digits. The other fields are found once per
+CSV_CHUNK_ROWS rows, in t and the eight columns; the block dump prints each
+as null, and the text built for it in its chunk takes the null's place:
+
+* 1e-9 <= |x| < 1e-5, which orjson prints as "1.5e-6": one orjson dump of
+  the chunk's such fields, with each exponent padded to repr's "1.5e-06";
+* 1e-5 <= |x| < 1e-4, which orjson prints as "0.000015": one orjson dump,
+  with each first significant digit moved before the point and "e-05"
+  appended, as repr prints "1.5e-05" and "1e-05";
+* |x| >= 1e16, NaN and inf: repr, once per distinct bit pattern in the chunk.
+
+So the contract above holds as long as orjson prints those two shapes, which
+the byte oracle checks at the lowest and the newest supported orjson.
 """
 
 from __future__ import annotations
@@ -46,9 +56,14 @@ CSV_TERMINATOR = b"\r\n"
 _CSV_HEADER_LINE = ",".join(CSV_HEADER).encode() + CSV_TERMINATOR
 # the mode field with the separators on either side, indexed by mode code
 _MODE_FIELDS = np.array([b"," + name.encode() + b"," for name in MODE_NAMES], dtype=object)
-# rows formatted per write; larger blocks share more repeated repr values
-# (and make fewer orjson calls) but raise peak memory
+# rows formatted per write; larger blocks make fewer orjson calls but raise
+# peak memory
 CSV_BLOCK_ROWS = 512
+# rows whose fields that orjson does not print as repr does are found and
+# formatted together: fewer, longer numpy passes and orjson dumps than per
+# block, for a column's chunk-sized arrays held at a time; longer chunks raise
+# peak memory
+CSV_CHUNK_ROWS = 16 * CSV_BLOCK_ROWS
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,50 +104,104 @@ def apply_noise(trace: Trace, model: NoiseModel) -> Trace:
     return replace(trace, theta_o=theta_o)
 
 
-def _json_floats(values: np.ndarray) -> bytes:
-    """orjson's JSON text of values, a fresh C-contiguous float64 array, with
-    every field that orjson does not print as repr does printed by repr.
+def _exponent_texts(values: np.ndarray) -> list[bytes]:
+    """repr's texts of values, all 1e-9 <= |x| < 1e-5, from one orjson dump:
+    orjson prints "1.5e-6" where repr pads the exponent to "1.5e-06"."""
+    return orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].replace(
+        b"e-", b"e-0").split(b",")
 
-    repr and orjson print the same shortest round-trip digits, and the same
-    text where both print them positionally (1e-4 <= |x| < 1e16 and zeros:
-    "3.0", "-0.0") or both need a two-digit exponent (|x| < 1e-9: "1e-10",
-    "5e-324"). Elsewhere the texts differ (1e-05 / 0.00001, 1e-09 / 1e-9,
-    1e+16 / 1e16, nan / null): those fields go to repr, once per distinct
-    bit pattern, and are printed as null until the repr replaces them.
-    values[slow] lists them row-major, in the order they appear in the text.
+
+def _positional_texts(values: np.ndarray) -> list[bytes]:
+    """repr's texts of values, all 1e-5 <= |x| < 1e-4, from one orjson dump:
+    orjson prints "-0.000015" and "0.00001" where repr prints "-1.5e-05" and
+    "1e-05". Each field's only point is followed by four zeros and its first
+    significant digit, which moves before the point in place of the zeros."""
+    text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1] + b","
+    chars = np.frombuffer(text, dtype=np.uint8).copy()
+    points = np.flatnonzero(chars == ord("."))
+    chars[points + 4] = chars[points + 5]
+    chars[points + 5] = ord(".")
+    keep = np.ones(chars.size, dtype=bool)
+    keep[points[:, None] + np.arange(-1, 4)] = False  # the "0.000" before them
+    keep[points[chars[points + 6] == ord(",")] + 5] = False  # "1e-05", not "1.e-05"
+    return chars[keep].tobytes().replace(b",", b"e-05,").split(b",")[:-1]
+
+
+def _repr_texts(values: np.ndarray) -> np.ndarray:
+    """repr's texts of values, formatted once per distinct bit pattern."""
+    patterns, fills = np.unique(values.view(np.int64), return_inverse=True)
+    reprs = [repr(x).encode() for x in patterns.view(np.float64).tolist()]
+    return np.array(reprs, dtype=object)[fills]
+
+
+def _slow_fields(columns: list[np.ndarray], chunk: slice) -> list[tuple[np.ndarray, list[bytes]]]:
+    """For each block of CSV_BLOCK_ROWS rows of the table whose column j is
+    columns[j][chunk], a chunk that starts at a block boundary, the fields
+    that orjson does not print as repr does: their row-major indices in the
+    block and repr's texts of them (see the module docstring).
     """
-    mag = np.abs(values)
-    slow = ((mag >= 1e-9) & (mag < 1e-4)) | ~(mag < 1e16)
-    if not slow.any():
+    keys, slow = [], []
+    for j, column in enumerate(columns):
+        values = np.asarray(column[chunk], dtype=np.float64)
+        mag = np.abs(values)
+        at = np.flatnonzero(((mag >= 1e-9) & (mag < 1e-4)) | ~(mag < 1e16))
+        keys.append(at * len(columns) + j)
+        slow.append(values[at])
+    keys = np.concatenate(keys)
+    order = np.argsort(keys)
+    keys, slow = keys[order], np.concatenate(slow)[order]
+    mag = np.abs(slow)
+    texts = np.empty(slow.size, dtype=object)
+    for band, to_texts in ((mag < 1e-5, _exponent_texts),
+                           ((mag >= 1e-5) & (mag < 1e-4), _positional_texts),
+                           (~(mag < 1e-4), _repr_texts)):
+        if band.any():
+            texts[band] = to_texts(slow[band])
+    block_fields = CSV_BLOCK_ROWS * len(columns)
+    ends = range(0, (chunk.stop - chunk.start) * len(columns) + block_fields, block_fields)
+    bounds = np.searchsorted(keys, ends).tolist()
+    at, texts = keys % block_fields, texts.tolist()
+    return [(at[a:b], texts[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+def _dump(values: np.ndarray, at: np.ndarray, texts: list[bytes]) -> bytes:
+    """orjson's text of values, a fresh C-contiguous float64 array, with the
+    field at each row-major index in at printed as the text in texts."""
+    if not texts:
         return orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)
-    patterns, fills = np.unique(values[slow].view(np.int64), return_inverse=True)
-    reprs = np.array([repr(x).encode() for x in patterns.view(np.float64).tolist()], dtype=object)
-    values[slow] = math.nan
+    values.reshape(-1)[at] = math.nan
     pieces = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY).split(b"null")
     parts = [b""] * (2 * len(pieces) - 1)
     parts[0::2] = pieces
-    parts[1::2] = reprs[fills].tolist()
+    parts[1::2] = texts
     return b"".join(parts)
 
 
 def write_trace_csv(trace: Trace, path: str | Path) -> int:
     """Write every row of the trace; returns the number of data rows."""
     floats = [getattr(trace, name) for name in _FLOAT_COLS]
+    n = len(trace)
     with open(path, "wb") as fh:
         fh.write(_CSV_HEADER_LINE)
-        for start in range(0, len(trace), CSV_BLOCK_ROWS):
-            block = slice(start, start + CSV_BLOCK_ROWS)
-            # the t column on its own, the other eight as one list per row,
-            # so each row is its t text, its mode, the text of its other
-            # fields and the terminator
-            times = _json_floats(np.array(trace.t[block], dtype=np.float64))[1:-1].split(b",")
-            rows = _json_floats(np.stack([c[block] for c in floats], axis=1, dtype=np.float64))
-            parts = [CSV_TERMINATOR] * (4 * len(times))
-            parts[0::4] = times
-            parts[1::4] = _MODE_FIELDS[trace.mode[block]].tolist()
-            parts[2::4] = rows[2:-2].split(b"],[")
-            fh.write(b"".join(parts))
-    return len(trace)
+        for start in range(0, n, CSV_CHUNK_ROWS):
+            chunk = slice(start, min(start + CSV_CHUNK_ROWS, n))
+            blocks = zip(range(chunk.start, chunk.stop, CSV_BLOCK_ROWS),
+                         _slow_fields([trace.t], chunk), _slow_fields(floats, chunk))
+            for first, t_slow, slow in blocks:
+                block = slice(first, first + CSV_BLOCK_ROWS)
+                # the t column on its own, the other eight as one list per
+                # row, so each row is its t text, its mode, the text of its
+                # other fields and the terminator
+                times = _dump(np.array(trace.t[block], dtype=np.float64),
+                              *t_slow)[1:-1].split(b",")
+                rows = _dump(np.stack([c[block] for c in floats], axis=1, dtype=np.float64),
+                             *slow)
+                parts = [CSV_TERMINATOR] * (4 * len(times))
+                parts[0::4] = times
+                parts[1::4] = _MODE_FIELDS[trace.mode[block]].tolist()
+                parts[2::4] = rows[2:-2].split(b"],[")
+                fh.write(b"".join(parts))
+    return n
 
 
 def _non_finite(value, where: str = "") -> tuple[str, float] | None:

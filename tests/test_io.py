@@ -2,7 +2,9 @@ import builtins
 import math
 import re
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from decimal import Decimal
 
 import numpy as np
@@ -13,6 +15,7 @@ from tsea import io
 from tsea.experiments import MODE_NAMES, Trace, TraceRecorder, run_dynamic_switching
 from tsea.io import (
     CSV_BLOCK_ROWS,
+    CSV_CHUNK_ROWS,
     NoiseModel,
     apply_noise,
     emit_svg_plot,
@@ -25,7 +28,15 @@ from tsea.plant import PeaState, SeaState
 from tsea.selector import COMPLETED
 
 
+# the spread of theta_o that --noise logs on the locked stiffness rig (the
+# default 0.033 deg sigma, in rad): about 14 % of its fields fall in
+# 1e-9 <= |x| < 1e-4, which orjson does not print as repr does
+LOCKED_NOISE_RAD = 5.8e-4
+
+
 def _synthetic_trace(n: int, dt: float = 1.25e-4) -> Trace:
+    """n recorded rows of both modes; theta_o is jitter around zero, as
+    --noise logs it on the locked stiffness rig."""
     rec = TraceRecorder(dt)
     p = ActuatorParams(K_s=5.57, K_t=0.083)
     rng = np.random.default_rng(42)
@@ -35,7 +46,7 @@ def _synthetic_trace(n: int, dt: float = 1.25e-4) -> Trace:
         else:
             state = SeaState(float(rng.normal()), -0.2, float(rng.normal()), 0.3, 0.0)
         rec.record(state, 0.5, 0.5, p)
-    return rec.trace()
+    return replace(rec.trace(), theta_o=rng.normal(0.0, LOCKED_NOISE_RAD, n))
 
 
 EDGE_VALUES = (-0.0, 5e-324, 1e-05, 1e16, 1.7976931348623157e308, math.nan, -math.inf)
@@ -59,7 +70,8 @@ def _assert_same_as_reference(trace: Trace, tmp_path) -> None:
 
 
 @pytest.mark.parametrize("n", sorted({0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS,
-                                       CSV_BLOCK_ROWS + 1, 1023, 1024, 1025, 5000}))
+                                       CSV_BLOCK_ROWS + 1, 1023, 1024, 1025, 5000,
+                                       CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1}))
 def test_writer_matches_reference(n, tmp_path):
     _assert_same_as_reference(_synthetic_trace(n), tmp_path)
 
@@ -85,20 +97,27 @@ def test_writer_formats_each_bit_pattern(tmp_path):
 
 def test_writer_matches_reference_at_format_boundaries(tmp_path):
     # the writer takes orjson's text for 1e-4 <= |x| < 1e16, zeros and
-    # |x| < 1e-9, and hands 1e-9 <= |x| < 1e-4, |x| >= 1e16, NaN and inf to
-    # repr: both sides of each bound, zeros, subnormals, NaN, inf, powers of
-    # two, the floats next to 2**53, random bit patterns and log-uniform
-    # magnitudes from the subnormals up
+    # |x| < 1e-9, rewrites it for 1e-9 <= |x| < 1e-5 (exponent) and
+    # 1e-5 <= |x| < 1e-4 (positional), and hands |x| >= 1e16, NaN and inf to
+    # repr: both sides of each bound and of each power of ten in the rewritten
+    # band, one- and 17-digit mantissas there, zeros, subnormals, NaN, inf,
+    # powers of two, the floats next to 2**53, random bit patterns, and
+    # log-uniform magnitudes from the subnormals up and in the rewritten band
     edges = [np.nextafter(1e-4, 0.0), 1e-4, np.nextafter(1e-4, math.inf),
              np.nextafter(1e16, 0.0), 1e16,
-             np.nextafter(1e-9, 0.0), 1e-9, np.nextafter(1e-9, math.inf), 1e-10]
+             np.nextafter(1e-9, 0.0), 1e-9, np.nextafter(1e-9, math.inf), 1e-10,
+             *(np.nextafter(p, side) for p in (1e-5, 1e-6, 1e-7, 1e-8)
+               for side in (0.0, math.inf))]
+    band = [1e-5, 2e-5, 5e-6, 9e-9, 1.2345678901234568e-5, 9.876543210987654e-6,
+            1.0000000000000002e-7, 3.3333333333333334e-9]
     special = [0.0, 5e-324, 2.2250738585072009e-308, 1e-310, math.nan, math.inf,
                *(2.0 ** e for e in range(-20, 61)), 2.0 ** 53 - 1, 2.0 ** 53 + 2]
     rng = np.random.default_rng(20240614)
     bits = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max, 20_000,
                         dtype=np.int64, endpoint=True).view(np.float64)
     log_uniform = 10.0 ** rng.uniform(-320.0, 18.0, 20_000)
-    values = np.concatenate([edges, special, bits, log_uniform])
+    band_log_uniform = 10.0 ** rng.uniform(-9.0, -4.0, 20_000)
+    values = np.concatenate([edges, band, special, bits, log_uniform, band_log_uniform])
     values = np.concatenate([values, -values])
     n = -(-values.size // len(FLOAT_COLUMNS))
     values = np.resize(values, n * len(FLOAT_COLUMNS))
@@ -129,13 +148,35 @@ def test_writer_calls_repr_only_for_slow_fields(monkeypatch, tmp_path):
     fast = (1e-12, 5e-324, -0.0, 1e-4, 0.5, -1e-10, 0.0, 3.0, np.nextafter(1e-9, 0.0))
     assert _count_repr_calls(monkeypatch, _constant_columns(fast, 2 * CSV_BLOCK_ROWS + 3),
                              tmp_path) == []
-    # one call per distinct slow bit pattern per block: 1e-05 twice and both
-    # NaN patterns in every row, three blocks
+    # none for 1e-9 <= |x| < 1e-4 either, whose text comes from orjson's
+    # digits, and one call per distinct |x| >= 1e16, NaN or inf bit pattern
+    # per chunk: both NaN patterns, 1e16 and -inf in every row, one chunk of
+    # three blocks
     neg_nan = np.copysign(math.nan, -1.0)
     slow = (0.5, 1e-05, 1e-9, 1e-05, math.nan, neg_nan, 1e16, -math.inf, 0.25)
     seen = _count_repr_calls(monkeypatch, _constant_columns(slow, 2 * CSV_BLOCK_ROWS + 3),
                              tmp_path)
-    assert len(seen) == 3 * 6
+    assert len(seen) == 4
+    assert not any(1e-9 <= abs(x) < 1e-4 for x in seen)
+
+
+def test_writer_peak_memory_is_per_chunk(tmp_path):
+    # a trace the size of `tsea stiffness --mode sea`'s with its noisy
+    # theta_o: the writer holds a chunk's slow fields and a block's text at a
+    # time, never a copy or the text of the whole trace
+    n = 245_284
+    rng = np.random.default_rng(3)
+    cols = {name: rng.normal(0.0, 1.0, n) for name in FLOAT_COLUMNS}
+    cols["t"] = np.arange(n) * 5e-4
+    cols["theta_o"] = rng.normal(0.0, LOCKED_NOISE_RAD, n)
+    trace = Trace(dt=5e-4, mode=np.zeros(n, dtype=np.int8), **cols)
+    tracemalloc.start()
+    try:
+        assert write_trace_csv(trace, tmp_path / "t.csv") == n
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_000_000
 
 
 def test_writer_matches_reference_edge_values(tmp_path):
