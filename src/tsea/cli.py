@@ -51,12 +51,10 @@ def build_parser() -> _Parser:
         sp.add_argument("--preset", default="calibrated",
                         help="named preset or path to a preset JSON file")
         sp.add_argument("--out", default="out", help="output directory")
-        if not noise:  # no logged output angle to perturb
-            sp.set_defaults(seed=0, noise=False)
-            return
-        sp.add_argument("--seed", type=int, default=0, help="noise seed")
-        sp.add_argument("--noise", action="store_true",
-                        help="apply encoder noise to the logged output angle")
+        if noise:  # hub-curve logs no output angle to perturb
+            sp.add_argument("--seed", type=int, default=0, help="noise seed")
+            sp.add_argument("--noise", action="store_true",
+                            help="apply encoder noise to the logged output angle")
 
     sp = sub.add_parser("stiffness", help="locked-output quasi-static stiffness test")
     sp.add_argument("--mode", choices=("sea", "pea"), required=True)
@@ -122,40 +120,42 @@ def _check_args(args) -> None:
             raise CliError(f"--steps must be between 2 and {MAX_SWEEP_POINTS} (got {args.steps})")
 
 
-def _write_outputs(out_dir: Path, trace, report_dict: dict, svg_series: dict,
-                   svg_bands, noise_model: io.NoiseModel, title: str) -> None:
+def _write_outputs(args, trace, report_dict: dict, svg_series: dict,
+                   svg_bands, title: str) -> None:
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     # the report goes first: a non-finite value fails before the large CSV is written
     io.write_report_json(report_dict, out_dir / "report.json")
-    logged = io.apply_noise(trace, noise_model)
-    io.write_trace_csv(logged, out_dir / "trace.csv")
-    io.emit_svg_plot(logged.t, svg_series, out_dir / "plot.svg",
+    if args.noise:
+        trace = io.apply_noise(trace, args.seed)
+    io.write_trace_csv(trace, out_dir / "trace.csv")
+    io.emit_svg_plot(trace.t, svg_series, out_dir / "plot.svg",
                      bands=svg_bands, title=title)
 
 
-def _run_stiffness(args, preset, noise: io.NoiseModel) -> None:
+def _run_stiffness(args, preset) -> None:
     mode = Mode.SEA if args.mode == "sea" else Mode.PEA
     trace, report = experiments.run_static_stiffness(mode, preset, ramp_rate=args.rate,
                                                      cycles=args.cycles)
     _write_outputs(
-        Path(args.out), trace, report.as_dict(),
+        args, trace, report.as_dict(),
         {"theta_m [rad]": trace.theta_m, "tau_applied [Nm]": trace.tau_applied},
-        None, noise, f"stiffness {args.mode}: K_fit={report.K_fit_nm_per_rad:.3f} Nm/rad",
+        None, f"stiffness {args.mode}: K_fit={report.K_fit_nm_per_rad:.3f} Nm/rad",
     )
     print(f"stiffness {args.mode}: K_fit = {report.K_fit_nm_per_rad:.4f} "
           f"± {report.K_stderr_nm_per_rad:.4f} Nm/rad, loop area = "
           f"{report.loop_area_nm_rad:.4f} Nm·rad over {len(report.k_per_cycle)} cycles")
 
 
-def _run_track(args, preset, noise: io.NoiseModel) -> None:
+def _run_track(args, preset) -> None:
     trace, report = experiments.run_dynamic_switching(preset, duration=args.duration,
                                                       switch_period=args.period)
     bands = io.mode_bands(trace)
     _write_outputs(
-        Path(args.out), trace, report.as_dict(),
+        args, trace, report.as_dict(),
         {"theta_m [rad]": trace.theta_m, "theta_o [rad]": trace.theta_o,
          "i_q [A]": trace.i_q},
-        bands, noise, "dynamic switching",
+        bands, "dynamic switching",
     )
     print(f"track: {report.switches_completed} switches completed, "
           f"{report.retried_attempts} retried attempts")
@@ -164,14 +164,14 @@ def _run_track(args, preset, noise: io.NoiseModel) -> None:
               "peak i_q {peak_iq_a:.2f} A".format(name, **stats))
 
 
-def _run_disturb(args, preset, noise: io.NoiseModel) -> None:
+def _run_disturb(args, preset) -> None:
     mode = Mode.SEA if args.mode == "sea" else Mode.PEA
     trace, report = experiments.run_disturbance(mode, preset, n_impacts=args.impacts,
                                                 impact_torque=args.impulse)
     _write_outputs(
-        Path(args.out), trace, report.as_dict(),
+        args, trace, report.as_dict(),
         {"theta_o [rad]": trace.theta_o, "i_q [A]": trace.i_q},
-        None, noise, f"disturbance {args.mode}",
+        None, f"disturbance {args.mode}",
     )
     settle = ("n/a" if report.mean_settling_ms is None
               else f"{report.mean_settling_ms:.0f} ms")
@@ -179,19 +179,19 @@ def _run_disturb(args, preset, noise: io.NoiseModel) -> None:
           f"mean settling {settle} over {len(report.peaks_deg)} impacts")
 
 
-def _run_cycle(args, preset, noise: io.NoiseModel) -> None:
+def _run_cycle(args, preset) -> None:
     trace, report = experiments.run_switch_cycle(preset, n=args.n)
     bands = io.mode_bands(trace)
     _write_outputs(
-        Path(args.out), trace, report.as_dict(),
+        args, trace, report.as_dict(),
         {"theta_m [rad]": trace.theta_m, "tau_spring [Nm]": trace.tau_spring},
-        bands, noise, f"endurance: {report.completed} switches",
+        bands, f"endurance: {report.completed} switches",
     )
     print(f"cycle: {report.completed} completed, {report.rejected} rejected, "
           f"0 violations, max engagement KE loss {report.max_ke_loss_j:.2e} J")
 
 
-def _run_hub_curve(args, preset, _noise: io.NoiseModel) -> None:
+def _run_hub_curve(args, preset) -> None:
     # every value first, then the report before the trace, as _write_outputs
     # does: a value strict JSON refuses stops the run before any trace is written
     betas = np.linspace(-args.sweep_range, args.sweep_range, args.steps)
@@ -217,8 +217,8 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         _check_args(args)
         preset = resolve_preset(args.preset)
-        # built before any run, so a bad seed fails before it simulates
-        noise = io.NoiseModel(enabled=args.noise, seed=args.seed)
+        if args.command != "hub-curve" and args.seed < 0:  # before any step
+            raise CliError(f"seed must be non-negative (got {args.seed})")
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -230,7 +230,7 @@ def main(argv: list[str] | None = None) -> int:
         "hub-curve": _run_hub_curve,
     }
     try:
-        runners[args.command](args, preset, noise)
+        runners[args.command](args, preset)
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

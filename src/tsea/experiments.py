@@ -12,34 +12,11 @@ steps its locked motor, one body on a grounded spring with no load, with an
 RK4 step written inline in its own loop. Both log a row every stride steps
 from step 0, so row r's time is (r*stride)*dt.
 
-The endurance and disturbance runs repeat one scripted unit (a switch
-cycle; an impact and its re-settle) and settle into a cycle of units: on
-the shipped presets cycle 14 starts in cycle 12's state and PEA impact 2 in
-impact 1's. A unit's steps depend only on the state it starts in and, for
-the rows it logs, on k % stride; k only stamps switch records. So
-_Driver.replay looks up every unit's start key: the state's type, its
-floats' exact bits and k % stride. A unit under a new key is simulated; a
-unit under the key of an earlier unit s is a copy of unit s, from its start
-to unit s+1's: its rows in one call (they land on the row grid and take
-their times from their index), its switch records, which count steps and
-shift by whole steps (the report forms their times k*dt), its refused gate
-tests and the state it leaves. The next unit then starts under unit s+1's
-key, so the same lookup copies the cycle unit by unit. The stiffness rig
-looks up its legs (a torque ramp and the dwell after it) the same way, by
-script, the bits of its angle and velocity and the step count modulo the
-stride, and also by the leg's mirror key (script and state negated: the rig
-has no gravity and every operation of its step is odd, so such a leg takes
-the earlier leg's steps negated, and the mirror of a mirror is the leg as it
-is). _merge_source is its one lookup rule. The rig also stops simulating a
-leg partway through its ramp where it meets, on a logged step, the state of
-the earliest earlier leg of its script or its mirror image at the same
-offset into the leg, and copies the rest of that leg; a copy at a leg's
-start is such a merge at its first row. At the default rate leg 3 (0 to -1
-Nm) meets leg 1's state negated, so leg 4 starts at the mirror image of leg
-2's start.
-Every trace, report and plot stays byte-identical to a run that simulates
-every unit. Before it simulates, every protocol bounds its step count,
-replayed steps included, by MAX_RUN_STEPS.
+The endurance and disturbance units and the stiffness rig's legs that repeat
+an earlier one are copied, not simulated again (_Driver.replay and
+run_static_stiffness tell how, and why the bytes cannot change). Before it
+simulates, every protocol bounds its step count, replayed steps included, by
+MAX_RUN_STEPS.
 """
 
 from __future__ import annotations

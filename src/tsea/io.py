@@ -1,4 +1,4 @@
-"""Trace CSV writing, report/config JSON, measurement noise, SVG plots.
+"""Trace CSV writing, report JSON, encoder noise, SVG plots.
 
 CSV fields are written with repr-level precision so a round trip reproduces
 the trace bit-for-bit; output is locale-independent by construction. Angles
@@ -41,7 +41,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -66,42 +66,20 @@ CSV_BLOCK_ROWS = 512
 CSV_CHUNK_ROWS = 16 * CSV_BLOCK_ROWS
 
 
-@dataclass(frozen=True, slots=True)
-class NoiseModel:
-    """Output-encoder measurement noise: quantization plus Gaussian jitter.
-
-    Defaults model a 14-bit absolute encoder (360/2^14 deg per count) with a
-    sigma whose 3-sigma span matches a ±0.1 deg noise floor.
-    """
-
-    enabled: bool = False
-    quantization_deg: float = 360.0 / 2 ** 14
-    sigma_deg: float = 0.033
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.quantization_deg < math.inf:  # NaN fails too
-            raise ValueError(
-                f"quantization_deg must be positive and finite (got {self.quantization_deg})")
-        if not 0.0 <= self.sigma_deg < math.inf:
-            raise ValueError(f"sigma_deg must be finite and non-negative (got {self.sigma_deg})")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative (got {self.seed})")
+# the output encoder: a 14-bit absolute count, then Gaussian jitter whose
+# 3-sigma span matches a ±0.1 deg noise floor
+ENCODER_COUNT_RAD = math.radians(360.0 / 2 ** 14)
+ENCODER_SIGMA_RAD = math.radians(0.033)
 
 
-def apply_noise(trace: Trace, model: NoiseModel) -> Trace:
-    """Quantize then perturb the output angle column; motor side untouched.
-
-    Deterministic for a fixed seed. A disabled model is the identity.
-    """
-    if not model.enabled:
-        return trace
-    q = math.radians(model.quantization_deg)
-    theta_o = np.round(trace.theta_o / q) * q
-    if model.sigma_deg > 0.0:
-        rng = np.random.default_rng(model.seed)
-        theta_o = theta_o + rng.normal(0.0, math.radians(model.sigma_deg), size=theta_o.shape)
-    return replace(trace, theta_o=theta_o)
+def apply_noise(trace: Trace, seed: int) -> Trace:
+    """Quantize the output angle column to whole encoder counts, then add the
+    seed's jitter; motor side untouched. Deterministic for a fixed seed."""
+    theta_o = np.round(trace.theta_o / ENCODER_COUNT_RAD) * ENCODER_COUNT_RAD
+    rng = np.random.default_rng(seed)
+    # the draws stay a temporary, which numpy adds into in place; a named
+    # array would keep a third trace-length copy alive at the peak
+    return replace(trace, theta_o=theta_o + rng.normal(0.0, ENCODER_SIGMA_RAD, theta_o.shape))
 
 
 def _exponent_texts(values: np.ndarray) -> list[bytes]:

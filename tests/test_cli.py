@@ -4,9 +4,11 @@ import re
 
 import numpy as np
 import pytest
+from oracles import read_trace_csv
 
 import tsea.experiments
 from tsea.cli import main
+from tsea.io import apply_noise
 
 
 def test_stiffness_subcommand(tmp_path, capsys):
@@ -123,6 +125,29 @@ def test_noise_flag_and_seed(tmp_path):
                      "--seed", seed, "--out", str(out)]) == 0
     assert (a / "trace.csv").read_bytes() == (b / "trace.csv").read_bytes()
     assert (a / "trace.csv").read_bytes() != (c / "trace.csv").read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["stiffness", "--mode", "sea", "--cycles", "1", "--rate", "5"],
+    ["track", "--duration", "1", "--period", "1"],
+    ["disturb", "--mode", "pea", "--impacts", "1"],
+    ["cycle", "--n", "2"],
+], ids=lambda argv: argv[0])
+def test_noise_only_under_the_flag(argv, tmp_path):
+    # without --noise the simulated theta_o is logged as is, whatever --seed
+    # says; with it, the logged trace is apply_noise of that one, no more
+    clean, seeded, noisy = tmp_path / "clean", tmp_path / "seeded", tmp_path / "noisy"
+    assert main([*argv, "--out", str(clean)]) == 0
+    assert main([*argv, "--seed", "5", "--out", str(seeded)]) == 0
+    assert main([*argv, "--noise", "--seed", "5", "--out", str(noisy)]) == 0
+    assert (clean / "trace.csv").read_bytes() == (seeded / "trace.csv").read_bytes()
+    assert (clean / "report.json").read_bytes() == (noisy / "report.json").read_bytes()
+    expected = apply_noise(read_trace_csv(clean / "trace.csv"), 5)
+    logged = read_trace_csv(noisy / "trace.csv")
+    for name in ("t", "theta_m", "omega_m", "theta_o", "omega_o", "tau_cmd",
+                 "tau_applied", "tau_spring", "i_q"):
+        assert getattr(logged, name).tobytes() == getattr(expected, name).tobytes(), name
+    assert np.array_equal(logged.mode, expected.mode)
 
 
 def test_hub_curve(tmp_path, capsys):
@@ -287,6 +312,9 @@ def test_non_finite_report_value_is_named(edit, field, tmp_path, capsys, monkeyp
      "impact_torque must be finite (got -inf)"),
     (["disturb", "--mode", "pea", "--impacts", "1", "--noise", "--seed", "-1"],
      "seed must be non-negative (got -1)"),
+    (["stiffness", "--mode", "sea", "--seed", "-1"], "seed must be non-negative (got -1)"),
+    (["track", "--noise", "--seed", "-1"], "seed must be non-negative (got -1)"),
+    (["cycle", "--seed", "-1"], "seed must be non-negative (got -1)"),
     # runs over the step ceiling, replayed steps counted like simulated ones
     (["track", "--duration", "1e9"],
      "duration 1000000000.0 could take more than 50000000 steps, the most a run may take"),
@@ -305,7 +333,8 @@ def test_non_finite_report_value_is_named(edit, field, tmp_path, capsys, monkeyp
         "cycles-zero", "range-nan", "range-zero", "range-span-overflow", "steps-ceiling",
         "steps-over-sweep-ceiling",
         "impulse-nan", "impulse-inf",
-        "seed-negative", "duration-ceiling", "rate-ceiling", "cycles-ceiling", "n-ceiling",
+        "seed-negative", "seed-negative-stiffness", "seed-negative-track",
+        "seed-negative-cycle", "duration-ceiling", "rate-ceiling", "cycles-ceiling", "n-ceiling",
         "impacts-ceiling"])
 def test_bad_numbers_fail_fast(argv, message, tmp_path, capsys):
     out = tmp_path / "out"

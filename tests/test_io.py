@@ -16,7 +16,8 @@ from tsea.experiments import MODE_NAMES, Trace, TraceRecorder, run_dynamic_switc
 from tsea.io import (
     CSV_BLOCK_ROWS,
     CSV_CHUNK_ROWS,
-    NoiseModel,
+    ENCODER_COUNT_RAD,
+    ENCODER_SIGMA_RAD,
     apply_noise,
     emit_svg_plot,
     mode_bands,
@@ -29,7 +30,7 @@ from tsea.selector import COMPLETED
 
 
 # the spread of theta_o that --noise logs on the locked stiffness rig (the
-# default 0.033 deg sigma, in rad): about 14 % of its fields fall in
+# encoder's 0.033 deg sigma, in rad): about 14 % of its fields fall in
 # 1e-9 <= |x| < 1e-4, which orjson does not print as repr does
 LOCKED_NOISE_RAD = 5.8e-4
 
@@ -208,43 +209,49 @@ def test_round_trip_bit_exact(tmp_path):
         assert np.array_equal(back.mode, trace.mode)
 
 
-def test_noise_disabled_is_identity():
-    trace = _synthetic_trace(100)
-    assert apply_noise(trace, NoiseModel(enabled=False)) is trace
-
-
 def test_noise_pure_quantization():
     trace = _synthetic_trace(200)
-    model = NoiseModel(enabled=True, sigma_deg=0.0)
-    noisy = apply_noise(trace, model)
-    q = math.radians(model.quantization_deg)
-    counts = noisy.theta_o / q
+    noisy = apply_noise(trace, 7)
+    # less the seed's own draws, every angle is a whole number of counts
+    jitter = np.random.default_rng(7).normal(0.0, ENCODER_SIGMA_RAD, len(trace))
+    counts = (noisy.theta_o - jitter) / ENCODER_COUNT_RAD
     assert np.allclose(counts, np.round(counts), atol=1e-9)
-    assert model.quantization_deg == pytest.approx(0.02197, abs=1e-5)
+    assert math.degrees(ENCODER_COUNT_RAD) == pytest.approx(0.02197, abs=1e-5)
+
+
+def test_noise_jitter_is_the_seeds_draws():
+    # the pinned noisy traces depend on this order: round to counts, then add
+    # the seed's first len(trace) normal draws, one per row
+    trace = _synthetic_trace(200)
+    quantized = np.round(trace.theta_o / ENCODER_COUNT_RAD) * ENCODER_COUNT_RAD
+    jitter = np.random.default_rng(11).normal(0.0, ENCODER_SIGMA_RAD, len(trace))
+    assert apply_noise(trace, 11).theta_o.tobytes() == (quantized + jitter).tobytes()
+    # a 3-sigma span of about ±0.1 deg
+    assert math.degrees(ENCODER_SIGMA_RAD) == pytest.approx(0.033)
+
+
+def test_noise_leaves_the_input_and_other_columns():
+    trace = _synthetic_trace(300)
+    before = trace.theta_o.copy()
+    noisy = apply_noise(trace, 5)
+    assert trace.theta_o.tobytes() == before.tobytes()
+    assert noisy.dt == trace.dt
+    assert np.array_equal(noisy.mode, trace.mode)
+    for name in FLOAT_COLUMNS:
+        if name != "theta_o":
+            assert getattr(noisy, name).tobytes() == getattr(trace, name).tobytes(), name
 
 
 def test_noise_deterministic_and_motor_untouched():
     trace = _synthetic_trace(300)
-    model = NoiseModel(enabled=True, seed=123)
-    a = apply_noise(trace, model)
-    b = apply_noise(trace, model)
+    a = apply_noise(trace, 123)
+    b = apply_noise(trace, 123)
     assert np.array_equal(a.theta_o, b.theta_o)
     assert not np.array_equal(a.theta_o, trace.theta_o)
     assert np.array_equal(a.theta_m, trace.theta_m)
     assert np.array_equal(a.omega_m, trace.omega_m)
-    c = apply_noise(trace, NoiseModel(enabled=True, seed=124))
+    c = apply_noise(trace, 124)
     assert not np.array_equal(a.theta_o, c.theta_o)
-
-
-@pytest.mark.parametrize("field, value", [
-    ("sigma_deg", -0.1), ("sigma_deg", math.inf), ("sigma_deg", math.nan),
-    ("quantization_deg", 0.0), ("quantization_deg", -1.0), ("quantization_deg", math.nan),
-    ("quantization_deg", math.inf),
-])
-def test_noise_model_validation(field, value):
-    # each value would log theta_o as NaN or inf, quantize by a negative step or skip the jitter
-    with pytest.raises(ValueError, match=field):
-        NoiseModel(**{field: value})
 
 
 def test_svg_constant_series_valid_xml(tmp_path):

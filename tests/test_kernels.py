@@ -1,11 +1,12 @@
 """The float RK4 steps replay the original closure-based integrators bit for bit.
 
-plant.step holds the four RK4 stages of each body shape, the switch gate
-evaluates the parallel body's force (body_accel), and the stiffness rig writes
-its own step inline, all in the original arithmetic order. These tests run
-them against the closure-based references in oracles on seeded random inputs
-(the rig on its own protocol) and compare float.hex, so a zero whose sign
-moved (-0.0 against 0.0) fails as loudly as a changed digit.
+plant.step holds the four RK4 stages of each body shape and the switch gate
+evaluates the parallel body's force (body_accel), both in the original
+arithmetic order. These tests run them against the closure-based references
+in oracles on seeded random inputs and compare float.hex, so a zero whose sign
+moved (-0.0 against 0.0) fails as loudly as a changed digit. The stiffness
+rig's inline step is checked against its reference, column by column, in
+test_experiments.py.
 """
 
 import math
@@ -14,8 +15,7 @@ import sys
 
 import pytest
 
-from oracles import pea_rhs, reference_rig_rows, reference_step
-from tsea.experiments import run_static_stiffness
+from oracles import pea_rhs, reference_step
 from tsea.params import ActuatorParams, LoadModel
 from tsea.plant import (
     Mode,
@@ -177,16 +177,3 @@ def test_pea_gate_matches_reference():
         tau_m, tau_ext = sample.torque(3.0), sample.torque(5.0)
         _, alpha = pea_rhs(tau_m, tau_ext, p, s.theta_anchor)(s.theta, s.omega)
         assert bits(transmitted_torque(s, tau_m, tau_ext, p)) == bits(tau_m - p.J_m * alpha)
-
-
-@pytest.mark.parametrize("mode", [Mode.SEA, Mode.PEA])
-def test_stiffness_rig_replays_reference(mode, full_range):
-    # the rig's inline step over the protocol's own torque schedule
-    # (at 5 Nm/s SEA leg 6 starts at the mirror image of leg 4's start, PEA
-    # leg 5 at leg 3's; from there on the rig copies the two legs before,
-    # negated, then as they are)
-    trace, _ = run_static_stiffness(mode, full_range, ramp_rate=5.0, cycles=3)
-    rows, _ = reference_rig_rows(mode, full_range, ramp_rate=5.0, cycles=3)
-    for name in ("theta_m", "omega_m"):
-        assert [bits(v) for v in getattr(trace, name).tolist()] \
-            == [bits(v) for v in rows[name].tolist()], name

@@ -27,6 +27,11 @@ def traced_counts(tmp_path: Path, *tsea_args: str) -> dict:
     return json.loads(stats.read_text())["counts"]
 
 
+def span_names(tmp_path: Path) -> list[str]:
+    """The names of the coarse spans of the last traced_counts run."""
+    return [name for name, *_ in json.loads((tmp_path / "spans.json").read_text())]
+
+
 def test_traced_cycle_counts_every_layer(tmp_path):
     counts = traced_counts(tmp_path, "cycle", "--n", "3")
     steps = sum(v for k, v in counts.items() if k.startswith("plant.step.calls."))
@@ -61,3 +66,10 @@ def test_traced_stiffness_runs(tmp_path):
     assert counts["io.write_trace_csv.rows"] == counts["experiments.rows_kept"]
     # the rig calls record_raw only on the rows it simulates, not on those it copies
     assert 0 < counts["experiments.record.calls"] <= counts["experiments.rows_kept"]
+    assert "io.apply_noise" not in span_names(tmp_path)  # only --noise perturbs theta_o
+
+
+def test_traced_noise_runs_once(tmp_path):
+    traced_counts(tmp_path, "stiffness", "--mode", "sea", "--cycles", "1",
+                  "--preset", "paper-full-range", "--noise", "--seed", "3")
+    assert span_names(tmp_path).count("io.apply_noise") == 1
