@@ -394,18 +394,6 @@ def _check_run_length(what: str, steps: int) -> None:
                          f"the most a run may take")
 
 
-def _merge_source(first: dict, key: tuple, mirror: tuple,
-                  i: int) -> tuple[int, bool] | None:
-    """The earliest earlier unit that started under unit i's key, or under
-    its mirror key, and whether it was the mirror; else registers key and
-    returns None. first maps each key to the first unit that started under it."""
-    j = first.setdefault(key, i)
-    m = first.get(mirror, i)
-    if m < j:
-        return m, True
-    return (j, False) if j < i else None
-
-
 def _other_mode(mode: Mode) -> Mode:
     """The engaged mode a switch from mode heads for."""
     return Mode.PEA if mode is Mode.SEA else Mode.SEA
@@ -622,28 +610,28 @@ def run_static_stiffness(
     Nm and dwells at each vertex until |omega_m| < settle_omega for 0.05 s
     (at most 60 s); the fit and loop area use the continuously sampled trace.
 
-    Each leg (the leading dwell, then a ramp and its dwell) is keyed at its
-    start by its script, the exact bits of theta and omega (-0.0 is not 0.0)
-    and step_i % stride, which fix every step, row and exit of the leg. A leg
-    that starts under the key of an earlier leg s (its _merge_source) repeats
-    leg s; one that starts under s's mirror key (script and state negated)
-    repeats leg s negated: with no gravity term, an odd force law, and IEEE
-    rounding and tanh odd too, each value is the source's negated up to the
-    sign of a zero, and the rig writes 0.0 where negation gives -0.0, as a
-    negated copy does. The state is never -0.0 (it starts at 0.0, and a sum is
-    -0.0 only when both terms are), so a leg that starts with theta or omega
-    at 0.0 has a mirror key no leg starts under.
+    Each leg is the leading dwell, or a ramp of n steps and its dwell. Its sign
+    s is -1.0 when tau_from + tau_to < 0 (the two legs that ramp to or from -1
+    Nm) and 1.0 otherwise. Its script key is (s*tau_from, s*tau_to, n,
+    step_i % stride), and its start key adds the exact bits of s*theta and
+    s*omega. So a leg and its mirror image, script and state negated, share
+    one key. Each key maps to the earliest leg under it and that leg's s; a
+    leg whose s differs from its source's is the source negated.
 
-    A leg under a new key is simulated, and can merge inside its ramp with the
-    _merge_source leg of its script: once theta and omega, both nonzero, equal
-    that leg's row at the same offset (negated for a mirror) on a logged ramp
-    step, the rest of the leg is that leg's rest, since the ramp torque depends
-    only on the script and the step into it and no dwell count has started. A
-    repeat is such a merge at the leg's first row. Either way the rig copies
-    leg s's rows from there to leg s+1's start, negated for a mirror, and takes
-    leg s's step count and end state; the copy holds the values the simulation
-    would compute again, so the bytes cannot change. The next leg then starts
-    under leg s+1's key or its mirror key, and is copied in turn.
+    The start key fixes every step, row and exit of a leg: a leg under an
+    earlier leg's start key repeats it, negated for a mirror, since with no
+    gravity term, an odd force law, and IEEE rounding and tanh odd too, each
+    value is the source's negated up to the sign of a zero (the rig writes 0.0
+    where negation gives -0.0, as a negated copy does). The state is never
+    -0.0 (it starts at 0.0; a sum is -0.0 only when both terms are), so a leg
+    that starts at a zero shares its start key with no mirror. A leg under a
+    new start key is simulated, and merges with the leg under its script key
+    once s*theta and s*omega, both nonzero, equal that leg's row at the same
+    offset times its s on a logged ramp step: the ramp torque depends only on
+    the script and the step into it, and no dwell count has started. A repeat
+    is such a merge at the first row. Either way the rig copies leg src's rows
+    from there to leg src+1's start, negated for a mirror, and takes leg src's
+    step count and end state: the values the simulation would compute again.
     """
     if mode not in (Mode.SEA, Mode.PEA):
         raise ValueError("stiffness protocol characterizes an engaged mode")
@@ -678,32 +666,32 @@ def run_static_stiffness(
     theta = 0.0
     omega = 0.0
     step_i = 0
-    seen: dict[tuple, int] = {}
-    first: dict[tuple, int] = {}
+    seen: dict[tuple, tuple[int, float]] = {}  # start key: (earliest leg, its s)
+    first: dict[tuple, tuple[int, float]] = {}  # script key: (earliest leg, its s)
     marks = []  # (step_i, rows, theta, omega) at the start of every leg
     rows = rec._rows  # each row's theta and omega are its first two floats
     for leg, (tau_from, tau_to, n) in enumerate(legs):
-        script, phase = (tau_from, tau_to, n), step_i % stride
-        mirror = (-tau_from, -tau_to, n)
+        s = -1.0 if tau_from + tau_to < 0 else 1.0
+        key = (s * tau_from, s * tau_to, n, step_i % stride)
         marks.append((step_i, rec.n_recorded, theta, omega))
-        copy = _merge_source(seen, (script, phase, struct.pack("2d", theta, omega)),
-                             (mirror, phase, struct.pack("2d", -theta, -omega)), leg)
         # the leg this one repeats, else the leg its ramp may merge with
-        src, negated = copy or _merge_source(first, (script, phase), (mirror, phase),
-                                             leg) or (leg, False)
+        src, s_src = seen.setdefault(key + (struct.pack("2d", s * theta, s * omega),), (leg, s))
+        copy = src < leg
+        if not copy:
+            src, s_src = first.setdefault(key, (leg, s))
+        negated = s_src != s
         r = 8 * marks[src][1]  # the source's row at this leg's offset, as rows indexes it
-        if copy is None:
-            sign = -1.0 if negated else 1.0
+        if not copy:
             until = n if src < leg else 0  # the last step that may merge: ramp steps only
             quiet = 0
             for j in range(1, n + timeout_steps + 1):
                 tau = tau_from + (tau_to - tau_from) * j / n if j <= n else tau_to
                 if step_i % stride == 0:
-                    if (j <= until and sign * theta == rows[r] and sign * omega == rows[r + 1]
-                            and theta and omega):
+                    if (j <= until and s * theta == s_src * rows[r]
+                            and s * omega == s_src * rows[r + 1] and theta and omega):
                         # the source's state, or its negation, at the same step of the
                         # same script: the rest of the leg is the rest of the source's
-                        copy = src, negated
+                        copy = True
                         break
                     r += 8
                     record(code, theta, omega, 0.0, 0.0, tau, tau, K_rig * theta, tau / K_t)
@@ -839,6 +827,7 @@ def run_disturbance(
         raise ValueError("n_impacts must be >= 1")
     if not math.isfinite(impact_torque):  # zero and negative pulses are legal
         raise ValueError(f"impact_torque must be finite (got {impact_torque})")
+    _check_impulse(impact_torque, preset.params)
     dt = preset.params.dt
     post_steps = _whole_steps("post_window_s", post_window_s, dt)
     # a whole number of steps, so the impulse does not depend on the start time
@@ -865,6 +854,15 @@ def run_disturbance(
     trace = drv.rec.trace()
     windows = [(start, start + post_steps) for start in starts[:-1]]
     return trace, _disturbance_report(mode, trace, windows, impact_torque)
+
+
+def _check_impulse(impact_torque: float, p: ActuatorParams) -> None:
+    """Reject a pulse whose output velocity kick, |impact_torque|*IMPACT_DURATION_S/J_o,
+    would move the output half a turn or more in one step of dt."""
+    limit = math.pi * p.J_o / (IMPACT_DURATION_S * p.dt)
+    if not abs(impact_torque) < limit:
+        raise ValueError(f"impact_torque must be below {limit!r} Nm, the pulse that kicks "
+                         f"the output half a turn in one step (got {impact_torque})")
 
 
 def _disturbance_report(mode: Mode, trace: Trace, windows: list[tuple[int, int]],

@@ -213,10 +213,12 @@ def test_flag_before_subcommand_gets_top_level_usage(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_simulation_blowup_exits_2(tmp_path, capsys):
+def test_simulation_blowup_exits_2(tmp_path, capsys, monkeypatch):
     # an absurd impulse drives a mid-step RK4 stage angle to infinity, where
     # math.cos raises; the run must fail with one line naming mode, step and
-    # time and exit 2, not report a bad argument or write outputs
+    # time and exit 2, not report a bad argument or write outputs. The impulse
+    # bound would refuse the pulse before any step, so it is lifted here
+    monkeypatch.setattr(tsea.experiments, "_check_impulse", lambda impact_torque, p: None)
     out = tmp_path / "out"
     code = main(["disturb", "--mode", "pea", "--impacts", "1", "--impulse", "1e308",
                  "--out", str(out)])
@@ -310,6 +312,9 @@ def test_non_finite_report_value_is_named(edit, field, tmp_path, capsys, monkeyp
     (["disturb", "--mode", "sea", "--impulse", "nan"], "impact_torque must be finite (got nan)"),
     (["disturb", "--mode", "pea", "--impulse=-inf"],
      "impact_torque must be finite (got -inf)"),
+    (["disturb", "--mode", "pea", "--impulse", "1180591620717411303424"],
+     "impact_torque must be below 156305.5442496451 Nm, the pulse that kicks the output "
+     "half a turn in one step (got 1.1805916207174113e+21)"),
     (["disturb", "--mode", "pea", "--impacts", "1", "--noise", "--seed", "-1"],
      "seed must be non-negative (got -1)"),
     (["stiffness", "--mode", "sea", "--seed", "-1"], "seed must be non-negative (got -1)"),
@@ -332,7 +337,7 @@ def test_non_finite_report_value_is_named(edit, field, tmp_path, capsys, monkeyp
         "rate-zero", "rate-overflow",
         "cycles-zero", "range-nan", "range-zero", "range-span-overflow", "steps-ceiling",
         "steps-over-sweep-ceiling",
-        "impulse-nan", "impulse-inf",
+        "impulse-nan", "impulse-inf", "impulse-over-bound",
         "seed-negative", "seed-negative-stiffness", "seed-negative-track",
         "seed-negative-cycle", "duration-ceiling", "rate-ceiling", "cycles-ceiling", "n-ceiling",
         "impacts-ceiling"])

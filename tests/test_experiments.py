@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import functools
 import itertools
@@ -34,7 +35,6 @@ from tsea.experiments import (
     TraceRecorder,
     _check_run_length,
     _Driver,
-    _merge_source,
     _stride_for,
     crossing_times,
     dominant_frequency,
@@ -52,7 +52,7 @@ from tsea.experiments import (
     settling_time,
 )
 from tsea.params import load_named_preset
-from tsea.plant import Mode, PeaState, SimulationError, TransitionState, clamp_torque
+from tsea.plant import Mode, PeaState, SimulationError, TransitionState, clamp_torque, mode_of
 from tsea.selector import COMPLETED, REJECTED, SwitchDecision, latency_steps
 
 
@@ -325,11 +325,12 @@ def test_static_stiffness_rejects_transition_mode(full_range):
     (run_dynamic_switching, {"duration": 1e308}),
     (run_disturbance, {"impact_torque": math.nan}),
     (run_disturbance, {"impact_torque": -math.inf}),
+    (run_disturbance, {"impact_torque": 2.0**70}),
     (run_disturbance, {"post_window_s": 1e-5}),
 ], ids=["ramp_rate-zero", "ramp_rate-nan", "ramp_rate-overflow", "cycles-zero",
         "switch_period-zero", "switch_period-inf", "duration-zero", "duration-negative",
         "duration-nan", "duration-substep", "duration-overflow", "impact_torque-nan",
-        "impact_torque-inf", "post_window_s-substep"])
+        "impact_torque-inf", "impact_torque-over-bound", "post_window_s-substep"])
 def test_protocols_reject_bad_arguments(run, kwargs, calibrated):
     args = (calibrated,) if run is run_dynamic_switching else (Mode.SEA, calibrated)
     (name,) = kwargs
@@ -626,7 +627,9 @@ def test_run_matches_single_steps(calibrated, stride, monkeypatch):
     assert _driver_bits(phase) == _driver_bits(single)
 
 
-def test_blowup_names_mode_step_and_time(calibrated):
+def test_blowup_names_mode_step_and_time(calibrated, monkeypatch):
+    # the impulse bound would refuse the pulse before any step
+    monkeypatch.setattr(tsea.experiments, "_check_impulse", lambda impact_torque, p: None)
     with pytest.raises(SimulationError) as err:
         run_disturbance(Mode.SEA, calibrated, n_impacts=1, impact_torque=1e308)
     found = re.fullmatch(r"non-finite SEA state after step (\d+) \(t=(\S+) s\)",
@@ -795,6 +798,22 @@ def test_switch_cycle_replay_matches_full_simulation(preset, n, replayed, reques
         assert REJECTED in outcomes[29:] and report.retried_attempts > 0
 
 
+def test_switch_cycle_replays_at_default_count(calibrated, monkeypatch):
+    # the default 324 switches simulate the opening hold and cycles 0..13;
+    # cycle 14 starts where cycle 12 did, so it and every cycle after it are copies
+    steps = collections.Counter()
+    step = tsea.plant.step
+
+    def counted(state, *args):
+        steps[mode_of(state)] += 1
+        return step(state, *args)
+
+    monkeypatch.setattr(tsea.plant, "step", counted)
+    trace, report = run_switch_cycle(calibrated)
+    assert steps == {Mode.SEA: 10_721, Mode.PEA: 6_720, Mode.TRANS: 3_360}
+    assert (len(trace), report.completed, report.rejected) == (49_101, 324, 0)
+
+
 def test_replayed_cycles_are_checked(calibrated, monkeypatch):
     # cycle 20 is a copy of cycle 12; its invariants are checked all the same
     checked = itertools.count()
@@ -900,17 +919,6 @@ def test_stiffness_replay_matches_full_simulation(preset, mode, rate, cycles, mo
     assert (simulated < legs[-1][0]) == bool(copies)
     assert bool(copies) or cycles == 1
     assert any(copies) == mirrored  # a mirrored merge or leg copies its rows negated
-
-
-def test_merge_source_is_the_earliest_of_script_and_mirror():
-    first = {}
-    assert _merge_source(first, "up", "down", 0) is None
-    assert _merge_source(first, "down", "up", 1) == (0, True)  # up's mirror image
-    assert _merge_source(first, "up", "down", 2) == (0, False)  # not the later down
-    assert _merge_source(first, "down", "up", 3) == (0, True)
-    assert first == {"up": 0, "down": 1}
-    # a key that is its own mirror image is no earlier unit's
-    assert _merge_source({}, "z", "z", 0) is None
 
 
 def test_replay_keys_state_bits_and_row_phase(calibrated):
