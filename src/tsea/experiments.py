@@ -87,7 +87,6 @@ class Trace:
     """Uniformly sampled simulation log. A recorded trace's eight float
     columns are strided views of the recorder's one packed row buffer."""
 
-    dt: float            # sample spacing [s]
     t: np.ndarray        # [s]
     mode: np.ndarray     # int8 codes into MODE_NAMES
     theta_m: np.ndarray  # [rad]
@@ -103,7 +102,7 @@ class Trace:
         return len(self.t)
 
 
-_FLOAT_COLS = tuple(f.name for f in fields(Trace))[3:]  # the fields after dt, t and mode
+_FLOAT_COLS = tuple(f.name for f in fields(Trace))[2:]  # the fields after t and mode
 # the columns, by number in _FLOAT_COLS, a mirror image of the locked rig negates
 _ODD_COLS = [0, 1, 4, 5, 6, 7]
 _pack_row = struct.Struct("8d").pack
@@ -164,8 +163,7 @@ class TraceRecorder:
         t = np.arange(0, self.n_recorded * self.stride, self.stride, dtype=np.float64)
         t *= self.dt  # the products k*dt its caller forms, not r*(stride*dt)
         rows = np.frombuffer(self._rows, np.float64).reshape(-1, 8)
-        return Trace(dt=self.dt * self.stride, t=t,
-                     mode=np.asarray(self._mode, dtype=np.int8),
+        return Trace(t=t, mode=np.asarray(self._mode, dtype=np.int8),
                      **dict(zip(_FLOAT_COLS, rows.T)))
 
 
@@ -387,11 +385,18 @@ def _whole_steps(name: str, value: float, dt: float) -> int:
     return round(value / dt)
 
 
-def _check_run_length(what: str, steps: int) -> None:
+def _check_run_length(what: str, steps: float) -> None:
     """Reject a run whose step count, or a bound on it, is over MAX_RUN_STEPS."""
     if steps > MAX_RUN_STEPS:
         raise ValueError(f"{what} could take more than {MAX_RUN_STEPS} steps, "
                          f"the most a run may take")
+
+
+def _wait_steps(what: str, seconds: float, dt: float) -> int:
+    """round(seconds / dt) for a fixed wait of a run of what, rejected first
+    when the wait alone is over MAX_RUN_STEPS (so never an infinite count)."""
+    _check_run_length(what, seconds / dt)
+    return round(seconds / dt)
 
 
 def _other_mode(mode: Mode) -> Mode:
@@ -474,16 +479,14 @@ class _Driver:
             for target in targets:
                 tau_cmd = p_law(target, state[0], kp)  # field 0: the motor angle
                 if switch:  # the gate tests every step until it accepts
-                    src = mode_of(state)
-                    dst = _other_mode(src)
                     tau_ext = gravity_torque(
                         state.theta if type(state) is PeaState else state.theta_o, load)
-                    decision = request_switch(dst, state, clamp_torque(tau_cmd, p), tau_ext, p)
+                    decision = request_switch(state, clamp_torque(tau_cmd, p), tau_ext, p)
                     if decision.accepted:
                         switch = False
-                        state = decision.transition
+                        src, state = mode_of(state), decision.transition
                         self._engage_k = engage_k = k + self.latency
-                        self._request = (k, src, dst, decision.transmitted)
+                        self._request = (k, src, state.target_mode, decision.transmitted)
                     else:
                         self.retried += 1
                 if k % stride == 0:  # the applied torque is clamp_torque's
@@ -648,10 +651,10 @@ def run_static_stiffness(
         raise ValueError(f"ramp_rate must be large enough to ramp 1 Nm in finitely many "
                          f"steps of {dt} s (got {ramp_rate})")
     n_ramp = max(1, round(leg_steps))
-    timeout_steps = round(60.0 / dt)  # of every dwell
+    what = f"{cycles} cycles at ramp_rate {ramp_rate}"
+    timeout_steps = _wait_steps(what, 60.0, dt)  # of every dwell
     # the leading dwell, then four legs a cycle: each a ramp and a dwell
-    _check_run_length(f"{cycles} cycles at ramp_rate {ramp_rate}",
-                      timeout_steps + 4 * cycles * (n_ramp + timeout_steps))
+    _check_run_length(what, timeout_steps + 4 * cycles * (n_ramp + timeout_steps))
     stride = _stride_for(dt, STIFFNESS_RECORD_HZ)
     rec = TraceRecorder(dt, stride)  # the rig calls it on kept steps only
     window_steps = max(1, round(0.05 / dt))
@@ -827,15 +830,15 @@ def run_disturbance(
         raise ValueError("n_impacts must be >= 1")
     if not math.isfinite(impact_torque):  # zero and negative pulses are legal
         raise ValueError(f"impact_torque must be finite (got {impact_torque})")
-    _check_impulse(impact_torque, preset.params)
     dt = preset.params.dt
     post_steps = _whole_steps("post_window_s", post_window_s, dt)
+    timeout_s = 40.0  # of every hold
+    what = f"{n_impacts} impacts"
+    hold_steps = _wait_steps(what, timeout_s, dt)
+    _check_run_length(what, hold_steps + n_impacts * (post_steps + hold_steps))
+    _check_impulse(impact_torque, preset.params)
     # a whole number of steps, so the impulse does not depend on the start time
     pulse_steps = min(round(IMPACT_DURATION_S / dt), post_steps)
-
-    timeout_s = 40.0  # of every hold
-    hold_steps = round(timeout_s / dt)
-    _check_run_length(f"{n_impacts} impacts", hold_steps + n_impacts * (post_steps + hold_steps))
 
     drv = _Driver(preset, DISTURB_KP, initial_state(mode))
     # settle into the pre-impact hold
@@ -915,16 +918,17 @@ def run_switch_cycle(
     if n < 1:
         raise ValueError("n must be >= 1")
     p = preset.params
-    retry_steps = max(1, round(retry_window_s / p.dt))
-    dwell_steps = round(0.12 / p.dt)
+    what = f"{n} switches"
+    retry_steps = max(1, _wait_steps(what, retry_window_s, p.dt))
+    dwell_steps = _wait_steps(what, 0.12, p.dt)
     timeout_s = 20.0  # of the opening hold
+    timeout_steps = _wait_steps(what, timeout_s, p.dt)
     drv = _Driver(preset, HOLD_KP, initial_state(Mode.SEA, hold),
                   _stride_for(p.dt, CYCLE_RECORD_HZ))
     latency = drv.latency
     # a request is refused after retry_steps, or accepted by then and engaged
     # latency steps after its acceptance
-    _check_run_length(f"{n} switches",
-                      round(timeout_s / p.dt) + n * (retry_steps + latency + dwell_steps))
+    _check_run_length(what, timeout_steps + n * (retry_steps + latency + dwell_steps))
     drv.hold(hold, omega_tol=1e-3, window_s=0.05, timeout_s=timeout_s, min_hold_s=0.5)
 
     max_ke_loss = 0.0

@@ -81,11 +81,6 @@ class Preset:
     load: LoadModel = field(default_factory=LoadModel)
 
 
-def default_output_inertia(load: LoadModel) -> float:
-    """Point-mass arm inertia mass*radius² [kg·m²]."""
-    return load.mass * load.radius * load.radius
-
-
 def _type_errors(preset: Preset) -> list[str]:
     """A message for every field whose value is not a JSON number (bool is not one)."""
     errors = []

@@ -20,7 +20,6 @@ from .plant import (
     SeaState,
     TransitionState,
     body_accel,
-    mode_of,
     pea_body,
     spring_torque,
 )
@@ -71,32 +70,28 @@ def transmitted_torque(
 
 
 def request_switch(
-    target: Mode,
     state: PlantState,
     tau_m: float,
     tau_ext: float,
     p: ActuatorParams,
 ) -> SwitchDecision:
-    """Gate a switch to target on |transmitted torque| < tau_disengage.
+    """Gate a switch to the other engaged mode on |transmitted torque| < tau_disengage.
 
     Rejection is a normal outcome. On acceptance the plant enters a freewheel
     transition carrying both coordinates (a parallel-mode state unpacks its
     single angle into both).
     """
-    current = mode_of(state)
-    if current is Mode.TRANS:
+    if type(state) is TransitionState:
         raise SelectorError("switch requested while a transition is already in progress")
-    if target is current:
-        raise SelectorError(f"self-transition requested ({current.value} -> {current.value})")
 
     tau_tr = transmitted_torque(state, tau_m, tau_ext, p)
     if abs(tau_tr) >= p.tau_disengage:
         return SwitchDecision(False, None, tau_tr)
 
     if type(state) is SeaState:
-        trans = TransitionState(state.theta_m, state.omega_m, state.theta_o, state.omega_o, target)
+        trans = TransitionState(state.theta_m, state.omega_m, state.theta_o, state.omega_o, Mode.PEA)
     else:
-        trans = TransitionState(state.theta, state.omega, state.theta, state.omega, target)
+        trans = TransitionState(state.theta, state.omega, state.theta, state.omega, Mode.SEA)
     return SwitchDecision(True, trans, tau_tr)
 
 

@@ -57,11 +57,6 @@ def linearized_stiffness(geometry: HubGeometry) -> float:
     return 4.0 * geometry.k * geometry.r1 * geometry.r2 * (1.0 - geometry.l0 / l_p) * _MM_NM
 
 
-def preload_force(geometry: HubGeometry) -> float:
-    """Assembly preload tension per spring k * preload_ext [N]."""
-    return geometry.k * geometry.preload_ext
-
-
 def hub_torque(geometry: HubGeometry, beta: float) -> float:
     """Nonlinear restoring torque of the four-spring hub [Nm]. Odd in beta."""
     l_eff = effective_length(geometry, beta)

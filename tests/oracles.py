@@ -130,15 +130,9 @@ def read_trace_csv(path: str | Path) -> Trace:
         for row in reader:
             for name, value in zip(CSV_HEADER, row):
                 cols[name].append(code[value] if name == "mode" else float(value))
-    t = np.asarray(cols["t"], dtype=np.float64)
-    dt = float(t[1] - t[0]) if len(t) > 1 else 0.0
-    return Trace(
-        dt=dt, t=t, mode=np.asarray(cols["mode"], dtype=np.int8),
-        theta_m=np.asarray(cols["theta_m"]), omega_m=np.asarray(cols["omega_m"]),
-        theta_o=np.asarray(cols["theta_o"]), omega_o=np.asarray(cols["omega_o"]),
-        tau_cmd=np.asarray(cols["tau_cmd"]), tau_applied=np.asarray(cols["tau_applied"]),
-        tau_spring=np.asarray(cols["tau_spring"]), i_q=np.asarray(cols["i_q"]),
-    )
+    # Trace's fields are the CSV columns, in order
+    return Trace(**{name: np.asarray(values, dtype=np.int8 if name == "mode" else np.float64)
+                    for name, values in cols.items()})
 
 
 def reference_mode_bands(trace: Trace) -> list[tuple[float, float, str]]:

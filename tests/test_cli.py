@@ -431,6 +431,31 @@ def test_bad_preset_fails_at_load(edit, message, tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("dt", [3e-307, 1e-307, 5e-324])
+@pytest.mark.parametrize("command", [
+    ["cycle", "--n", "1"],
+    ["disturb", "--mode", "pea", "--impacts", "1"],
+    ["stiffness", "--mode", "sea", "--cycles", "1"],
+    ["track"],
+], ids=["cycle", "disturb", "stiffness", "track"])
+def test_tiny_dt_fails_fast(command, dt, tmp_path, capsys):
+    # the preset loads (t_switch = 0 spans no steps), but the protocols' fixed
+    # waits, 60 s of dwell or 40 s of hold, are over the step ceiling or
+    # infinitely many steps: refused before any is rounded to a step count
+    from tsea.params import load_named_preset, preset_to_dict
+
+    doc = preset_to_dict(load_named_preset("calibrated"))
+    doc["params"].update(t_switch=0.0, dt=dt)
+    preset = tmp_path / "tiny.json"
+    preset.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main([*command, "--preset", str(preset), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda doc: [1, 2], "not a JSON object (got list)"),
     (lambda doc: {**doc, "params": [1, 2]}, "'params' is not a JSON object (got list)"),

@@ -53,7 +53,7 @@ def test_sinusoid_target(calibrated):
     trace, _ = run_dynamic_switching(calibrated, duration=0.5, switch_period=1.0)
     target = trace.tau_cmd / TRACK_KP + trace.theta_m
     assert target[0] == HANG_CENTER_RAD
-    quarter = round(0.25 / trace.dt)
+    quarter = round(0.25 / calibrated.params.dt)
     assert target[quarter] == pytest.approx(HANG_CENTER_RAD + math.radians(20.0))
     expected = HANG_CENTER_RAD + math.radians(20.0) * np.sin(2.0 * math.pi * trace.t)
     assert np.allclose(target, expected, rtol=0.0, atol=1e-12)

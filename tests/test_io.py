@@ -4,7 +4,7 @@ import re
 import sys
 import tracemalloc
 import xml.etree.ElementTree as ET
-from dataclasses import replace
+from dataclasses import fields, replace
 from decimal import Decimal
 
 import numpy as np
@@ -60,7 +60,7 @@ def _edge_trace(n: int = 64) -> Trace:
     base = np.array(EDGE_VALUES)
     cols = {name: base[(np.arange(n) + j) % len(base)] for j, name in enumerate(FLOAT_COLUMNS)}
     mode = (np.arange(n) % len(MODE_NAMES)).astype(np.int8)
-    return Trace(dt=1.25e-4, mode=mode, **cols)
+    return Trace(mode=mode, **cols)
 
 
 def _assert_same_as_reference(trace: Trace, tmp_path) -> None:
@@ -89,7 +89,7 @@ def test_writer_formats_each_bit_pattern(tmp_path):
     cols = {name: base[(rows + j) % len(base)] for j, name in enumerate(FLOAT_COLUMNS)}
     cols["tau_spring"] = np.full(CSV_BLOCK_ROWS, 0.1)
     mode = (rows % len(MODE_NAMES)).astype(np.int8)
-    trace = Trace(dt=1.25e-4, mode=mode, **cols)
+    trace = Trace(mode=mode, **cols)
     _assert_same_as_reference(trace, tmp_path)
     lines = (tmp_path / "new.csv").read_text().splitlines()
     assert lines[1] == "0.0,SEA,-0.0,nan,nan,0.1,0.1,-2.5,0.1,0.0"
@@ -124,7 +124,7 @@ def test_writer_matches_reference_at_format_boundaries(tmp_path):
     values = np.resize(values, n * len(FLOAT_COLUMNS))
     cols = dict(zip(FLOAT_COLUMNS, values.reshape(len(FLOAT_COLUMNS), n)))
     mode = (np.arange(n) % len(MODE_NAMES)).astype(np.int8)
-    _assert_same_as_reference(Trace(dt=1.25e-4, mode=mode, **cols), tmp_path)
+    _assert_same_as_reference(Trace(mode=mode, **cols), tmp_path)
 
 
 def _count_repr_calls(monkeypatch, trace: Trace, tmp_path) -> list:
@@ -141,7 +141,7 @@ def _count_repr_calls(monkeypatch, trace: Trace, tmp_path) -> list:
 
 def _constant_columns(values, n: int) -> Trace:
     cols = {name: np.full(n, v) for name, v in zip(FLOAT_COLUMNS, values)}
-    return Trace(dt=1.25e-4, mode=(np.arange(n) % len(MODE_NAMES)).astype(np.int8), **cols)
+    return Trace(mode=(np.arange(n) % len(MODE_NAMES)).astype(np.int8), **cols)
 
 
 def test_writer_calls_repr_only_for_slow_fields(monkeypatch, tmp_path):
@@ -170,7 +170,7 @@ def test_writer_peak_memory_is_per_chunk(tmp_path):
     cols = {name: rng.normal(0.0, 1.0, n) for name in FLOAT_COLUMNS}
     cols["t"] = np.arange(n) * 5e-4
     cols["theta_o"] = rng.normal(0.0, LOCKED_NOISE_RAD, n)
-    trace = Trace(dt=5e-4, mode=np.zeros(n, dtype=np.int8), **cols)
+    trace = Trace(mode=np.zeros(n, dtype=np.int8), **cols)
     tracemalloc.start()
     try:
         assert write_trace_csv(trace, tmp_path / "t.csv") == n
@@ -196,6 +196,10 @@ def test_empty_trace_header_only(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 1
     assert lines[0] == "t,mode,theta_m,omega_m,theta_o,omega_o,tau_cmd,tau_applied,tau_spring,i_q"
+
+
+def test_trace_fields_are_the_csv_columns():
+    assert tuple(f.name for f in fields(Trace)) == io.CSV_HEADER
 
 
 def test_round_trip_bit_exact(tmp_path):
@@ -235,7 +239,6 @@ def test_noise_leaves_the_input_and_other_columns():
     before = trace.theta_o.copy()
     noisy = apply_noise(trace, 5)
     assert trace.theta_o.tobytes() == before.tobytes()
-    assert noisy.dt == trace.dt
     assert np.array_equal(noisy.mode, trace.mode)
     for name in FLOAT_COLUMNS:
         if name != "theta_o":
@@ -312,7 +315,7 @@ def test_svg_band_shading_matches_switches(tmp_path, calibrated):
                     for r in rep.records if r.outcome == COMPLETED]
     starts = [b[0] for b in bands]
     for et in engage_times:
-        assert min(abs(s - et) for s in starts) < 2 * trace.dt
+        assert min(abs(s - et) for s in starts) < 2 * (trace.t[1] - trace.t[0])
     path = tmp_path / "p.svg"
     emit_svg_plot(trace.t, {"theta_m": trace.theta_m, "i_q": trace.i_q}, path, bands=bands)
     root = ET.parse(path).getroot()

@@ -8,10 +8,8 @@ from tsea.params import (
     MAX_RUN_STEPS,
     ActuatorParams,
     HubGeometry,
-    LoadModel,
     NAMED_PRESETS,
     Preset,
-    default_output_inertia,
     load_named_preset,
     load_preset,
     preset_from_dict,
@@ -140,13 +138,12 @@ def test_field_types_rejected(section, field, value, message, tmp_path):
     assert str(err.value) == f"invalid preset 'calibrated': {message}"
 
 
-def test_output_inertia_default_arm():
-    assert default_output_inertia(LoadModel(mass=0.920, radius=0.26)) == pytest.approx(0.0622, abs=1e-4)
-
-
-def test_output_inertia_trivia():
-    assert default_output_inertia(LoadModel(mass=0.0, radius=0.26)) == 0.0
-    assert default_output_inertia(LoadModel(mass=1.0, radius=1.0)) == 1.0
+def test_output_inertia_is_the_point_mass_arm():
+    # J_o = mass*radius² to rounding: 0.062192 is one ulp off the float product
+    for name in NAMED_PRESETS:
+        preset = load_named_preset(name)
+        assert preset.params.J_o == pytest.approx(preset.load.mass * preset.load.radius**2,
+                                                  rel=1e-12), name
 
 
 def test_preset_stiffness_sums_match_measured():

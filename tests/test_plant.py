@@ -236,7 +236,7 @@ def test_state_classes_through_a_switch():
     assert type(step(sea, 0.0, p, NO_LOAD)) is SeaState
     assert type(step(pea, 0.0, p, NO_LOAD)) is PeaState
     for src, dst in ((sea, Mode.PEA), (pea, Mode.SEA)):
-        trans = request_switch(dst, src, 0.0, 0.0, p).transition
+        trans = request_switch(src, 0.0, 0.0, p).transition
         assert type(trans) is TransitionState
         trans = step(trans, 0.0, p, NO_LOAD)
         assert type(trans) is TransitionState

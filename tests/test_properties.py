@@ -81,7 +81,7 @@ def engaged_states(draw):
 def test_accepted_request_is_below_the_gate(state, tau_m, tau_ext, gate):
     p = dataclasses.replace(ActuatorParams(), tau_disengage=gate)
     target = Mode.PEA if type(state) is SeaState else Mode.SEA
-    decision = request_switch(target, state, tau_m, tau_ext, p)
+    decision = request_switch(state, tau_m, tau_ext, p)
     assert decision.transmitted == transmitted_torque(state, tau_m, tau_ext, p)
     assert decision.accepted == (abs(decision.transmitted) < gate)
     if decision.accepted:

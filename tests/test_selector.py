@@ -41,14 +41,14 @@ def test_transmitted_undefined_in_transition():
 
 def test_request_accepted_when_unloaded():
     s = SeaState(0.0, 0.0, 0.0, 0.0, 0.0)
-    d = request_switch(Mode.PEA, s, 0.0, 0.0, P)
+    d = request_switch(s, 0.0, 0.0, P)
     assert d.accepted
     assert d.transition == TransitionState(0.0, 0.0, 0.0, 0.0, Mode.PEA)
 
 
 def test_request_rejected_above_gate():
     s = SeaState(2.0 / P.K_s, 0.0, 0.0, 0.0, 0.0)  # 2.0 Nm through the spring
-    d = request_switch(Mode.PEA, s, 0.0, 0.0, P)
+    d = request_switch(s, 0.0, 0.0, P)
     assert not d.accepted
     assert d.transition is None
     assert d.transmitted == pytest.approx(2.0)
@@ -57,23 +57,17 @@ def test_request_rejected_above_gate():
 
 def test_request_pea_lightly_loaded_accepted():
     s = PeaState(0.0, 0.0, 0.0)
-    d = request_switch(Mode.SEA, s, 0.5, 0.5, P)
+    d = request_switch(s, 0.5, 0.5, P)
     assert d.accepted
     assert d.transmitted == pytest.approx(0.5, abs=1e-12)
     # the single coordinate unpacks into both transition coordinates
     assert d.transition.theta_m == d.transition.theta_o == 0.0
 
 
-def test_self_transition_rejected():
-    s = SeaState(0.0, 0.0, 0.0, 0.0, 0.0)
-    with pytest.raises(SelectorError, match="self-transition"):
-        request_switch(Mode.SEA, s, 0.0, 0.0, P)
-
-
 def test_request_during_transition_rejected():
     s = TransitionState(0, 0, 0, 0, Mode.PEA)
     with pytest.raises(SelectorError, match="in progress"):
-        request_switch(Mode.SEA, s, 0.0, 0.0, P)
+        request_switch(s, 0.0, 0.0, P)
 
 
 def test_latency_is_exactly_t_switch_in_steps():

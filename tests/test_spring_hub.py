@@ -10,7 +10,6 @@ from tsea.spring_hub import (
     hub_torque,
     installed_length,
     linearized_stiffness,
-    preload_force,
     preload_offset,
     spring_length,
 )
@@ -100,12 +99,6 @@ def test_finite_difference_slope_matches_linearization():
     h = 1e-6
     slope = (hub_torque(GEOM, h) - hub_torque(GEOM, -h)) / (2 * h)
     assert slope == pytest.approx(linearized_stiffness(GEOM), rel=1e-4)
-
-
-def test_preload_force():
-    assert preload_force(GEOM) == pytest.approx(22.2, abs=0.1)
-    assert preload_force(HubGeometry(preload_ext=0.0)) == 0.0
-    assert preload_force(HubGeometry(k=10.0, preload_ext=1.0)) == 10.0
 
 
 def test_preload_offset_value():
