@@ -95,16 +95,22 @@ def _positive(flag: str, value: float) -> None:
 
 
 def _check_out(out: str) -> None:
-    """Reject an --out that cannot be made a directory before any run: the
-    path itself, or else its nearest existing ancestor, must be a directory."""
+    """Reject an --out that cannot take the outputs before any run: the path
+    itself, or else its nearest existing ancestor, must be a directory, and
+    each output file in it must be a regular file (or a link to one) if it
+    exists at all."""
     path = Path(out)
     try:
         while not (path.exists() or path.is_symlink()):  # a dangling link exists
             path = path.parent
+        if not path.is_dir():
+            raise CliError(f"--out {out!r}: {str(path)!r} exists and is not a directory")
+        for name in ("report.json", "trace.csv", "plot.svg"):
+            file = Path(out, name)  # none exists when out does not
+            if (file.exists() or file.is_symlink()) and not file.is_file():
+                raise CliError(f"--out {out!r}: {str(file)!r} exists and is not a regular file")
     except OSError as exc:  # a name too long
         raise CliError(f"--out {out!r}: {exc.strerror or exc}") from exc
-    if not path.is_dir():
-        raise CliError(f"--out {out!r}: {str(path)!r} exists and is not a directory")
 
 
 def _check_args(args) -> None:

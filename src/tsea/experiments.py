@@ -32,7 +32,6 @@ from math import isfinite, tanh
 import numpy as np
 
 from . import plant
-from .control import p_position
 from .params import MAX_RUN_STEPS, ActuatorParams, Preset
 from .plant import (
     Mode,
@@ -67,6 +66,9 @@ DISTURB_KP = 30.0
 HOLD_KP = 30.0
 IMPACT_TORQUE_NM = 7.0
 IMPACT_DURATION_S = 0.010
+IMPACT_WINDOW_S = 8.0  # each impact's post-strike window, where its metrics are read
+DWELL_OMEGA_TOL = 1e-4  # |omega_m| [rad/s] under which a stiffness vertex dwell settles
+RETRY_WINDOW_S = 0.25  # how long the endurance run retries a refused switch request
 SETTLE_BAND_DEG = 0.5
 HANG_CENTER_RAD = -math.pi / 2.0  # arm hanging straight down: zero gravity torque
 # trace row rates of the two long runs; the others log every step
@@ -376,15 +378,6 @@ def _check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive and finite (got {value})")
 
 
-def _whole_steps(name: str, value: float, dt: float) -> int:
-    """round(value / dt) for a duration that must span at least one step."""
-    _check_positive(name, value)
-    if not 0.5 < value / dt < math.inf:
-        raise ValueError(f"{name} must be longer than half a step of {dt} s and span "
-                         f"finitely many steps (got {value})")
-    return round(value / dt)
-
-
 def _check_run_length(what: str, steps: float) -> None:
     """Reject a run whose step count, or a bound on it, is over MAX_RUN_STEPS."""
     if steps > MAX_RUN_STEPS:
@@ -411,6 +404,12 @@ def initial_state(mode: Mode, theta: float = 0.0) -> PlantState:
     if mode is Mode.PEA:
         return PeaState(theta, 0.0, theta)
     raise ValueError("initial state must be an engaged mode")
+
+
+def p_position(theta_tar: float, theta_m: float, Kp: float) -> float:
+    """The motor-side P law Kp*(theta_tar - theta_m) [Nm]. It reads only the
+    motor angle; plant.step clamps the command to tau_max, never this law."""
+    return Kp * (theta_tar - theta_m)
 
 
 class _Driver:
@@ -602,7 +601,6 @@ def run_static_stiffness(
     preset: Preset,
     ramp_rate: float = 0.2,
     cycles: int = 3,
-    settle_omega: float = 1e-4,
 ) -> tuple[Trace, StiffnessReport]:
     """Quasi-static torque cycles against the locked output.
 
@@ -610,7 +608,7 @@ def run_static_stiffness(
     carries the load), so the motor works against K_s in series mode and
     against K_s + K_struct through the rigid path in parallel mode. The
     torque command ramps linearly between the cycle vertices 0, +1, 0, -1, 0
-    Nm and dwells at each vertex until |omega_m| < settle_omega for 0.05 s
+    Nm and dwells at each vertex until |omega_m| < DWELL_OMEGA_TOL for 0.05 s
     (at most 60 s); the fit and loop area use the continuously sampled trace.
 
     Each leg is the leading dwell, or a ramp of n steps and its dwell. Its sign
@@ -658,6 +656,7 @@ def run_static_stiffness(
     stride = _stride_for(dt, STIFFNESS_RECORD_HZ)
     rec = TraceRecorder(dt, stride)  # the rig calls it on kept steps only
     window_steps = max(1, round(0.05 / dt))
+    omega_tol = DWELL_OMEGA_TOL
 
     J, b, w_eps, K_t = p.J_m, p.b_m, p.omega_eps, p.K_t
     half, sixth = 0.5 * dt, dt / 6.0
@@ -713,12 +712,12 @@ def run_static_stiffness(
                     raise SimulationError(f"stiffness rig blew up at t={step_i * dt:.6f} s")
                 step_i += 1
                 if j > n:
-                    quiet = quiet + 1 if abs(omega) < settle_omega else 0
+                    quiet = quiet + 1 if abs(omega) < omega_tol else 0
                     if quiet >= window_steps:
                         break
             else:
                 raise SimulationError(
-                    f"rig did not settle below |omega| < {settle_omega} rad/s at tau={tau_to} Nm"
+                    f"rig did not settle below |omega| < {omega_tol} rad/s at tau={tau_to} Nm"
                 )
         if copy:  # leg src from row r on, to leg src + 1's start
             rec.copy_rows(r // 8, marks[src + 1][1], negated)
@@ -748,7 +747,6 @@ def run_dynamic_switching(
     preset: Preset,
     duration: float = 30.0,
     switch_period: float = 5.0,
-    center: float = HANG_CENTER_RAD,
 ) -> tuple[Trace, TrackingReport]:
     """Sinusoidal tracking (±20° at 1 Hz) with a switch requested every period.
 
@@ -757,7 +755,12 @@ def run_dynamic_switching(
     are retried every following step until accepted.
     """
     dt = preset.params.dt
-    n_steps = _whole_steps("duration", duration, dt)
+    center = HANG_CENTER_RAD
+    _check_positive("duration", duration)
+    if not 0.5 < duration / dt < math.inf:
+        raise ValueError(f"duration must be longer than half a step of {dt} s and span "
+                         f"finitely many steps (got {duration})")
+    n_steps = round(duration / dt)
     _check_run_length(f"duration {duration}", n_steps)
     _check_positive("switch_period", switch_period)
     drv = _Driver(preset, TRACK_KP, initial_state(Mode.SEA, center))
@@ -811,13 +814,12 @@ def run_disturbance(
     preset: Preset,
     n_impacts: int | None = None,
     impact_torque: float = IMPACT_TORQUE_NM,
-    post_window_s: float = 8.0,
 ) -> tuple[Trace, DisturbanceReport]:
     """Impulse response under position hold at the horizontal.
 
     A rectangular torque pulse of round(IMPACT_DURATION_S / dt) steps strikes
     the output side; peak deflection and settling into the ±0.5° band over
-    post_window_s are measured on the impacted (output-side) angle relative
+    IMPACT_WINDOW_S are measured on the impacted (output-side) angle relative
     to its pre-impact rest value (in parallel mode the motor and output
     angles are one coordinate). A hold that saturates the motor raises
     SimulationError rather than measuring impacts on a hanging arm.
@@ -831,14 +833,14 @@ def run_disturbance(
     if not math.isfinite(impact_torque):  # zero and negative pulses are legal
         raise ValueError(f"impact_torque must be finite (got {impact_torque})")
     dt = preset.params.dt
-    post_steps = _whole_steps("post_window_s", post_window_s, dt)
     timeout_s = 40.0  # of every hold
     what = f"{n_impacts} impacts"
     hold_steps = _wait_steps(what, timeout_s, dt)
+    post_steps = max(1, _wait_steps(what, IMPACT_WINDOW_S, dt))
     _check_run_length(what, hold_steps + n_impacts * (post_steps + hold_steps))
     _check_impulse(impact_torque, preset.params)
     # a whole number of steps, so the impulse does not depend on the start time
-    pulse_steps = min(round(IMPACT_DURATION_S / dt), post_steps)
+    pulse_steps = round(IMPACT_DURATION_S / dt)
 
     drv = _Driver(preset, DISTURB_KP, initial_state(mode))
     # settle into the pre-impact hold
@@ -905,8 +907,6 @@ def _disturbance_report(mode: Mode, trace: Trace, windows: list[tuple[int, int]]
 def run_switch_cycle(
     preset: Preset,
     n: int = 324,
-    hold: float = HANG_CENTER_RAD,
-    retry_window_s: float = 0.25,
 ) -> tuple[Trace, CycleReport]:
     """n alternating topology switches under gravity with a position hold.
 
@@ -918,8 +918,9 @@ def run_switch_cycle(
     if n < 1:
         raise ValueError("n must be >= 1")
     p = preset.params
+    hold = HANG_CENTER_RAD
     what = f"{n} switches"
-    retry_steps = max(1, _wait_steps(what, retry_window_s, p.dt))
+    retry_steps = max(1, _wait_steps(what, RETRY_WINDOW_S, p.dt))
     dwell_steps = _wait_steps(what, 0.12, p.dt)
     timeout_s = 20.0  # of the opening hold
     timeout_steps = _wait_steps(what, timeout_s, p.dt)

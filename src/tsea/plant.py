@@ -16,8 +16,8 @@ model in spring_hub characterizes the hub and does not enter the dynamics.
 
 step() unpacks the state into floats and writes one body shape's four RK4
 stages and forces out inline in each branch: the spring-coupled pair (SEA),
-the same pair while the selector travels, and the parallel body. body_accel
-is the parallel body's force on its own, for the switch gate. The
+the same pair while the selector travels, and the parallel body, whose force
+selector.transmitted_torque also writes out, for the switch gate. The
 locked-output stiffness rig (experiments) writes its own load-free step of the
 same body inline.
 
@@ -110,29 +110,6 @@ def spring_torque(state: PlantState, p: ActuatorParams) -> float:
     return 0.0
 
 
-def body_accel(q: float, w: float, tau: float, tau_ext: float, mgr: float,
-               anchor: float, K: float, b: float, tc: float, w_eps: float,
-               J: float) -> float:
-    """Acceleration of one rigid body on a grounded spring.
-
-    The body at angle q, velocity w carries motor torque tau, the spring
-    K*(q - anchor), the output load mgr*cos(q) + tau_ext, viscous damping b
-    and Coulomb friction tc. The parallel body (pea_body) is this body, and so
-    is the locked-output stiffness rig with anchor = mgr = tau_ext = 0, whose
-    load-free step experiments.run_static_stiffness writes inline; step
-    writes this force inline in each stage of its PEA branch.
-    """
-    return (
-        tau - K * (q - anchor) - (mgr * cos(q) + tau_ext)
-        - b * w - tc * tanh(w / w_eps)
-    ) / J
-
-
-def pea_body(p: ActuatorParams) -> tuple[float, float, float, float, float]:
-    """(K, b, tc, w_eps, J) of the rigidly coupled parallel body for body_accel."""
-    return p.K_s, p.b_m + p.b_o, p.tau_c_pea + p.tau_c_out, p.omega_eps, p.J_m + p.J_o
-
-
 def step(
     state: PlantState,
     tau_m: float,
@@ -157,8 +134,8 @@ def step(
 
     if cls is PeaState:
         q, w, anchor = state
-        K, b, tc, J = p.K_s, p.b_m + p.b_o, p.tau_c_pea + p.tau_c_out, p.J_m + p.J_o  # pea_body
-        try:  # body_accel's force in each stage
+        K, b, tc, J = p.K_s, p.b_m + p.b_o, p.tau_c_pea + p.tau_c_out, p.J_m + p.J_o
+        try:  # the force selector.transmitted_torque writes, in each stage
             a1 = (tau - K * (q - anchor) - (mgr * cos(q) + ext) - b * w - tc * tanh(w / w_eps)) / J
             q2, w2 = q + half * w, w + half * a1
             a2 = (tau - K * (q2 - anchor) - (mgr * cos(q2) + ext) - b * w2 - tc * tanh(w2 / w_eps)) / J

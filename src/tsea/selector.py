@@ -19,8 +19,6 @@ from .plant import (
     PlantState,
     SeaState,
     TransitionState,
-    body_accel,
-    pea_body,
     spring_torque,
 )
 
@@ -63,8 +61,12 @@ def transmitted_torque(
     if type(state) is PeaState:
         if not (math.isfinite(tau_m) and math.isfinite(tau_ext)):
             raise ValueError(f"non-finite input torque: tau_m={tau_m}, tau_ext={tau_ext}")
-        alpha = body_accel(state.theta, state.omega, tau_m, tau_ext, 0.0,
-                           state.theta_anchor, *pea_body(p))
+        q, w, anchor = state
+        K, b, tc, J = p.K_s, p.b_m + p.b_o, p.tau_c_pea + p.tau_c_out, p.J_m + p.J_o
+        # plant.step's parallel-body force in its order; 0.0*cos(q), the gravity
+        # term with no load, stays because it fixes the sign of a zero
+        alpha = (tau_m - K * (q - anchor) - (0.0 * math.cos(q) + tau_ext)
+                 - b * w - tc * math.tanh(w / p.omega_eps)) / J
         return tau_m - p.J_m * alpha
     raise SelectorError("transmitted torque is undefined while the selector travels")
 

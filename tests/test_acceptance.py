@@ -13,8 +13,8 @@ import pytest
 
 from conftest import without_friction
 from oracles import spring_force_torque
-from tsea.control import p_position
 from tsea.experiments import (
+    p_position,
     run_disturbance,
     run_dynamic_switching,
     run_hold,

@@ -1,4 +1,4 @@
-import functools
+import inspect
 import json
 import re
 
@@ -7,7 +7,7 @@ import pytest
 from oracles import read_trace_csv
 
 import tsea.experiments
-from tsea.cli import main
+from tsea.cli import build_parser, main
 from tsea.io import apply_noise
 
 
@@ -256,8 +256,7 @@ def test_saturated_cycle_hold_exits_2(tmp_path, capsys, monkeypatch):
     doc["load"]["mass"] = 50
     heavy = tmp_path / "heavy.json"
     heavy.write_text(json.dumps(doc))
-    monkeypatch.setattr(tsea.experiments, "run_switch_cycle",
-                        functools.partial(tsea.experiments.run_switch_cycle, hold=0.0))
+    monkeypatch.setattr(tsea.experiments, "HANG_CENTER_RAD", 0.0)
     out = tmp_path / "out"
     assert main(["cycle", "--n", "1", "--preset", str(heavy), "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
@@ -441,8 +440,17 @@ def test_bad_preset_fails_at_load(edit, message, tmp_path, capsys):
 def test_tiny_dt_fails_fast(command, dt, tmp_path, capsys):
     # the preset loads (t_switch = 0 spans no steps), but the protocols' fixed
     # waits, 60 s of dwell or 40 s of hold, are over the step ceiling or
-    # infinitely many steps: refused before any is rounded to a step count
-    from tsea.params import load_named_preset, preset_to_dict
+    # infinitely many steps: refused before any is rounded to a step count.
+    # Where a CLI argument spans no finite number of steps it is named first
+    from tsea.params import MAX_RUN_STEPS, load_named_preset, preset_to_dict
+
+    what = {"cycle": "1 switches", "disturb": "1 impacts", "track": "duration 30.0",
+            "stiffness": "1 cycles at ramp_rate 0.2"}[command[0]]
+    message = {
+        ("track", 1e-307): "duration must be longer than half a step",
+        ("track", 5e-324): "duration must be longer than half a step",
+        ("stiffness", 5e-324): "ramp_rate must be large enough to ramp 1 Nm",
+    }.get((command[0], dt), f"{what} could take more than {MAX_RUN_STEPS} steps")
 
     doc = preset_to_dict(load_named_preset("calibrated"))
     doc["params"].update(t_switch=0.0, dt=dt)
@@ -451,9 +459,28 @@ def test_tiny_dt_fails_fast(command, dt, tmp_path, capsys):
     out = tmp_path / "out"
     assert main([*command, "--preset", str(preset), "--out", str(out)]) == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
     assert captured.out == ""
     assert not out.exists()
+
+
+def test_disturb_step_longer_than_the_impact_window(tmp_path, capsys):
+    # a preset that loads with dt = 20 s, over twice the 8 s impact window:
+    # each window keeps its first row, and the pulse spans no step
+    from tsea.params import load_named_preset, preset_to_dict
+
+    doc = preset_to_dict(load_named_preset("calibrated"))
+    doc["params"].update(dt=20.0, t_switch=0.0, K_s=1e-12, K_struct=1e-12, b_m=0.0, b_o=0.0,
+                         tau_c_sea=0.0, tau_c_pea=0.0, J_m=1.0, J_o=1.0)
+    doc["load"]["mass"] = 0.0
+    preset = tmp_path / "coarse.json"
+    preset.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    argv = ["disturb", "--mode", "sea", "--impacts", "2", "--preset", str(preset)]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads((out / "report.json").read_text())
+    assert report["peaks_deg"] == [0.0, 0.0] and report["settling_ms"] == [0.0, 0.0]
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -508,3 +535,48 @@ def test_bad_out_fails_before_simulating(command, case, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [blocker]
     if case != "dangling-link":
         assert blocker.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("command, name", [
+    (["cycle", "--n", "1"], "report.json"),
+    (["cycle", "--n", "1"], "trace.csv"),
+    (["cycle", "--n", "1"], "plot.svg"),
+    (["hub-curve"], "trace.csv"),
+], ids=["cycle-report", "cycle-trace", "cycle-plot", "hub-curve-trace"])
+@pytest.mark.parametrize("kind", ["directory", "dangling-link"])
+def test_output_name_taken_fails_before_simulating(command, name, kind, tmp_path, capsys):
+    # an output name held by something other than a regular file is refused
+    # before the run, not with a traceback once the other outputs are written
+    out = tmp_path / "out"
+    out.mkdir()
+    taken = out / name
+    if kind == "directory":
+        taken.mkdir()
+    else:
+        taken.symlink_to(tmp_path / "missing")
+    assert main([*command, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: --out {str(out)!r}: {str(taken)!r} exists and is not "
+                            f"a regular file\n")
+    assert captured.out == ""
+    assert list(out.iterdir()) == [taken]
+    assert list(tmp_path.iterdir()) == [out]
+
+
+@pytest.mark.parametrize("argv, run, keywords", [
+    (["stiffness", "--mode", "sea"], tsea.experiments.run_static_stiffness,
+     {"rate": "ramp_rate", "cycles": "cycles"}),
+    (["track"], tsea.experiments.run_dynamic_switching,
+     {"duration": "duration", "period": "switch_period"}),
+    (["disturb", "--mode", "sea"], tsea.experiments.run_disturbance,
+     {"impacts": "n_impacts", "impulse": "impact_torque"}),
+    (["cycle"], tsea.experiments.run_switch_cycle, {"n": "n"}),
+], ids=["stiffness", "track", "disturb", "cycle"])
+def test_cli_defaults_are_the_protocol_defaults(argv, run, keywords):
+    # the golden runs and the benchmark take the CLI's defaults, the acceptance
+    # tests the protocols': they must be one set, and every protocol keyword
+    # a flag of its subcommand
+    args = build_parser().parse_args(argv)
+    defaults = {name: param.default for name, param in inspect.signature(run).parameters.items()
+                if param.default is not inspect.Parameter.empty}
+    assert defaults == {keyword: getattr(args, dest) for dest, keyword in keywords.items()}

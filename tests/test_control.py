@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from tsea.control import p_position
+from tsea import experiments
 from tsea.experiments import (
     HANG_CENTER_RAD,
     TRACK_KP,
     TraceRecorder,
+    p_position,
     run_dynamic_switching,
     run_static_stiffness,
 )
@@ -19,8 +20,9 @@ VERTICES = (-1.0, 0.0, 1.0)
 
 @pytest.fixture(scope="module")
 def torque_cycles(calibrated) -> np.ndarray:
-    trace, _ = run_static_stiffness(Mode.SEA, calibrated, ramp_rate=5.0, cycles=2,
-                                    settle_omega=1e-2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "DWELL_OMEGA_TOL", 1e-2)
+        trace, _ = run_static_stiffness(Mode.SEA, calibrated, ramp_rate=5.0, cycles=2)
     return trace.tau_applied
 
 

@@ -275,11 +275,12 @@ def test_time_column_is_the_step_clock(hz, run, calibrated, monkeypatch):
     assert copies
 
 
-def test_static_stiffness_dwell_timeout(calibrated):
+def test_static_stiffness_dwell_timeout(calibrated, monkeypatch):
     # omega never drops below zero, so the leading dwell at 0 Nm runs its
     # 60 s out
+    monkeypatch.setattr(tsea.experiments, "DWELL_OMEGA_TOL", 0.0)
     with pytest.raises(SimulationError) as err:
-        run_static_stiffness(Mode.SEA, calibrated, cycles=1, settle_omega=0.0)
+        run_static_stiffness(Mode.SEA, calibrated, cycles=1)
     assert str(err.value) == "rig did not settle below |omega| < 0.0 rad/s at tau=0.0 Nm"
 
 
@@ -325,11 +326,10 @@ def test_static_stiffness_rejects_transition_mode(full_range):
     (run_disturbance, {"impact_torque": math.nan}),
     (run_disturbance, {"impact_torque": -math.inf}),
     (run_disturbance, {"impact_torque": 2.0**70}),
-    (run_disturbance, {"post_window_s": 1e-5}),
 ], ids=["ramp_rate-zero", "ramp_rate-nan", "ramp_rate-overflow", "cycles-zero",
         "switch_period-zero", "switch_period-inf", "duration-zero", "duration-negative",
         "duration-nan", "duration-substep", "duration-overflow", "impact_torque-nan",
-        "impact_torque-inf", "impact_torque-over-bound", "post_window_s-substep"])
+        "impact_torque-inf", "impact_torque-over-bound"])
 def test_protocols_reject_bad_arguments(run, kwargs, calibrated):
     args = (calibrated,) if run is run_dynamic_switching else (Mode.SEA, calibrated)
     (name,) = kwargs
@@ -379,9 +379,8 @@ def test_dynamic_switching_retries_until_gate_opens(calibrated, monkeypatch):
     # holding around the horizontal keeps the spring loaded near 2.3 Nm, so
     # requests are refused until the stroke unloads the path
     decisions = spy_on_gate(monkeypatch)
-    trace, rep = run_dynamic_switching(
-        calibrated, duration=4.0, switch_period=1.0, center=0.0
-    )
+    monkeypatch.setattr(tsea.experiments, "HANG_CENTER_RAD", 0.0)
+    trace, rep = run_dynamic_switching(calibrated, duration=4.0, switch_period=1.0)
     assert rep.retried_attempts > 0
     assert rep.retried_attempts == sum(1 for d in decisions if not d.accepted)
     for r in rep.records:
@@ -395,8 +394,9 @@ def test_dynamic_switching_retries_until_gate_opens(calibrated, monkeypatch):
     (0.1, 1e-5, HANG_CENTER_RAD, 1, 560),   # a period shorter than a step
 ], ids=["due-mid-travel", "refused", "golden", "period-below-dt"])
 def test_phased_tracking_matches_per_step_loop(calibrated, duration, period, center,
-                                               completed, retried):
-    trace, rep = run_dynamic_switching(calibrated, duration, period, center)
+                                               completed, retried, monkeypatch):
+    monkeypatch.setattr(tsea.experiments, "HANG_CENTER_RAD", center)
+    trace, rep = run_dynamic_switching(calibrated, duration, period)
     drv = reference_track_driver(calibrated, duration, period, center)
     ref = drv.rec.trace()
     for name in ("t", "mode", "theta_m", "omega_m", "theta_o", "omega_o",
@@ -423,9 +423,9 @@ def test_tracking_stops_requesting_after_last_step(calibrated, monkeypatch):
     assert next(calls) <= 5  # the parent loop made 200,001 calls
 
 
-def test_disturbance_zero_impulse(calibrated):
-    trace, rep = run_disturbance(Mode.SEA, calibrated, n_impacts=1, impact_torque=0.0,
-                                 post_window_s=2.0)
+def test_disturbance_zero_impulse(calibrated, monkeypatch):
+    monkeypatch.setattr(tsea.experiments, "IMPACT_WINDOW_S", 2.0)
+    trace, rep = run_disturbance(Mode.SEA, calibrated, n_impacts=1, impact_torque=0.0)
     assert rep.peaks_deg[0] < 0.02
     assert rep.settling_ms[0] == 0.0
 
@@ -442,7 +442,8 @@ def test_disturbance_motor_side_measurement_is_smaller(calibrated, monkeypatch):
         settled.append(self.rec.n_recorded)
 
     monkeypatch.setattr(_Driver, "hold", spy)
-    trace, rep = run_disturbance(Mode.SEA, calibrated, n_impacts=1, post_window_s=4.0)
+    monkeypatch.setattr(tsea.experiments, "IMPACT_WINDOW_S", 4.0)
+    trace, rep = run_disturbance(Mode.SEA, calibrated, n_impacts=1)
     a = settled[0]
     b = a + round(4.0 / calibrated.params.dt)
     assert peak_deflection(trace.theta_o[a:b], trace.theta_o[a]) == rep.peaks_deg[0]
@@ -464,7 +465,8 @@ def test_impact_pulse_is_a_whole_number_of_steps(calibrated, monkeypatch):
         return step(state, tau_m, p, load, tau_out_extra)
 
     monkeypatch.setattr(tsea.plant, "step", spy)
-    run_disturbance(Mode.PEA, calibrated, n_impacts=2, post_window_s=2.52375)
+    monkeypatch.setattr(tsea.experiments, "IMPACT_WINDOW_S", 2.52375)
+    run_disturbance(Mode.PEA, calibrated, n_impacts=2)
     starts = [i for i in pushed if i - 1 not in pushed]
     assert starts[1] == 31970
     assert sum(1 for i in range(31970, 32070) if i * dt < 31970 * dt + 0.010) == 81
@@ -709,13 +711,13 @@ def test_selector_engages_once_per_switch(protocol, t_switch, calibrated, monkey
         assert r.engage_k == r.request_k + latency
 
 
-def test_switch_cycle_gate_forced_closed(calibrated):
+def test_switch_cycle_gate_forced_closed(calibrated, monkeypatch):
     # a vanishing disengagement limit with the arm held off the gravity
     # neutral keeps every request loaded: nothing completes
     pre = with_params(calibrated, tau_disengage=1e-12)
-    trace, rep = run_switch_cycle(
-        pre, n=3, hold=HANG_CENTER_RAD + 0.25, retry_window_s=0.02
-    )
+    monkeypatch.setattr(tsea.experiments, "HANG_CENTER_RAD", HANG_CENTER_RAD + 0.25)
+    monkeypatch.setattr(tsea.experiments, "RETRY_WINDOW_S", 0.02)
+    trace, rep = run_switch_cycle(pre, n=3)
     assert rep.completed == 0
     assert rep.rejected == 3
     assert all(r.outcome == REJECTED and r.engage_k is None for r in rep.records)
@@ -726,7 +728,9 @@ def test_switch_cycle_counts_every_refusal(calibrated, monkeypatch):
     # on all 160 steps of its 0.02 s retry window, the first refusal included
     decisions = spy_on_gate(monkeypatch)
     pre = with_params(calibrated, tau_disengage=1e-12)
-    _, rep = run_switch_cycle(pre, n=3, hold=HANG_CENTER_RAD + 0.25, retry_window_s=0.02)
+    monkeypatch.setattr(tsea.experiments, "HANG_CENTER_RAD", HANG_CENTER_RAD + 0.25)
+    monkeypatch.setattr(tsea.experiments, "RETRY_WINDOW_S", 0.02)
+    _, rep = run_switch_cycle(pre, n=3)
     assert rep.retried_attempts == 3 * 160
     assert sum(1 for d in decisions if not d.accepted) == rep.retried_attempts
 
@@ -943,7 +947,7 @@ def test_run_length_ceiling():
 @pytest.mark.parametrize("run, kwargs", [
     (run_static_stiffness, {"cycles": 100}),
     (run_dynamic_switching, {"duration": 6251.0}),
-    (run_disturbance, {"post_window_s": 1e4}),
+    (run_disturbance, {"n_impacts": 200}),
     (run_switch_cycle, {"n": 20_000}),
 ], ids=["stiffness-cycles", "track-duration", "disturb-window", "cycle-n"])
 def test_protocols_reject_runs_over_the_ceiling(run, kwargs, calibrated):

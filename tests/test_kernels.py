@@ -1,8 +1,8 @@
 """The float RK4 steps replay the original closure-based integrators bit for bit.
 
 plant.step holds the four RK4 stages of each body shape and the switch gate
-evaluates the parallel body's force (body_accel), both in the original
-arithmetic order. These tests run them against the closure-based references
+(selector.transmitted_torque) evaluates the parallel body's force, both in
+the original arithmetic order. These tests run them against the closure-based references
 in oracles on seeded random inputs and compare float.hex, so a zero whose sign
 moved (-0.0 against 0.0) fails as loudly as a changed digit. The stiffness
 rig's inline step is checked against its reference, column by column, in

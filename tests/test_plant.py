@@ -4,18 +4,17 @@ import math
 import pytest
 
 from conftest import without_friction
+from oracles import pea_rhs
 from tsea.params import ActuatorParams, LoadModel
 from tsea.plant import (
     Mode,
     PeaState,
     SeaState,
     TransitionState,
-    body_accel,
     clamp_torque,
     SimulationError,
     gravity_torque,
     mode_of,
-    pea_body,
     spring_torque,
     step,
 )
@@ -31,7 +30,7 @@ def undamped_params(**kw) -> ActuatorParams:
 
 def pea_alpha(q, w, tau, tau_ext, p, anchor=0.0, mgr=0.0):
     # the parallel body's acceleration, as plant.step and the switch gate evaluate it
-    return body_accel(q, w, tau, tau_ext, mgr, anchor, *pea_body(p))
+    return pea_rhs(tau, tau_ext, p, anchor, mgr)(q, w)[1]
 
 
 def test_gravity_torque_landmarks():
