@@ -52,7 +52,6 @@ class ActuatorParams:
     b_o: float = 0.145           # output-side viscous damping [Nm·s/rad]
     tau_c_sea: float = 0.109     # Coulomb friction magnitude, spring path engaged [Nm]
     tau_c_pea: float = 0.058     # Coulomb friction magnitude, rigid path engaged [Nm]
-    tau_c_out: float = 0.0       # output-bearing Coulomb friction, every state [Nm]
     K_t: float = 0.083           # torque constant [Nm/A]
     tau_max: float = 3.0         # motor torque saturation [Nm]
     tau_disengage: float = 1.0   # max transmitted torque permitting disengagement [Nm]
@@ -126,7 +125,6 @@ def validate(preset: Preset) -> list[str]:
     non_negative("b_o", p.b_o)
     non_negative("tau_c_sea", p.tau_c_sea)
     non_negative("tau_c_pea", p.tau_c_pea)
-    non_negative("tau_c_out", p.tau_c_out)
     positive("tau_max", p.tau_max)
     positive("tau_disengage", p.tau_disengage)
     non_negative("t_switch", p.t_switch)
@@ -140,7 +138,7 @@ def validate(preset: Preset) -> list[str]:
         for body, b, tau_c, J in (
             ("motor in SEA", p.b_m, p.tau_c_sea, p.J_m),
             ("motor in the locked-output PEA rig", p.b_m, p.tau_c_pea, p.J_m),
-            ("output in SEA and in transition", p.b_o, p.tau_c_out, p.J_o),
+            ("output in SEA and in transition", p.b_o, 0.0, p.J_o),
         ):
             ratio = (b + tau_c / p.omega_eps) * p.dt / J
             if ratio >= RK4_REAL_AXIS_LIMIT:
@@ -160,7 +158,7 @@ def validate(preset: Preset) -> list[str]:
         if not math.isfinite(i_max * i_max):
             errors.append(f"K_t = {p.K_t} makes the largest current tau_max/K_t = {i_max:.4g} A, "
                           f"whose square is not finite")
-        if p.t_switch / p.dt > MAX_RUN_STEPS:  # selector.latency_steps counts them one by one
+        if p.t_switch / p.dt > MAX_RUN_STEPS:  # a travel longer than any run may take
             errors.append(f"t_switch = {p.t_switch} s spans more than {MAX_RUN_STEPS} steps "
                           f"of dt = {p.dt} s, the most a run may take")
         # the hub law hub-curve sweeps: a positive finite slope, and finite

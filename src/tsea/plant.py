@@ -24,11 +24,11 @@ same body inline.
 The states are immutable NamedTuples. step(), the selector and the trace
 recorder unpack them by position, so their field order is part of the contract.
 
-Friction model: the per-mode Coulomb magnitude (tau_c_sea / tau_c_pea) acts
-on the motor-side body, where the hub plates and dog interfaces live, and is
-off in transition, where no interface is engaged. The output bearing gets its
-own (normally zero) magnitude tau_c_out, which acts in every state. All
-Coulomb terms are tanh-regularized.
+Friction model: Coulomb friction acts only where an interface is engaged,
+at the hub plates and dog interfaces: tau_c_sea on the motor in SEA and
+tau_c_pea on the parallel body, tanh-regularized. While the selector travels
+no interface is engaged and neither body rubs; viscous damping (b_m, b_o)
+acts in every state.
 """
 
 from __future__ import annotations
@@ -134,7 +134,7 @@ def step(
 
     if cls is PeaState:
         q, w, anchor = state
-        K, b, tc, J = p.K_s, p.b_m + p.b_o, p.tau_c_pea + p.tau_c_out, p.J_m + p.J_o
+        K, b, tc, J = p.K_s, p.b_m + p.b_o, p.tau_c_pea, p.J_m + p.J_o
         try:  # the force selector.transmitted_torque writes, in each stage
             a1 = (tau - K * (q - anchor) - (mgr * cos(q) + ext) - b * w - tc * tanh(w / w_eps)) / J
             q2, w2 = q + half * w, w + half * a1
@@ -152,37 +152,37 @@ def step(
         raise SimulationError("non-finite PEA state")
 
     qm, wm, qo, wo, off = state  # off: SEA's beta_offset, TRANS's target_mode
-    b_m, J_m, b_o, tc_o, J_o = p.b_m, p.J_m, p.b_o, p.tau_c_out, p.J_o
+    b_m, J_m, b_o, J_o = p.b_m, p.J_m, p.b_o, p.J_o
     try:
         if cls is SeaState:  # the pair on the hub spring K*(qm - qo - off)
             K, tc_m = p.K_s, p.tau_c_sea
             tau_s = K * (qm - qo - off)
             am1 = (tau - tau_s - b_m * wm - tc_m * tanh(wm / w_eps)) / J_m
-            ao1 = (tau_s - (mgr * cos(qo) + ext) - b_o * wo - tc_o * tanh(wo / w_eps)) / J_o
+            ao1 = (tau_s - (mgr * cos(qo) + ext) - b_o * wo) / J_o
             qo2, wm2, wo2 = qo + half * wo, wm + half * am1, wo + half * ao1
             tau_s = K * (qm + half * wm - qo2 - off)
             am2 = (tau - tau_s - b_m * wm2 - tc_m * tanh(wm2 / w_eps)) / J_m
-            ao2 = (tau_s - (mgr * cos(qo2) + ext) - b_o * wo2 - tc_o * tanh(wo2 / w_eps)) / J_o
+            ao2 = (tau_s - (mgr * cos(qo2) + ext) - b_o * wo2) / J_o
             qo3, wm3, wo3 = qo + half * wo2, wm + half * am2, wo + half * ao2
             tau_s = K * (qm + half * wm2 - qo3 - off)
             am3 = (tau - tau_s - b_m * wm3 - tc_m * tanh(wm3 / w_eps)) / J_m
-            ao3 = (tau_s - (mgr * cos(qo3) + ext) - b_o * wo3 - tc_o * tanh(wo3 / w_eps)) / J_o
+            ao3 = (tau_s - (mgr * cos(qo3) + ext) - b_o * wo3) / J_o
             qo4, wm4, wo4 = qo + dt * wo3, wm + dt * am3, wo + dt * ao3
             tau_s = K * (qm + dt * wm3 - qo4 - off)
             am4 = (tau - tau_s - b_m * wm4 - tc_m * tanh(wm4 / w_eps)) / J_m
-            ao4 = (tau_s - (mgr * cos(qo4) + ext) - b_o * wo4 - tc_o * tanh(wo4 / w_eps)) / J_o
-        else:  # the selector travels: no spring and no motor-side Coulomb term
+            ao4 = (tau_s - (mgr * cos(qo4) + ext) - b_o * wo4) / J_o
+        else:  # the selector travels: no spring and no Coulomb term
             am1 = (tau - b_m * wm) / J_m
-            ao1 = (-(mgr * cos(qo) + ext) - b_o * wo - tc_o * tanh(wo / w_eps)) / J_o
+            ao1 = (-(mgr * cos(qo) + ext) - b_o * wo) / J_o
             qo2, wm2, wo2 = qo + half * wo, wm + half * am1, wo + half * ao1
             am2 = (tau - b_m * wm2) / J_m
-            ao2 = (-(mgr * cos(qo2) + ext) - b_o * wo2 - tc_o * tanh(wo2 / w_eps)) / J_o
+            ao2 = (-(mgr * cos(qo2) + ext) - b_o * wo2) / J_o
             qo3, wm3, wo3 = qo + half * wo2, wm + half * am2, wo + half * ao2
             am3 = (tau - b_m * wm3) / J_m
-            ao3 = (-(mgr * cos(qo3) + ext) - b_o * wo3 - tc_o * tanh(wo3 / w_eps)) / J_o
+            ao3 = (-(mgr * cos(qo3) + ext) - b_o * wo3) / J_o
             qo4, wm4, wo4 = qo + dt * wo3, wm + dt * am3, wo + dt * ao3
             am4 = (tau - b_m * wm4) / J_m
-            ao4 = (-(mgr * cos(qo4) + ext) - b_o * wo4 - tc_o * tanh(wo4 / w_eps)) / J_o
+            ao4 = (-(mgr * cos(qo4) + ext) - b_o * wo4) / J_o
         qm, wm, qo, wo = (qm + sixth * (wm + 2.0 * (wm2 + wm3) + wm4),
                           wm + sixth * (am1 + 2.0 * (am2 + am3) + am4),
                           qo + sixth * (wo + 2.0 * (wo2 + wo3) + wo4),

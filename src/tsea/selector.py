@@ -62,7 +62,7 @@ def transmitted_torque(
         if not (math.isfinite(tau_m) and math.isfinite(tau_ext)):
             raise ValueError(f"non-finite input torque: tau_m={tau_m}, tau_ext={tau_ext}")
         q, w, anchor = state
-        K, b, tc, J = p.K_s, p.b_m + p.b_o, p.tau_c_pea + p.tau_c_out, p.J_m + p.J_o
+        K, b, tc, J = p.K_s, p.b_m + p.b_o, p.tau_c_pea, p.J_m + p.J_o
         # plant.step's parallel-body force in its order; 0.0*cos(q), the gravity
         # term with no load, stays because it fixes the sign of a zero
         alpha = (tau_m - K * (q - anchor) - (0.0 * math.cos(q) + tau_ext)
@@ -98,13 +98,9 @@ def request_switch(
 
 
 def latency_steps(t_switch: float, dt: float) -> int:
-    """Steps from an accepted request to engagement, one at the least:
-    t_switch counted down by dt until no more than half a step is left.
-    params.validate bounds t_switch / dt, so the count ends."""
-    steps, remaining = 1, t_switch - dt
-    while remaining > 0.5 * dt:
-        steps, remaining = steps + 1, remaining - dt
-    return steps
+    """Steps from an accepted request to engagement: t_switch / dt rounded to
+    the nearest whole step (a half step to the even one), one at the least."""
+    return max(1, round(t_switch / dt))
 
 
 def advance_selector(state: TransitionState, p: ActuatorParams) -> PlantState:

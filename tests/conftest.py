@@ -26,7 +26,7 @@ def linear_window() -> Preset:
 
 def without_friction(preset: Preset, **extra) -> Preset:
     params = dataclasses.replace(
-        preset.params, tau_c_sea=0.0, tau_c_pea=0.0, tau_c_out=0.0, **extra
+        preset.params, tau_c_sea=0.0, tau_c_pea=0.0, **extra
     )
     return dataclasses.replace(preset, params=params)
 

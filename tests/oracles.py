@@ -11,7 +11,9 @@ body shape, and the stiffness rig's inline step must match bit for bit, and
 the tracking loop is the original one-step-per-call driver loop that
 run_dynamic_switching's phases must match, as the hold loop is the one that
 _Driver.hold's single run must match. The selector countdown is the original
-float count of the travel that selector.latency_steps must match. The switch-cycle and disturbance
+float count of the travel, which selector.latency_steps must match on whole-step
+and random travel times (on exact half steps the countdown rounds down, where
+latency_steps rounds to the even step). The switch-cycle and disturbance
 loops and the stiffness rig simulate every unit (every leg, for the rig),
 where the protocols replay the units that repeat an earlier one.
 """
@@ -183,7 +185,7 @@ def pea_rhs(tau: float, tau_ext: float, p: ActuatorParams, anchor: float,
             mgr: float = 0.0):
     """Derivative g(q, w) -> (w, alpha) of the rigidly coupled parallel body."""
     K, w_eps, J = p.K_s, p.omega_eps, p.J_m + p.J_o
-    b, tc = p.b_m + p.b_o, p.tau_c_pea + p.tau_c_out
+    b, tc = p.b_m + p.b_o, p.tau_c_pea
     tanh, cos = math.tanh, math.cos
 
     def g(q: float, w: float):
@@ -218,7 +220,6 @@ def reference_step(state: PlantState, tau_m: float, p: ActuatorParams,
     tanh, cos = math.tanh, math.cos
     J_m, J_o = p.J_m, p.J_o
     b_m, b_o = p.b_m, p.b_o
-    tc_o = p.tau_c_out
     if cls is SeaState:
         tc_m = p.tau_c_sea
         off = state.beta_offset
@@ -226,18 +227,12 @@ def reference_step(state: PlantState, tau_m: float, p: ActuatorParams,
         def f(qm: float, wm: float, qo: float, wo: float):
             tau_s = K * (qm - qo - off)
             am = (tau - tau_s - b_m * wm - tc_m * tanh(wm / w_eps)) / J_m
-            ao = (
-                tau_s - (mgr * cos(qo) + tau_out_extra) - b_o * wo
-                - tc_o * tanh(wo / w_eps)
-            ) / J_o
+            ao = (tau_s - (mgr * cos(qo) + tau_out_extra) - b_o * wo) / J_o
             return wm, am, wo, ao
     else:
         def f(qm: float, wm: float, qo: float, wo: float):
             am = (tau - b_m * wm) / J_m
-            ao = (
-                -(mgr * cos(qo) + tau_out_extra) - b_o * wo
-                - tc_o * tanh(wo / w_eps)
-            ) / J_o
+            ao = (-(mgr * cos(qo) + tau_out_extra) - b_o * wo) / J_o
             return wm, am, wo, ao
 
     try:

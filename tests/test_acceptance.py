@@ -173,7 +173,7 @@ def test_criterion_6_switching_endurance():
 def test_criterion_7_numerical_integrity():
     preset = load_named_preset("calibrated")
     p = dataclasses.replace(preset.params, b_m=0.0, b_o=0.0,
-                            tau_c_sea=0.0, tau_c_pea=0.0, tau_c_out=0.0)
+                            tau_c_sea=0.0, tau_c_pea=0.0)
     load0 = dataclasses.replace(preset.load, mass=0.0)
 
     s = SeaState(0.1, 0.0, 0.0, 0.0, 0.0)

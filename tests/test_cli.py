@@ -403,10 +403,13 @@ def _param(field, value):
     (lambda doc: doc["load"].update(theta_zero_horizontal=True), re.compile(
         r"error: malformed preset config: .*unexpected keyword argument "
         r"'theta_zero_horizontal'\n")),
+    (_param("tau_c_out", 0.0), re.compile(
+        r"error: malformed preset config: .*unexpected keyword argument 'tau_c_out'\n")),
 ], ids=["omega_eps-tiny", "dt-large", "K_s-string", "t_switch-ceiling", "name-number",
         "K_t-tiny", "radius-huge", "hub-slack", "hub-r2-huge", "hub-radii-close",
         "hub-r2-eats-preload", "truncated-json", "not-utf8",
-        "teeth_inner-removed", "teeth_outer-removed", "theta_zero_horizontal-removed"])
+        "teeth_inner-removed", "teeth_outer-removed", "theta_zero_horizontal-removed",
+        "tau_c_out-removed"])
 def test_bad_preset_fails_at_load(edit, message, tmp_path, capsys):
     from tsea.params import load_named_preset, preset_to_dict
 

@@ -670,11 +670,11 @@ def test_switch_cycle_small(calibrated):
 
 
 @pytest.mark.parametrize("t_switch, latency", [
-    (lambda dt: 0.0, 1), (lambda dt: 1.5 * dt, 1), (lambda dt: 3.5 * dt, 3), (lambda dt: 0.03, 240),
+    (lambda dt: 0.0, 1), (lambda dt: 1.5 * dt, 2), (lambda dt: 3.5 * dt, 4), (lambda dt: 0.03, 240),
 ], ids=["0", "1.5dt", "3.5dt", "0.03s"])
-def test_switch_cycle_latency_matches_selector_countdown(t_switch, latency, calibrated):
-    # the selector engages after at least one step, and its half-step guard
-    # does not round half-way latencies the way round(t_switch / dt) does
+def test_switch_cycle_latency_rounds_t_switch(t_switch, latency, calibrated):
+    # the selector engages after round(t_switch / dt) steps, a half step
+    # rounded to the even one, and after one step at the least
     dt = calibrated.params.dt
     pre = with_params(calibrated, t_switch=t_switch(dt))
     _, rep = run_switch_cycle(pre, n=2)

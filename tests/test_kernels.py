@@ -92,7 +92,7 @@ class Sampler:
             J_m=d.J_m * rng.uniform(0.5, 2.0), J_o=d.J_o * rng.uniform(0.5, 2.0),
             K_s=d.K_s * rng.uniform(0.5, 2.0), K_struct=d.K_struct * rng.uniform(0.5, 2.0),
             b_m=c(d.b_m), b_o=c(d.b_o), tau_c_sea=c(d.tau_c_sea),
-            tau_c_pea=c(d.tau_c_pea), tau_c_out=c(0.05),
+            tau_c_pea=c(d.tau_c_pea),
             dt=d.dt * rng.uniform(0.25, 2.0),
             # a cancelling sample saturates the Coulomb term at small velocities
             omega_eps=10.0 ** rng.uniform(-8.0, -2.0) if self.cancel

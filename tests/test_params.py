@@ -53,7 +53,7 @@ def test_validate_reports_every_violation():
     ("omega_eps", 1e-4, ["motor in SEA", "motor in the locked-output PEA rig"]),
     ("dt", 5e-3, ["motor in SEA", "motor in the locked-output PEA rig"]),
     ("tau_c_pea", 0.3, ["motor in the locked-output PEA rig"]),
-    ("tau_c_out", 30.0, ["output in SEA and in transition"]),
+    ("b_o", 1400.0, ["output in SEA and in transition"]),
 ])
 def test_rk4_stability_bounds_rejected(field, value, bodies):
     preset = load_named_preset("calibrated")
@@ -66,8 +66,7 @@ def test_rk4_stability_bounds_rejected(field, value, bodies):
 
 
 def test_switch_travel_over_the_run_ceiling_rejected():
-    # selector.latency_steps counts the travel one step at a time, so a travel
-    # longer than any run may take is refused before a driver counts it
+    # a selector travel longer than any run may take is refused at load
     preset = load_named_preset("calibrated")
     dt = preset.params.dt
     for t_switch in (2.0 * MAX_RUN_STEPS * dt, 1e300):
